@@ -10,9 +10,9 @@ at t.  Diagonal models reduce to one scalar integral per mode,
     k_i(t, s) = integral of exp(2 integral_sigma^t a_i) b_i(sigma)^2 dsigma,
 
 evaluated with an exact drift antiderivative when the model carries one and
-a cached dense interpolant otherwise.  Dense models use composite
-Gauss-Legendre panels chained right-to-left so each propagator solve only
-spans a single panel.
+a cached dense interpolant otherwise.  Scalar and dense models read K from
+``evolution.flow``, which solves the joint (U, K) system on unit-grid cells
+and composes longer spans with the flow decomposition.
 
 The infinite-horizon limit K(t, -inf) is realized by truncating at a start
 time s* whose neglected tail is controlled either by the model's decay
@@ -29,12 +29,11 @@ import numpy as np
 from scipy import integrate
 from scipy.integrate import solve_ivp
 
-from .evolution import propagator_matrix, scalar_drift_integral
+from .evolution import FLOW_ATOL, FLOW_RTOL, flow, propagator_matrix
 from .linalg import NotPSDError, SymOperator
 from .models import OperatorFamily, WindowExceededError
 
 MODE_TOL = 1e-11
-DENSE_TOL = 1e-9
 PSD_CLAMP = 1e-10
 
 
@@ -42,13 +41,9 @@ class NoDecayError(RuntimeError):
     """No usable decay rate and no explicit tail cutoff was supplied."""
 
 
-class QuadratureStalledError(RuntimeError):
-    """Panel refinement stopped improving before reaching tolerance."""
-
-
 @dataclass(frozen=True)
 class CovarianceKernel:
-    """An accumulated covariance with its quadrature provenance.
+    """An accumulated covariance with its numerical provenance.
 
     ``s`` is -inf for truncated infinite-horizon kernels; the actual cutoff
     and the bound used to pick it live in ``meta``.
@@ -70,7 +65,7 @@ def _ensure_psd(mat: np.ndarray) -> SymOperator:
     w = np.linalg.eigvalsh(sym)
     lo = float(w.min())
     if lo < -PSD_CLAMP:
-        raise NotPSDError(f"quadrature produced eigenvalue {lo:.3e}")
+        raise NotPSDError(f"covariance has eigenvalue {lo:.3e}")
     if lo < 0.0:
         w2, v = np.linalg.eigh(sym)
         sym = (v * np.clip(w2, 0.0, None)) @ v.T
@@ -111,78 +106,6 @@ def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float,
     return val
 
 
-# -- dense and scalar quadrature ---------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _scalar_panels(model: OperatorFamily, s: float, t: float, panels: int) -> np.ndarray:
-    bounds = np.linspace(s, t, panels + 1)
-    acc = np.zeros((model.dim, model.dim))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            r = mid + half * x
-            weight = math.exp(2.0 * scalar_drift_integral(model, r, t))
-            b = model.noise_matrix(r)
-            acc += (w * half * weight) * (b @ b.T)
-    return acc
-
-
-def _right_edge_propagators(model: OperatorFamily, lo: float, hi: float,
-                            points) -> dict[float, np.ndarray]:
-    """U(hi, r) for every r in points, via one sequential backward sweep.
-
-    W(sigma) := U(hi, hi - sigma) solves W' = W A(hi - sigma), W(0) = I, so
-    a single adaptive pass with stops at the sorted targets covers all the
-    nodes of a panel."""
-    from .evolution import _integrate_matrix_ode, drift_evaluator
-
-    out = {}
-    w = np.eye(model.dim)
-    sigma = 0.0
-    drift = drift_evaluator(model)
-    f = lambda sig, m: m @ drift(hi - sig)
-    for r in sorted(points, reverse=True):
-        target = hi - r
-        if target > sigma:
-            w = _integrate_matrix_ode(f, sigma, target, w)
-            sigma = target
-        out[r] = w.copy()
-    return out
-
-
-def _dense_panels(model: OperatorFamily, s: float, t: float, panels: int) -> np.ndarray:
-    """One composite pass: propagators are chained panel by panel so no
-    solve spans more than one panel."""
-    bounds = np.linspace(s, t, panels + 1)
-    acc = np.zeros((model.dim, model.dim))
-    carry = np.eye(model.dim)  # U(t, bounds[i+1]) while processing panel i
-    for i in range(panels - 1, -1, -1):
-        lo, hi = bounds[i], bounds[i + 1]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        rs = mid + half * _GL_NODES
-        props = _right_edge_propagators(model, lo, hi, list(rs) + [lo])
-        for r, w in zip(rs, _GL_WEIGHTS):
-            u = carry @ props[r]
-            q = model.diffusion_matrix(r)
-            acc += (w * half) * (u @ q @ u.T)
-        carry = carry @ props[lo]
-    return acc
-
-
-def _refine(panel_fn, s, t, tol) -> tuple[np.ndarray, dict]:
-    prev = None
-    for panels in (2, 4, 8, 16, 32, 64, 128):
-        cur = panel_fn(s, t, panels)
-        if prev is not None:
-            delta = float(np.abs(cur - prev).max())
-            if delta <= tol:
-                return cur, {"panels": panels, "richardson_delta": delta}
-        prev = cur
-    raise QuadratureStalledError(f"no convergence to {tol} after 128 panels on [{s}, {t}]")
-
-
 def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
     """The covariance K(t, s) accumulated by the noise between s and t.
 
@@ -203,12 +126,9 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
         diag = [mode_accumulated(model, i, s, t) for i in range(model.dim)]
         kern = CovarianceKernel(s, t, _ensure_psd(np.diag(diag)),
                                 {"method": "per-mode quad", "tol": MODE_TOL})
-    elif model.kind == "scalar":
-        mat, info = _refine(lambda a, b, p: _scalar_panels(model, a, b, p), s, t, DENSE_TOL)
-        kern = CovarianceKernel(s, t, _ensure_psd(mat), {"method": "gauss-legendre", **info})
     else:
-        mat, info = _refine(lambda a, b, p: _dense_panels(model, a, b, p), s, t, DENSE_TOL)
-        kern = CovarianceKernel(s, t, _ensure_psd(mat), {"method": "gauss-legendre", **info})
+        kern = CovarianceKernel(s, t, _ensure_psd(flow(model, s, t)[1]),
+                                {"method": "flow", "rtol": FLOW_RTOL, "atol": FLOW_ATOL})
     cache[key] = kern
     return kern
 

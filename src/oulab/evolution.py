@@ -1,13 +1,23 @@
-"""Two-parameter propagators and their decay certificates.
+"""Two-parameter propagators, the joint (U, K) flow, and decay certificates.
 
-For a model with drift family A(t), the propagator U(t, s) solves
+For a model with drift family A(t) and noise B(t), the propagator U(t, s)
+and the accumulated noise covariance K(t, s) solve the joint system
 
-    d/dt U(t, s) = A(t) U(t, s),   U(s, s) = I,
+    d/dt U = A(t) U,                     U(s, s) = I,
+    d/dt K = A(t) K + K A(t)^T + Q(t),   K(s, s) = 0,
 
-and satisfies the chain law U(t, r) U(r, s) = U(t, s).  Diagonal and scalar
-models get entrywise exponentials exp(integral of a_k over [s, t]); dense
-models are integrated with a 4th-order one-step scheme under local error
-control.
+with Q = B B^T (Van Loan, IEEE TAC 1978).  U satisfies the chain law
+U(t, r) U(r, s) = U(t, s), and K the flow decomposition
+
+    K(t, s) = U(t, r) K(r, s) U(t, r)^T + K(t, r).
+
+Diagonal and scalar models get U as entrywise exponentials
+exp(integral of a_k over [s, t]).  ``flow`` serves K for scalar models and
+both U and K for dense ones: a span inside one cell [k, k+1] of the unit
+grid is one DOP853 solve of the joint system, and a longer span is split at
+ceil(t) - 1 and composed with the two laws above.  The split depends on
+(s, t) alone, so results do not depend on call order, and long spans reuse
+the memoized cells.
 
 fit_decay measures propagator norms on a grid of (s, t) pairs and fits
 
@@ -29,12 +39,13 @@ from scipy import integrate
 from .linalg import CameronMartinMetric, SymOperator, operator_norm, spectral, sqrt_psd
 from .models import ModeCoefficients, OperatorFamily
 
-DENSE_LOCAL_TOL = 1e-10
+FLOW_RTOL = 1e-12
+FLOW_ATOL = 1e-14
 MODE_QUAD_TOL = 1e-12
 
 
 class IntegratorDivergedError(RuntimeError):
-    """Step control underflowed; the dense solve cannot proceed."""
+    """The flow solver failed; carries the solver's message."""
 
 
 class FitFailedError(RuntimeError):
@@ -75,62 +86,61 @@ def scalar_drift_integral(model: OperatorFamily, s: float, t: float) -> float:
     return val
 
 
-def _rk4(f, tau, m, h):
-    k1 = f(tau, m)
-    k2 = f(tau + 0.5 * h, m + 0.5 * h * k1)
-    k3 = f(tau + 0.5 * h, m + 0.5 * h * k2)
-    k4 = f(tau + h, m + h * k3)
-    return m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:
+    """State at t of y' = rhs(tau, y), y(s) = y0, by one DOP853 solve."""
+    sol = integrate.solve_ivp(rhs, (s, t), y0, method="DOP853",
+                              rtol=FLOW_RTOL, atol=FLOW_ATOL)
+    if not sol.success:
+        raise IntegratorDivergedError(f"DOP853 on [{s}, {t}]: {sol.message}")
+    return sol.y[:, -1].copy()  # a view would keep the whole step history alive
 
 
-def drift_evaluator(model: OperatorFamily):
-    """Memoized t -> A(t) for one integration sweep: step doubling and
-    overlapping substages revisit the same times."""
-    cache: dict[float, np.ndarray] = {}
+def _cell_flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U(t, s), K(t, s)) from one solve of the joint system, carried as the
+    n x 2n block [U | K]; K' is built as AK + (AK)^T, exactly symmetric."""
+    n = model.dim
 
-    def drift(tau: float) -> np.ndarray:
-        if tau not in cache:
-            cache[tau] = model.drift_matrix(tau)
-        return cache[tau]
+    def rhs(tau, y):
+        ay = model.drift_matrix(tau) @ y.reshape(n, 2 * n)
+        ak = ay[:, n:]
+        ay[:, n:] = ak + ak.T + model.diffusion_matrix(tau)
+        return ay.ravel()
 
-    return drift
+    y = _solve(rhs, s, t, np.hstack([np.eye(n), np.zeros((n, n))]).ravel())
+    y = y.reshape(n, 2 * n)
+    return y[:, :n], y[:, n:]
 
 
-def _integrate_matrix_ode(f, s: float, t: float, m0: np.ndarray,
-                          tol: float = DENSE_LOCAL_TOL) -> np.ndarray:
-    """Solve M' = f(tau, M) on [s, t] by RK4 with step halving control.
+def flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U(t, s), K(t, s)) of the joint flow, memoized per model.
 
-    Local error is estimated by comparing one h-step against two h/2-steps;
-    the doubled solution plus its Richardson correction is kept, giving 5th
-    order locally.
+    A span inside one unit-grid cell is solved directly; a longer one is
+    split at r = ceil(t) - 1 into [s, r] and [r, t] and composed.  The
+    returned arrays are the memo's own and are read-only.
     """
-    span = t - s
-    if span == 0.0:
-        return m0.copy()
-    tau, m = s, m0.copy()
-    h = span / 16.0
-    h_min = 1e-14 * span
-    while tau < t - 1e-15 * max(1.0, abs(t)):
-        h = min(h, t - tau)
-        one = _rk4(f, tau, m, h)
-        half = _rk4(f, tau + 0.5 * h, _rk4(f, tau, m, 0.5 * h), 0.5 * h)
-        err = float(np.abs(half - one).max()) / 15.0
-        scale = max(1.0, float(np.abs(half).max()))
-        if err <= tol * scale:
-            tau += h
-            m = half + (half - one) / 15.0
-            h *= min(2.0, 0.9 * (tol * scale / max(err, 1e-300)) ** 0.2)
+    if t < s:
+        raise ValueError(f"need s <= t, got s={s}, t={t}")
+    model.require_window(s, t)
+    memo = model.meta.setdefault("_flow_memo", {})
+    key = (float(s), float(t))
+    if key not in memo:
+        r = math.ceil(t) - 1
+        if s >= r:
+            u, k = _cell_flow(model, s, t)
         else:
-            h *= max(0.1, 0.9 * (tol * scale / err) ** 0.2)
-            if h < h_min:
-                raise IntegratorDivergedError(f"step underflow at tau={tau}")
-    return m
+            u_tr, k_tr = flow(model, r, t)
+            u_rs, k_rs = flow(model, s, r)
+            u, k = u_tr @ u_rs, u_tr @ k_rs @ u_tr.T + k_tr
+        u.setflags(write=False)
+        k.setflags(write=False)
+        memo[key] = (u, k)
+    return memo[key]
 
 
 def propagator_matrix(model: OperatorFamily, s: float, t: float) -> np.ndarray:
     """Raw matrix of U(t, s) without the EvolutionMap wrapper.
 
-    Dense solves are memoized per model (pure function of (s, t)); the
+    Dense models read it from the memoized ``flow`` (read-only); the
     entrywise-exponential kinds are cheap enough to recompute.
     """
     if t < s:
@@ -140,15 +150,7 @@ def propagator_matrix(model: OperatorFamily, s: float, t: float) -> np.ndarray:
         return np.diag([math.exp(mode_drift_integral(m, s, t)) for m in model.modes])
     if model.kind == "scalar":
         return math.exp(scalar_drift_integral(model, s, t)) * np.eye(model.dim)
-    if t == s:
-        return np.eye(model.dim)
-    cache = model.meta.setdefault("_propagator_cache", {})
-    key = (float(s), float(t))
-    if key not in cache:
-        drift = drift_evaluator(model)
-        f = lambda tau, m: drift(tau) @ m
-        cache[key] = _integrate_matrix_ode(f, s, t, np.eye(model.dim))
-    return cache[key]
+    return flow(model, s, t)[0]
 
 
 def evolve(model: OperatorFamily, s: float, t: float) -> EvolutionMap:
@@ -163,13 +165,15 @@ def adjoint_evolve(model: OperatorFamily, s: float, t: float) -> EvolutionMap:
 
 
 def adjoint_by_integration(model: OperatorFamily, s: float, t: float) -> np.ndarray:
-    """Independent adjoint solve, used to cross-check adjoint_evolve."""
+    """Independent adjoint solve, used to cross-check adjoint_evolve: one
+    U-only pass of V' = V A(t)^T over the whole of [s, t], outside the flow
+    memo and its unit-grid composition."""
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
-    drift = drift_evaluator(model)
-    f = lambda tau, m: m @ drift(tau).T
-    return _integrate_matrix_ode(f, s, t, np.eye(model.dim))
+    n = model.dim
+    rhs = lambda tau, y: (y.reshape(n, n) @ model.drift_adjoint(tau)).ravel()
+    return _solve(rhs, s, t, np.eye(n).ravel()).reshape(n, n)
 
 
 # -- norms and decay certificates -------------------------------------------

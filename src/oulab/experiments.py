@@ -192,11 +192,8 @@ def run_diffcheck(model, cfg, report: RunReport, outdir: Path) -> None:
     report.add("diffcheck.formulas", "PASS" if worst <= cfg.tol_fd else "FAIL",
                f"max discrepancy {worst:.3e} on 20 trig probes")
     med = float(np.median(ratios))
-    if model.closed_form:
-        report.add("diffcheck.fd-order", "PASS" if 3.5 <= med <= 4.5 else "FAIL",
-                   f"median halving ratio {med:.2f}")
-    else:
-        report.add("diffcheck.fd-order", "REPORT", f"median halving ratio {med:.2f}")
+    report.add("diffcheck.fd-order", "PASS" if 3.5 <= med <= 4.5 else "FAIL",
+               f"median halving ratio {med:.2f}")
 
 
 def _kappa(model, cfg) -> tuple[float, dict]:

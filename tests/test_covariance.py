@@ -5,7 +5,7 @@ import pytest
 
 from oulab import covariance as cov
 from oulab import evolution as evo
-from oulab.models import make_diagonal_constant, make_scalar
+from oulab.models import build_model, make_diagonal_constant, make_scalar
 from oulab.rng import seed_stream
 
 # closed form for the constant model with rate -1, unit diffusion:
@@ -104,7 +104,7 @@ def test_psd_monotone_in_start_time(rational4):
 
 def test_dense_quadrature_against_closed_form():
     # wrap the constant model as an opaque dense family: same numbers must
-    # come out of the Gauss-Legendre path
+    # come out of the joint (U, K) flow
     from oulab.models import OperatorFamily
 
     dense = OperatorFamily(
@@ -114,6 +114,37 @@ def test_dense_quadrature_against_closed_form():
     )
     k = cov.accumulated(dense, 0.0, 1.0)
     np.testing.assert_allclose(k.matrix, DC_K10 * np.eye(3), atol=1e-9)
+
+
+@pytest.mark.parametrize("s, t", [(-0.2, 0.2), (-1.0, 0.4), (-8.0, 0.0)])
+def test_dense_flow_against_lyapunov(parabolic5, s, t):
+    # constant drift: K(t, s) = X - e^{A h} X e^{A^T h} with A X + X A^T = -I
+    from scipy.linalg import expm, solve_continuous_lyapunov
+
+    a = parabolic5.drift_matrix(0.0)
+    x = solve_continuous_lyapunov(a, -np.eye(5))
+    u = expm(a * (t - s))
+    k = cov.accumulated(parabolic5, s, t)
+    assert np.abs(k.matrix - (x - u @ x @ u.T)).max() <= 1e-12
+    assert k.meta == {"method": "flow", "rtol": evo.FLOW_RTOL, "atol": evo.FLOW_ATOL}
+
+
+def test_flow_is_independent_of_call_order():
+    first, second = build_model("parabolic-1d", {}), build_model("parabolic-1d", {})
+    long_first = cov.accumulated(first, -8.0, 0.0).matrix
+    short_after = cov.accumulated(first, -4.0, 0.0).matrix
+    short_first = cov.accumulated(second, -4.0, 0.0).matrix
+    long_after = cov.accumulated(second, -8.0, 0.0).matrix
+    assert np.array_equal(long_first, long_after)
+    assert np.array_equal(short_after, short_first)
+
+
+def test_flow_composition_pins_the_steady_state_floor(parabolic5):
+    # K(0, -8) differs from K(0, -4) by a term of order ||U(0, -4)||^2, far
+    # below roundoff; separate solves would differ by solver noise instead
+    k8 = cov.accumulated(parabolic5, -8.0, 0.0).matrix
+    k4 = cov.accumulated(parabolic5, -4.0, 0.0).matrix
+    assert np.abs(k8 - k4).max() <= 1e-15
 
 
 def test_forward_derivative_constant_model(dc8):

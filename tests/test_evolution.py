@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oulab import evolution as evo
-from oulab.models import make_diagonal_constant
+from oulab.models import OperatorFamily, build_model, make_diagonal_constant
 from oulab.rng import seed_stream
 
 
@@ -62,6 +62,41 @@ def test_adjoint_against_dual_integration(parabolic5):
     direct = evo.adjoint_evolve(parabolic5, s, t).matrix
     dual = evo.adjoint_by_integration(parabolic5, s, t)
     assert np.abs(direct - dual).max() <= 1e-8
+
+
+def test_adjoint_by_integration_bypasses_the_flow_memo():
+    model = build_model("parabolic-1d", {})
+    dual = evo.adjoint_by_integration(model, 0.1, 1.2)
+    assert "_flow_memo" not in model.meta
+    assert np.abs(evo.adjoint_evolve(model, 0.1, 1.2).matrix - dual).max() <= 1e-12
+
+
+@pytest.mark.parametrize("s, t", [(-0.2, 0.2), (-1.0, 0.4), (-8.0, 0.0)])
+def test_dense_propagator_against_expm(parabolic5, s, t):
+    from scipy.linalg import expm
+
+    u = evo.propagator_matrix(parabolic5, s, t)
+    assert np.abs(u - expm(parabolic5.drift_matrix(0.0) * (t - s))).max() <= 1e-12
+
+
+def test_flow_memo_is_read_only(parabolic5):
+    u, k = evo.flow(parabolic5, -0.5, 0.5)
+    assert evo.propagator_matrix(parabolic5, -0.5, 0.5) is u
+    for arr in (u, k):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def test_non_finite_drift_raises_diverged():
+    broken = OperatorFamily(
+        name="broken", dim=2, window=(-5.0, 5.0), kind="dense",
+        drift_fn=lambda t: -np.eye(2) if t < 0.3 else np.full((2, 2), np.nan),
+        noise_fn=lambda t: np.eye(2),
+    )
+    with pytest.raises(evo.IntegratorDivergedError, match="step size"):
+        evo.propagator_matrix(broken, 0.0, 0.6)
+    with pytest.raises(evo.IntegratorDivergedError, match="step size"):
+        evo.adjoint_by_integration(broken, 0.0, 0.6)
 
 
 def test_adjoint_identity_at_equal_times(parabolic5):
