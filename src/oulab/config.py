@@ -45,7 +45,6 @@ class ExperimentConfig:
     probe_count: int = 20
     anchor: float | None = None  # None: anchor the system at -inf via decay
     mc_samples: int = 100_000
-    inner_samples: int = 1000
     spde_paths: int = 100_000
     spde_step: float = 0.01
     workers: int = 1
@@ -73,7 +72,7 @@ class ExperimentConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("triple_count", "probe_count", "mc_samples",
-                     "inner_samples", "spde_paths", "workers"):
+                     "spde_paths", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.hyper_q <= 1.0:
@@ -101,7 +100,6 @@ class ExperimentConfig:
             cp["probes"]["anchor"] = repr(self.anchor)
         cp["mc"] = {
             "samples": str(self.mc_samples),
-            "inner_samples": str(self.inner_samples),
             "spde_paths": str(self.spde_paths),
             "spde_step": repr(self.spde_step),
             "workers": str(self.workers),
@@ -164,7 +162,6 @@ class ExperimentConfig:
             probe_count=get("probes", "count", base.probe_count, int),
             anchor=get("probes", "anchor", None, float),
             mc_samples=get("mc", "samples", base.mc_samples, int),
-            inner_samples=get("mc", "inner_samples", base.inner_samples, int),
             spde_paths=get("mc", "spde_paths", base.spde_paths, int),
             spde_step=get("mc", "spde_step", base.spde_step, float),
             workers=get("mc", "workers", base.workers, int),

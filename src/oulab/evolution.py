@@ -52,6 +52,11 @@ class FitFailedError(RuntimeError):
     """A measured norm was zero or non-finite, so no decay fit exists."""
 
 
+class RangeIncompatibleError(ValueError):
+    """U(t, s) carries the start noise range outside the end noise range, so
+    the range-norm is ill posed."""
+
+
 @dataclass(frozen=True)
 class EvolutionMap:
     s: float
@@ -199,7 +204,8 @@ def cm_operator_norm(model: OperatorFamily, s: float, t: float,
     residual = mapped - v_range @ (v_range.T @ mapped)
     denom = max(1.0, float(np.abs(mapped).max()))
     if float(np.abs(residual).max()) > range_tol * denom:
-        raise ValueError("range of the start metric is not carried into the end metric")
+        raise RangeIncompatibleError(
+            "range of the start metric is not carried into the end metric")
     return operator_norm(m)
 
 

@@ -89,8 +89,10 @@ def _gh_grid(cov: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(2.0) * xs @ chol.T, ws
 
 
-def _entropy_pieces(u: np.ndarray, w: np.ndarray, phi: CylindricalFunction,
-                    p: float, q_proj: np.ndarray, regularization: float):
+def _entropy_terms(u: np.ndarray, phi: CylindricalFunction, p: float,
+                   q_proj: np.ndarray, regularization: float):
+    """Per-point summands of E|phi|^p, of the entropy E[|phi|^p log |phi|^p]
+    and of the gradient energy, after the optional regularization."""
     vals = np.asarray(phi.profile(u), dtype=float)
     grads = np.asarray(phi.gradient(u), dtype=float)
     if regularization > 0.0:
@@ -101,12 +103,10 @@ def _entropy_pieces(u: np.ndarray, w: np.ndarray, phi: CylindricalFunction,
     pos = av > 0.0
     vp = np.where(pos, av, 1.0) ** p
     vp = np.where(pos, vp, 0.0)
-    m = float(w @ vp)
-    ent = float(w @ np.where(pos, vp * np.log(np.where(pos, vp, 1.0)), 0.0))
+    ent_terms = np.where(pos, vp * np.log(np.where(pos, vp, 1.0)), 0.0)
     energy_density = np.einsum("ni,ij,nj->n", grads, q_proj, grads)
     pw = np.where(pos, np.where(pos, av, 1.0) ** (p - 2.0), 0.0)
-    energy = float(w @ (pw * energy_density))
-    return m, ent, energy
+    return vp, ent_terms, pw * energy_density
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,11 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction,
         if phi.n_dirs > 2:
             raise ValueError("quadrature path handles at most 2 active directions")
         u, w = _gh_grid(marginal, GH_NODES)
-        m, ent, energy = _entropy_pieces(u, w, phi, p, q_proj, regularization)
+        m, ent, energy = (float(w @ a) for a in
+                          _entropy_terms(u, phi, p, q_proj, regularization))
         uc, wc = _gh_grid(marginal, GH_NODES_COARSE)
-        mc, entc, energyc = _entropy_pieces(uc, wc, phi, p, q_proj, regularization)
+        mc, entc, energyc = (float(wc @ a) for a in
+                             _entropy_terms(uc, phi, p, q_proj, regularization))
         if m <= 0.0:
             raise NonPositiveMeanError(f"E|phi|^p = {m}")
         lhs = ent - m * math.log(m)
@@ -163,20 +165,17 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction,
         xs = sample(mu, count, seed, label="entropy-gap")
         u = phi.coords(xs)
         w = np.full(len(u), 1.0 / len(u))
-        m, ent, energy = _entropy_pieces(u, w, phi, p, q_proj, regularization)
+        terms = _entropy_terms(u, phi, p, q_proj, regularization)
+        m, ent, energy = (float(w @ a) for a in terms)
         if m <= 0.0:
             raise NonPositiveMeanError(f"E|phi|^p = {m}")
         lhs = ent - m * math.log(m)
         rhs = kappa * p * p * energy
-        # delta method: d(m log m) = (1 + log m) dm
-        vals = np.abs(np.asarray(phi.profile(u), dtype=float)) ** p
-        ent_terms = np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
-        se = lambda a: float(np.std(a, ddof=1)) / math.sqrt(len(a))
-        lhs_err = se(ent_terms) + abs(1.0 + math.log(m)) * se(vals)
-        grads = np.asarray(phi.gradient(u), dtype=float)
-        dens = np.einsum("ni,ij,nj->n", grads, q_proj, grads)
-        pw = np.where(np.abs(vals) > 0, np.abs(np.asarray(phi.profile(u))) ** (p - 2.0), 0.0)
-        rhs_err = kappa * p * p * se(pw * dens)
+        # delta method on the same summands: d(m log m) = (1 + log m) dm
+        se_vp, se_ent, se_energy = (float(np.std(a, ddof=1)) / math.sqrt(len(a))
+                                    for a in terms)
+        lhs_err = se_ent + abs(1.0 + math.log(m)) * se_vp
+        rhs_err = kappa * p * p * se_energy
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -215,17 +214,26 @@ class HyperReport:
 
 
 def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
-                             q: float, p: float, phi, kappa: float,
+                             q: float, p, phi, kappa: float,
                              count: int, seed: int,
                              system: EvolutionSystem | None = None,
-                             inner_count: int = 1000) -> HyperReport:
+                             inner_count: int = 1000) -> HyperReport | list[HyperReport]:
     """p-norm of the propagated observable at nu_s against its q-norm at nu_t.
 
     Trig observables propagate exactly (one Monte Carlo layer over nu_s);
     other callables get an inner Monte Carlo transition average per outer
     sample.  PASS requires p on or under the exponent curve and the norm
     inequality to hold within three combined standard errors.
+
+    ``p`` is one exponent or a sequence of them.  A single exponent returns
+    one HyperReport.  A sequence returns one HyperReport per exponent, in
+    order, from a single pass: the outer sample, the propagated values and
+    the right-hand q-norm do not depend on p, so they are drawn and
+    evaluated once and only the left-hand p-norm is taken per exponent.
+    Each report equals the one the single-exponent call returns.
     """
+    single = np.ndim(p) == 0
+    p_values = [p] if single else list(p)
     if system is None:
         system = gaussian_system(model)
     mu_s, mu_t = system(s), system(t)
@@ -245,12 +253,16 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
                                label=f"hyper-inner-{i}").value.real
         phi_eval = lambda ys: np.asarray(phi(ys), dtype=float)
 
-    lhs, lhs_err = _p_norm_and_err(vals, p)
     ys = sample(mu_t, count, seed + 1, label="hyper-rhs")
     rhs, rhs_err = _p_norm_and_err(phi_eval(ys), q)
     p_max = exponent_curve(q, t - s, kappa)
-    passed = (p <= p_max + 1e-12) and (lhs <= rhs + 3.0 * (lhs_err + rhs_err))
-    return HyperReport(s, t, q, p, p_max, lhs, rhs, lhs_err, rhs_err, kappa, passed)
+    reports = []
+    for p in p_values:
+        lhs, lhs_err = _p_norm_and_err(vals, p)
+        passed = (p <= p_max + 1e-12) and (lhs <= rhs + 3.0 * (lhs_err + rhs_err))
+        reports.append(HyperReport(s, t, q, p, p_max, lhs, rhs, lhs_err, rhs_err,
+                                   kappa, passed))
+    return reports[0] if single else reports
 
 
 @dataclass(frozen=True)

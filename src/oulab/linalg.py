@@ -172,12 +172,6 @@ def pseudo_inverse_apply(metric: CameronMartinMetric, y: np.ndarray) -> np.ndarr
     return metric.pseudo_inverse_matrix() @ y
 
 
-def cm_inner(metric: CameronMartinMetric, x: np.ndarray, y: np.ndarray) -> float:
-    gx = pseudo_inverse_apply(metric, x)
-    gy = pseudo_inverse_apply(metric, y)
-    return float(gx @ gy)
-
-
 def cm_norm(metric: CameronMartinMetric, x: np.ndarray) -> float:
     return float(np.linalg.norm(pseudo_inverse_apply(metric, x)))
 

@@ -258,22 +258,6 @@ def generator_apply(model: OperatorFamily, r: float, phi, x: np.ndarray):
     raise TypeError(f"unsupported observable type {type(phi).__name__}")
 
 
-def _weighted_transition(model: OperatorFamily, s: float, t: float,
-                         g: np.ndarray, h: np.ndarray, x: np.ndarray) -> complex:
-    """Closed form of the transition average of <., g> e^{i<., h>}:
-
-        [<U x, g> + i <K(t,s) g, h>] * exp(i<Ux, h> - <K(t,s)h, h>/2),
-
-    the first-moment identity of the Gaussian transition law.  Used as an
-    independent oracle for the end-time differentiation formula.
-    """
-    u = propagator_matrix(model, s, t)
-    k = accumulated(model, s, t).matrix
-    ux = u @ np.asarray(x, dtype=float)
-    base = cmath.exp(1j * float(ux @ h) - 0.5 * float(h @ k @ h))
-    return (float(ux @ g) + 1j * float(g @ k @ h)) * base
-
-
 def transition_of_generator(model: OperatorFamily, s: float, t: float,
                             phi: TrigPolynomial, x: np.ndarray) -> complex:
     """Closed form of P_{s,t}(L(t) phi)(x) for trig phi.

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from oulab import evolution as evo
+from oulab import experiments
+from oulab.config import ExperimentConfig
 from oulab.models import OperatorFamily, build_model, make_diagonal_constant
+from oulab.reporting import RunReport
 from oulab.rng import seed_stream
 
 
@@ -155,3 +158,32 @@ def test_range_norm_matches_operator_norm_for_identity_noise(parabolic5):
     s, t = 0.0, 0.5
     assert evo.cm_operator_norm(parabolic5, s, t) == pytest.approx(
         evo.measured_norm(parabolic5, s, t, "operator"), rel=1e-9)
+
+
+def _run_evolve_with_range_fit(monkeypatch, tmp_path, model, exc):
+    real_fit = evo.fit_decay
+
+    def fit(model, pairs, mode="operator"):
+        if mode == "cameron-martin":
+            raise exc
+        return real_fit(model, pairs, mode)
+
+    monkeypatch.setattr(evo, "fit_decay", fit)
+    cfg = ExperimentConfig(triple_count=5, s_values=(-1.0, 0.0), t_values=(0.5, 1.0))
+    report = RunReport(cfg.to_text(), "test")
+    experiments.run_evolve(model, cfg, report, tmp_path)
+    return report
+
+
+@pytest.mark.parametrize("exc", [evo.FitFailedError("zero norm"),
+                                 evo.RangeIncompatibleError("range not carried")])
+def test_run_evolve_records_a_missing_range_certificate(monkeypatch, tmp_path, dc4, exc):
+    report = _run_evolve_with_range_fit(monkeypatch, tmp_path, dc4, exc)
+    status = {c["name"]: c["status"] for c in report.checks}
+    assert status["evolve.decay-certificates"] == "PASS"
+    assert str(exc) in (tmp_path / "decay_certificates.json").read_text()
+
+
+def test_run_evolve_does_not_swallow_unrelated_errors(monkeypatch, tmp_path, dc4):
+    with pytest.raises(ZeroDivisionError):
+        _run_evolve_with_range_fit(monkeypatch, tmp_path, dc4, ZeroDivisionError("bug"))

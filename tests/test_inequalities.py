@@ -1,12 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from oulab import experiments
 from oulab import inequalities as ineq
 from oulab import measures as meas
+from oulab.config import ExperimentConfig
 from oulab.evolution import DecayCertificate, fit_decay
 from oulab.mehler import CylindricalFunction, TrigPolynomial
+from oulab.models import build_model
+from oulab.reporting import RunReport
 
 
 def _cert(scale, rate, power):
@@ -135,6 +140,28 @@ def test_entropy_regularization_option(dc8, dc_kappa, dc_system):
     assert rep.passed
 
 
+def test_entropy_mc_errors_use_the_regularized_summands(dc8, dc_kappa, dc_system):
+    # the delta-method errors must come from the same (regularized) summands
+    # as the estimates they accompany
+    eps, p, count, seed = 0.1, 1.5, 20_000, 17
+    phi = _cos_probe(8)
+    rep = ineq.entropy_gap(dc8, 0.0, phi, p, dc_kappa, system=dc_system, method="mc",
+                           count=count, seed=seed, regularization=eps)
+    u = phi.coords(meas.sample(dc_system(0.0), count, seed, label="entropy-gap"))
+    f = phi.profile(u)
+    reg = np.sqrt(f**2 + eps**2)
+    grad = phi.gradient(u) * (f / reg)[..., None]
+    h = phi.directions
+    q_proj = h @ dc8.diffusion_matrix(0.0) @ h.T
+    vp = reg**p
+    energy = reg ** (p - 2.0) * np.einsum("ni,ij,nj->n", grad, q_proj, grad)
+    se = lambda a: float(np.std(a, ddof=1)) / math.sqrt(count)
+    m = float(vp.mean())
+    lhs_err = se(vp * np.log(vp)) + abs(1.0 + math.log(m)) * se(vp)
+    assert rep.lhs_err == pytest.approx(lhs_err, rel=1e-12)
+    assert rep.rhs_err == pytest.approx(dc_kappa * p * p * se(energy), rel=1e-12)
+
+
 def test_entropy_rejects_bad_exponent(dc8, dc_kappa, dc_system):
     with pytest.raises(ValueError):
         ineq.entropy_gap(dc8, 0.0, _cos_probe(8), 1.0, dc_kappa, system=dc_system)
@@ -224,3 +251,46 @@ def test_sharpness_beyond_true_threshold(dc8, dc_kappa, dc_system):
     assert all(not r.violates for r in below)
     assert any(r.violates for r in beyond)
     assert max(r.ratio for r in beyond) > 1.4
+
+
+@pytest.mark.parametrize("kind", ["trig", "callable"])
+def test_hyper_exponent_sequence_matches_single_exponents(dc8, dc_kappa, dc_system, kind):
+    p_values = (2.0, 2.5, 3.0, 2.0)
+    if kind == "trig":
+        phi = TrigPolynomial.constant(8, 2.0) + 0.5 * TrigPolynomial.cosine(np.eye(8)[0])
+        extra = dict(count=5_000)
+    else:
+        phi = lambda ys: 2.0 + 0.5 * np.cos(ys[..., 0])
+        extra = dict(count=40, inner_count=50)
+    args = (dc8, 0.0, math.log(2.0), 2.0)
+    batched = ineq.hypercontractivity_check(*args, p_values, phi, dc_kappa, seed=9,
+                                            system=dc_system, **extra)
+    single = [ineq.hypercontractivity_check(*args, p, phi, dc_kappa, seed=9,
+                                            system=dc_system, **extra) for p in p_values]
+    assert isinstance(batched, list) and len(batched) == len(p_values)
+    assert [dataclasses.astuple(r) for r in batched] == \
+        [dataclasses.astuple(r) for r in single]
+
+
+def test_run_hyper_draws_once_per_probe(monkeypatch, tmp_path):
+    cfg = ExperimentConfig(mc_samples=500, s_values=(-1.0, 0.0), t_values=(0.5, 1.0),
+                           sharpness_p_values=(4.5,))
+    model = build_model(cfg.model_name, None)
+    calls = []
+    real_sample = meas.sample
+
+    def counting_sample(*args, **kwargs):
+        calls.append(kwargs.get("label"))
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(meas, "sample", counting_sample)
+    monkeypatch.setattr(ineq, "sample", counting_sample)
+    report = RunReport(cfg.to_text(), "test")
+    experiments.run_hyper(model, cfg, report, tmp_path)
+    assert sorted(set(calls)) == ["hyper-outer", "hyper-rhs"]
+    assert len(calls) == 2 * 10
+    # rows stay p-major, probe-minor
+    rows = [line.split(",") for line in (tmp_path / "hyper.csv").read_text().splitlines()[2:]]
+    p_values = list(cfg.hyper_p_values) + [cfg.hyper_q]
+    assert [(float(r[3]), int(r[5])) for r in rows] == [(p, i) for p in p_values
+                                                        for i in range(10)]
