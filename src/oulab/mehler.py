@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +62,31 @@ class TrigPolynomial:
     def n_terms(self) -> int:
         return self.freqs.shape[0]
 
+    @cached_property
+    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Terms folded onto their k distinct directions H, each signed so
+        its first nonzero entry is positive: c e^{i<x,h>} + c' e^{-i<x,h>}
+        is (c + c') cos<x,h> + i (c - c') sin<x,h>.  Returns H and the real
+        (2k, 2) map from [cos | sin] of x H^T to the value's (Re, Im)."""
+        f = self.freqs
+        lead = f[np.arange(len(f)), np.argmax(f != 0.0, axis=1)]
+        sign = np.where(lead < 0.0, -1.0, 1.0)
+        dirs, where = np.unique(sign[:, None] * f + 0.0, axis=0, return_inverse=True)
+        even = np.zeros(len(dirs), dtype=complex)
+        odd = np.zeros(len(dirs), dtype=complex)
+        np.add.at(even, where, self.coeffs)
+        np.add.at(odd, where, sign * self.coeffs)
+        mix = np.block([[even.real[:, None], even.imag[:, None]],
+                        [-odd.imag[:, None], odd.real[:, None]]])
+        return dirs, mix
+
     def evaluate(self, x: np.ndarray) -> complex | np.ndarray:
         """Value at a point (dim,) or at each row of an (N, dim) array."""
         x = np.asarray(x, dtype=float)
-        phases = x @ self.freqs.T
-        vals = np.exp(1j * phases) @ self.coeffs
+        dirs, mix = self._folded
+        phases = x @ dirs.T
+        parts = np.concatenate([np.cos(phases), np.sin(phases)], axis=-1) @ mix
+        vals = parts[..., 0] + 1j * parts[..., 1]
         if x.ndim == 1:
             return complex(vals)
         return vals

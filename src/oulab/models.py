@@ -41,7 +41,7 @@ class WindowExceededError(ValueError):
 
 
 SUP_GRID_STEP = 1e-3
-SUP_GRID_HALF_WIDTH = 50.0
+SUP_GRID_MAX_POINTS = 1_000_000
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -65,10 +65,18 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 
 
 
 def sup_on_window(f: Callable, window: tuple[float, float], step: float = SUP_GRID_STEP) -> float:
-    """sup of f over the window: dense grid scan refined by golden section."""
-    lo = max(window[0], -SUP_GRID_HALF_WIDTH)
-    hi = min(window[1], SUP_GRID_HALF_WIDTH)
-    grid = np.arange(lo, hi + step, step)
+    """sup of f over the whole window: a grid scan with spacing at most
+    ``step`` from window[0] to window[1], refined by golden section.
+
+    Raises BadParameterError when the grid would exceed SUP_GRID_MAX_POINTS.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    count = math.ceil((hi - lo) / step) + 1
+    if count > SUP_GRID_MAX_POINTS:
+        raise BadParameterError(
+            f"window {window} needs {count} grid points at step {step}; "
+            f"the cap is {SUP_GRID_MAX_POINTS}")
+    grid = np.linspace(lo, hi, count)
     with np.errstate(over="ignore"):
         vals = np.asarray(f(grid), dtype=float)
     i = int(np.argmax(vals))
@@ -245,6 +253,12 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
     )
 
 
+def _constant_noise(b: np.ndarray) -> Callable:
+    """t -> b, handing out one read-only array instead of a copy per call."""
+    b.setflags(write=False)
+    return lambda t: b
+
+
 def make_scalar(a: Callable, n: int,
                 noise: Callable | None = None,
                 window: tuple[float, float] = (-50.0, 50.0),
@@ -263,7 +277,7 @@ def make_scalar(a: Callable, n: int,
     if require_decay and a0 >= 0:
         raise BadParameterError(f"sup of drift coefficient is {a0} >= 0")
     if noise is None:
-        noise = lambda t, n=n: np.eye(n)
+        noise = _constant_noise(np.eye(n))
     grid = np.linspace(window[0], window[1], 201)
     noise_sup = max(operator_norm(np.asarray(noise(t), dtype=float)) for t in grid)
     meta = {"noise_sup": noise_sup, "drift_sup": a0}
@@ -286,6 +300,12 @@ def make_parabolic_1d(m: int, a: Callable, a0: Callable,
         (A u)_i = [a(t, x_i + h/2)(u_{i+1} - u_i)
                    - a(t, x_i - h/2)(u_i - u_{i-1})] / h^2 + a0(t, x_i) u_i.
 
+    The coefficients are called with a float t and an array of points x and
+    must return one value per point, or a scalar that broadcasts; a
+    coefficient that cannot take an array raises BadParameterError here.
+    A(t) = diag(a0) - D^T diag(a / h^2) D with D the (m+1) x m Dirichlet
+    difference matrix, applied as one precomputed stencil.
+
     Ellipticity a >= nu > 0 and non-positivity of a0 are checked on a sample
     grid of the window times the spatial nodes.  B defaults to the identity.
     """
@@ -293,27 +313,39 @@ def make_parabolic_1d(m: int, a: Callable, a0: Callable,
         raise BadParameterError("m must be >= 1")
     h = 1.0 / (m + 1)
     xs = np.arange(1, m + 1) * h
+    mids = np.arange(0.5, m + 1) * h  # staggered coefficient nodes
     t_grid = np.linspace(window[0], window[1], 101)
-    a_min = min(float(a(t, x)) for t in t_grid for x in np.arange(0.5, m + 1) * h)
+
+    def sample(f, name, t, points):
+        try:
+            return np.broadcast_to(np.asarray(f(t, points), dtype=float), points.shape)
+        except (TypeError, ValueError) as err:
+            raise BadParameterError(
+                f"coefficient {name}(t, x) must accept an array of points: {err}") from err
+
+    a_min = min(float(sample(a, "a", t, mids).min()) for t in t_grid)
     if a_min <= 0:
         raise BadParameterError(f"ellipticity violated: min a = {a_min}")
-    a0_max = max(float(a0(t, x)) for t in t_grid for x in xs)
+    a0_max = max(float(sample(a0, "a0", t, xs).max()) for t in t_grid)
     if a0_max > 0:
         raise BadParameterError(f"zero-order coefficient must be <= 0, max is {a0_max}")
 
-    mids = np.arange(0.5, m + 1) * h  # staggered coefficient nodes
+    # row (i, j) of the stencil maps the midpoint samples a / h^2 to the
+    # entry (i, j) of -D^T diag(a / h^2) D.  Every entry sums at most two
+    # nonzero terms, so the product is exact in any summation order, and
+    # "0.0 -" stores the zeros as +0, so no entry of A(t) is a -0.
+    diff = np.eye(m + 1, m, k=-1) - np.eye(m + 1, m)
+    stencil = 0.0 - np.einsum("ki,kj->ijk", diff, diff).reshape(m * m, m + 1)
+    h2 = np.full(m + 1, h**2)  # an array, so a scalar coefficient broadcasts
+    diagonal = np.arange(m) * (m + 1)
 
     def drift_fn(t):
-        am = np.array([a(t, x) for x in mids]) / h**2  # am[i] couples x_i to x_{i-1}
-        zero = np.array([a0(t, x) for x in xs])
-        mat = np.diag(-(am[:-1] + am[1:]) + zero)
-        off = am[1:-1]
-        mat[np.arange(m - 1), np.arange(1, m)] = off
-        mat[np.arange(1, m), np.arange(m - 1)] = off
-        return mat
+        flat = stencil @ np.divide(a(t, mids), h2)
+        flat[diagonal] += a0(t, xs)
+        return flat.reshape(m, m)
 
     if noise is None:
-        noise = lambda t, m=m: np.eye(m)
+        noise = _constant_noise(np.eye(m))
     noise_sup = max(operator_norm(np.asarray(noise(t), dtype=float)) for t in t_grid)
     meta = {"noise_sup": noise_sup, "grid_h": h, "interior_points": m}
     # the drift matrices are symmetric, so the logarithmic-norm bound

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from oulab import evolution as evo
 from oulab import experiments
@@ -42,6 +44,22 @@ def test_chain_law_all_kinds(dc8, rational4, scalar4, parabolic5, nonunique3):
             parts = evo.propagator_matrix(model, r, t) @ evo.propagator_matrix(model, s, r)
             denom = max(1.0, np.linalg.norm(whole, 2))
             assert np.linalg.norm(whole - parts, 2) <= 1e-8 * denom
+
+
+@settings(max_examples=20, deadline=None)
+@given(cell=st.integers(-3, 3), before=st.floats(0.05, 1.5), after=st.floats(0.05, 1.5),
+       split=st.floats(0.05, 0.95))
+def test_flow_laws_across_grid_cells(scalar4, parabolic5, cell, before, after, split):
+    # s < cell < t, so the whole span is composed from more than one cell
+    s, t = cell - before, cell + after
+    r = s + split * (t - s)
+    for model in (parabolic5, scalar4):
+        u_ts, k_ts = evo.flow(model, s, t)
+        u_tr, k_tr = evo.flow(model, r, t)
+        u_rs, k_rs = evo.flow(model, s, r)
+        assert np.abs(u_ts - u_tr @ u_rs).max() <= 1e-12
+        split_k = u_tr @ k_rs @ u_tr.T + k_tr
+        assert np.abs(k_ts - split_k).max() <= 1e-10 * np.abs(k_ts).max()
 
 
 def test_finite_difference_generator_first_order(parabolic5):

@@ -69,6 +69,23 @@ def test_product_closure():
     assert prod.evaluate(x) == pytest.approx(p1.evaluate(x) * p2.evaluate(x), abs=1e-14)
 
 
+def test_evaluate_folds_opposite_and_repeated_frequencies():
+    gen = seed_stream(21, "fold")
+    h = gen.normal(size=(3, 4))
+    h[1, 0] = 0.0  # the sign is fixed by the first nonzero entry
+    freqs = np.vstack([h, -h, h[:1], -h[2:], np.zeros((1, 4))])
+    coeffs = gen.normal(size=len(freqs)) + 1j * gen.normal(size=len(freqs))
+    poly = TrigPolynomial(coeffs, freqs)
+    assert poly.n_terms == 9
+    assert poly._folded[0].shape == (4, 4)  # three directions and the constant
+    x = gen.normal(size=(500, 4))
+    reference = np.exp(1j * (x @ freqs.T)) @ coeffs
+    assert np.abs(poly.evaluate(x) - reference).max() <= 1e-14 * np.abs(coeffs).sum()
+    point = poly.evaluate(x[7])
+    assert isinstance(point, complex)
+    assert point == pytest.approx(reference[7], abs=1e-14 * np.abs(coeffs).sum())
+
+
 def test_term_list_roundtrip():
     import json
 

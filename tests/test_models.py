@@ -16,6 +16,7 @@ from oulab.models import (
     make_nonunique_demo,
     make_parabolic_1d,
     make_scalar,
+    sup_on_window,
 )
 
 
@@ -95,6 +96,50 @@ def test_parabolic_stencil_matches_textbook():
     np.testing.assert_allclose(model.drift_matrix(0.0), expected, atol=1e-13)
 
 
+def _loop_drift(m, a, a0, t):
+    """Reference stencil: one scalar call per midpoint and per node."""
+    h = 1.0 / (m + 1)
+    am = np.array([a(t, x) for x in np.arange(0.5, m + 1) * h]) / h**2
+    zero = np.array([a0(t, x) for x in np.arange(1, m + 1) * h])
+    mat = np.diag(-(am[:-1] + am[1:]) + zero)
+    off = am[1:-1]
+    mat[np.arange(m - 1), np.arange(1, m)] = off
+    mat[np.arange(1, m), np.arange(m - 1)] = off
+    return mat
+
+
+def test_parabolic_catalog_drift_is_bitwise_the_loop_stencil(parabolic5):
+    for t in np.linspace(-50.0, 50.0, 1001):
+        ref = _loop_drift(5, lambda t, x: 1.0, lambda t, x: -1.0, t)
+        assert parabolic5.drift_matrix(t).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 5, 9])
+def test_parabolic_varying_coefficients_match_the_loop_stencil(m):
+    a = lambda t, x: 1.0 + x**2 + 0.5 * np.sin(t)
+    a0 = lambda t, x: -(1.0 + x) * (1.2 + np.cos(3.0 * t))
+    model = make_parabolic_1d(m, a=a, a0=a0)
+    for t in np.linspace(-50.0, 50.0, 101):
+        ref = _loop_drift(m, a, a0, t)
+        assert np.abs(model.drift_matrix(t) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_parabolic_rejects_coefficients_without_array_points():
+    with pytest.raises(BadParameterError, match="array of points"):
+        make_parabolic_1d(3, a=lambda t, x: math.sin(x) + 2.0, a0=lambda t, x: 0.0)
+    with pytest.raises(BadParameterError, match="array of points"):
+        make_parabolic_1d(3, a=lambda t, x: 1.0, a0=lambda t, x: np.zeros(2))
+
+
+def test_default_identity_noise_is_one_read_only_array(parabolic5, scalar4):
+    for model in (parabolic5, scalar4):
+        b = model.noise_matrix(0.3)
+        assert b is model.noise_matrix(-1.7)
+        np.testing.assert_array_equal(b, np.eye(model.dim))
+        with pytest.raises(ValueError):
+            b[0, 0] = 2.0
+
+
 def test_parabolic_constant_coefficients_match_matrix_exponential():
     model = build_model("parabolic-1d", {"m": 5})
     a = model.drift_matrix(0.0)
@@ -123,6 +168,21 @@ def test_parabolic_validation():
         make_parabolic_1d(4, a=lambda t, x: -1.0, a0=lambda t, x: 0.0)
     with pytest.raises(BadParameterError):
         make_parabolic_1d(4, a=lambda t, x: 1.0, a0=lambda t, x: 0.5)
+
+
+def test_sup_on_window_covers_the_whole_window():
+    assert sup_on_window(lambda t: t, (-100.0, 60.0)) == 60.0
+    assert sup_on_window(lambda t: -t, (-100.0, 60.0)) == 100.0
+
+
+def test_sup_on_window_caps_the_grid():
+    with pytest.raises(BadParameterError, match="grid points"):
+        sup_on_window(lambda t: t, (0.0, 2000.0))
+
+
+def test_nonunique_noise_sup_over_its_window(nonunique3):
+    assert nonunique3.window == (-250.0, 50.0)
+    assert nonunique3.meta["noise_sup"] == 1.0
 
 
 def test_nonunique_slow_mode_peaks_at_zero(nonunique3):
