@@ -2,8 +2,10 @@
 
 The format is INI (configparser).  Numeric experiment knobs live in fixed
 sections; everything under [model] except ``name`` is forwarded to the
-catalog builder.  Configurations round-trip losslessly through
-``to_text`` / ``from_text`` (floats serialize with repr).
+catalog builder.  Any other section or key outside the layout ``to_text``
+writes is rejected, so a stale or misspelled knob cannot be silently
+ignored.  Configurations round-trip losslessly through ``to_text`` /
+``from_text`` (floats serialize with repr).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class ExperimentConfig:
     mc_samples: int = 100_000
     spde_paths: int = 100_000
     spde_step: float = 0.01
-    workers: int = 1
     tol_invariance: float = 1e-8
     tol_chain: float = 1e-8
     tol_tail: float = 1e-10
@@ -72,7 +73,7 @@ class ExperimentConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("triple_count", "probe_count", "mc_samples",
-                     "spde_paths", "workers"):
+                     "spde_paths"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.hyper_q <= 1.0:
@@ -102,7 +103,6 @@ class ExperimentConfig:
             "samples": str(self.mc_samples),
             "spde_paths": str(self.spde_paths),
             "spde_step": repr(self.spde_step),
-            "workers": str(self.workers),
         }
         cp["tolerances"] = {
             "invariance": repr(self.tol_invariance),
@@ -135,6 +135,18 @@ class ExperimentConfig:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"bad config syntax: {exc}") from exc
+        if cp.defaults():
+            raise ConfigError("unknown section [DEFAULT]")
+        # the layout: every key to_text writes, optional ones included
+        full = configparser.ConfigParser()
+        full.read_string(ExperimentConfig(window=(0.0, 1.0), anchor=0.0).to_text())
+        for section in cp.sections():
+            if not full.has_section(section):
+                raise ConfigError(f"unknown section [{section}]")
+            if section != "model":
+                unknown = sorted(set(cp.options(section)) - set(full.options(section)))
+                if unknown:
+                    raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
         def get(section, key, default, conv):
             if cp.has_option(section, key):
@@ -164,7 +176,6 @@ class ExperimentConfig:
             mc_samples=get("mc", "samples", base.mc_samples, int),
             spde_paths=get("mc", "spde_paths", base.spde_paths, int),
             spde_step=get("mc", "spde_step", base.spde_step, float),
-            workers=get("mc", "workers", base.workers, int),
             tol_invariance=get("tolerances", "invariance", base.tol_invariance, float),
             tol_chain=get("tolerances", "chain", base.tol_chain, float),
             tol_tail=get("tolerances", "tail", base.tol_tail, float),

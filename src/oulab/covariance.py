@@ -10,7 +10,7 @@ at t.  Diagonal models reduce to one scalar integral per mode,
     k_i(t, s) = integral of exp(2 integral_sigma^t a_i) b_i(sigma)^2 dsigma,
 
 evaluated with an exact drift antiderivative when the model carries one and
-a cached dense interpolant otherwise.  Scalar and dense models read K from
+a cached dense interpolant otherwise.  Dense models read K from
 ``evolution.flow``, which solves the joint (U, K) system on unit-grid cells
 and composes longer spans with the flow decomposition.
 
@@ -77,7 +77,7 @@ def _ensure_psd(mat: np.ndarray) -> SymOperator:
 def _drift_cumulative(model: OperatorFamily, idx: int):
     """Callable giving the cumulative drift integral of mode idx from the
     window start; built once per (model, mode) on a dense interpolant."""
-    cache = model.meta.setdefault("_drift_cumulative", {})
+    cache = model.memo.setdefault("drift_cumulative", {})
     if idx not in cache:
         mode = model.modes[idx]
         lo, hi = model.window
@@ -116,7 +116,7 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
-    cache = model.meta.setdefault("_kernel_cache", {})
+    cache = model.memo.setdefault("kernel", {})
     key = (float(s), float(t))
     if key in cache:
         return cache[key]

@@ -11,13 +11,12 @@ U(t, r) U(r, s) = U(t, s), and K the flow decomposition
 
     K(t, s) = U(t, r) K(r, s) U(t, r)^T + K(t, r).
 
-Diagonal and scalar models get U as entrywise exponentials
-exp(integral of a_k over [s, t]).  ``flow`` serves K for scalar models and
-both U and K for dense ones: a span inside one cell [k, k+1] of the unit
-grid is one DOP853 solve of the joint system, and a longer span is split at
-ceil(t) - 1 and composed with the two laws above.  The split depends on
-(s, t) alone, so results do not depend on call order, and long spans reuse
-the memoized cells.
+Diagonal models get U as entrywise exponentials exp(integral of a_k over
+[s, t]).  ``flow`` serves U and K for dense models: a span inside one cell
+[k, k+1] of the unit grid is one DOP853 solve of the joint system, and a
+longer span is split at ceil(t) - 1 and composed with the two laws above.
+The split depends on (s, t) alone, so results do not depend on call order,
+and long spans reuse the memoized cells.
 
 fit_decay measures propagator norms on a grid of (s, t) pairs and fits
 
@@ -57,36 +56,12 @@ class RangeIncompatibleError(ValueError):
     the range-norm is ill posed."""
 
 
-@dataclass(frozen=True)
-class EvolutionMap:
-    s: float
-    t: float
-    matrix: np.ndarray
-    method: str  # "closed-form" | "integrated"
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
-
 def mode_drift_integral(mode: ModeCoefficients, s: float, t: float) -> float:
     """integral of the mode drift over [s, t], exact when an antiderivative
     is available, adaptive quadrature otherwise."""
     if mode.drift_antideriv is not None:
         return float(mode.drift_antideriv(t)) - float(mode.drift_antideriv(s))
     val, _ = integrate.quad(lambda u: float(mode.drift(u)), s, t,
-                            epsabs=MODE_QUAD_TOL, epsrel=MODE_QUAD_TOL, limit=200)
-    return val
-
-
-def scalar_drift_integral(model: OperatorFamily, s: float, t: float) -> float:
-    if model.scalar_drift_antideriv is not None:
-        return float(model.scalar_drift_antideriv(t)) - float(model.scalar_drift_antideriv(s))
-    val, _ = integrate.quad(lambda u: float(model.scalar_drift(u)), s, t,
                             epsabs=MODE_QUAD_TOL, epsrel=MODE_QUAD_TOL, limit=200)
     return val
 
@@ -126,7 +101,7 @@ def flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndar
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
-    memo = model.meta.setdefault("_flow_memo", {})
+    memo = model.memo.setdefault("flow", {})
     key = (float(s), float(t))
     if key not in memo:
         r = math.ceil(t) - 1
@@ -143,36 +118,23 @@ def flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndar
 
 
 def propagator_matrix(model: OperatorFamily, s: float, t: float) -> np.ndarray:
-    """Raw matrix of U(t, s) without the EvolutionMap wrapper.
+    """Matrix of U(t, s).
 
-    Dense models read it from the memoized ``flow`` (read-only); the
-    entrywise-exponential kinds are cheap enough to recompute.
+    Dense models read it from the memoized ``flow`` (read-only); diagonal
+    models are cheap enough to recompute.
     """
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
     if model.kind == "diagonal":
         return np.diag([math.exp(mode_drift_integral(m, s, t)) for m in model.modes])
-    if model.kind == "scalar":
-        return math.exp(scalar_drift_integral(model, s, t)) * np.eye(model.dim)
     return flow(model, s, t)[0]
 
 
-def evolve(model: OperatorFamily, s: float, t: float) -> EvolutionMap:
-    method = "closed-form" if model.closed_form else "integrated"
-    return EvolutionMap(s, t, propagator_matrix(model, s, t), method)
-
-
-def adjoint_evolve(model: OperatorFamily, s: float, t: float) -> EvolutionMap:
-    """Transpose of evolve; the adjoint flow solves V' = V A(t)^T."""
-    base = evolve(model, s, t)
-    return EvolutionMap(s, t, base.matrix.T.copy(), base.method)
-
-
 def adjoint_by_integration(model: OperatorFamily, s: float, t: float) -> np.ndarray:
-    """Independent adjoint solve, used to cross-check adjoint_evolve: one
-    U-only pass of V' = V A(t)^T over the whole of [s, t], outside the flow
-    memo and its unit-grid composition."""
+    """Independent adjoint solve, used to cross-check the transpose of
+    propagator_matrix: one U-only pass of V' = V A(t)^T over the whole of
+    [s, t], outside the flow memo and its unit-grid composition."""
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
@@ -261,8 +223,8 @@ def fit_decay(model: OperatorFamily, pairs, mode: str = "operator") -> DecayCert
 
     Pairs with t = s are rejected (the algebraic factor blows up there).
     The power is fitted only in cameron-martin mode, clamped to [0, 1/2)
-    and snapped to 0 below ALPHA_SNAP; diagonal and scalar models have
-    power exactly 0, and the snap keeps their certificates clean.
+    and snapped to 0 below ALPHA_SNAP; diagonal models have power
+    exactly 0, and the snap keeps their certificates clean.
     A single-pair grid is interpolated exactly: scale 1 when the norm
     decays, otherwise rate 0.
     """

@@ -4,7 +4,7 @@ Each ``run_*`` function drives one family of checks for the configured
 model, writes its CSV artifacts into the output directory, and records
 PASS/FAIL/REPORT verdicts on the shared RunReport.  All randomness is
 derived from the configured seed through labelled substreams, so artifact
-bodies are byte-identical across runs and worker counts.
+bodies are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def run_evolve(model, cfg, report: RunReport, outdir: Path) -> None:
         for _ in range(5):
             s = min(cfg.s_values) + gen.random()
             t = s + 0.5 + gen.random()
-            gap = operator_norm(evo.adjoint_evolve(model, s, t).matrix
+            gap = operator_norm(evo.propagator_matrix(model, s, t).T
                                 - evo.adjoint_by_integration(model, s, t))
             bad = max(bad, gap)
         report.add("evolve.adjoint", "PASS" if bad <= 1e-8 else "FAIL",

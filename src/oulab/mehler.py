@@ -192,14 +192,6 @@ class CylindricalFunction:
     def __call__(self, x):
         return self.profile(self.coords(x))
 
-    def grad_full(self, x: np.ndarray) -> np.ndarray:
-        """Ambient gradient: rows of ``directions`` weighted by the profile
-        partials."""
-        if self.gradient is None:
-            raise ValueError(f"{self.label}: no gradient callable supplied")
-        g = np.asarray(self.gradient(self.coords(x)), dtype=float)
-        return g @ self.directions
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -354,52 +346,3 @@ def check_differentiation(model: OperatorFamily, s: float, t: float,
         start_disc(fd_step), start_disc(fd_step / 2.0),
         end_disc(fd_step), end_disc(fd_step / 2.0),
     )
-
-
-@dataclass(frozen=True)
-class GradientBoundReport:
-    lhs: float
-    rhs: float
-    lhs_stderr: float
-    rhs_stderr: float
-    range_norm: float
-    passed: bool
-
-
-def check_gradient_bound(model: OperatorFamily, s: float, t: float,
-                         phi: CylindricalFunction, x: np.ndarray,
-                         count: int, seed: int) -> GradientBoundReport:
-    """Monte Carlo check of the range-metric gradient estimate
-
-        |R_s grad (P phi)(x)| <= n(s,t) * P(|R_t grad phi|)(x),
-
-    with R_r the PSD root of Q(r) and n(s, t) the measured norm of the
-    propagator between the two range metrics.  The gradient of the
-    propagated observable is taken by differentiating under the integral:
-    grad (P phi)(x) = E[U(t,s)^T grad phi(U x + Y)].
-    """
-    from .evolution import cm_operator_norm
-    from .linalg import SymOperator, sqrt_psd
-
-    x = np.asarray(x, dtype=float)
-    u = propagator_matrix(model, s, t)
-    mean = u @ x
-    factor = spectral_factor(accumulated(model, s, t).op)
-    z = chunked_normals(seed, "gradient-bound", count, model.dim)
-    ys = mean + z @ factor.T
-
-    grads = phi.grad_full(ys) @ u            # rows U^T grad phi(y)
-    root_s = sqrt_psd(SymOperator(model.diffusion_matrix(s))).entries
-    gvec = grads.mean(axis=0)
-    lhs = float(np.linalg.norm(root_s @ gvec))
-    gerr = grads.std(axis=0, ddof=1) / math.sqrt(count)
-    lhs_err = float(np.linalg.norm(root_s @ gerr))
-
-    root_t = sqrt_psd(SymOperator(model.diffusion_matrix(t))).entries
-    weights = np.linalg.norm(phi.grad_full(ys) @ root_t.T, axis=1)
-    norm_factor = cm_operator_norm(model, s, t)
-    rhs = norm_factor * float(weights.mean())
-    rhs_err = norm_factor * float(weights.std(ddof=1)) / math.sqrt(count)
-
-    passed = lhs <= rhs + 3.0 * (lhs_err + rhs_err)
-    return GradientBoundReport(lhs, rhs, lhs_err, rhs_err, norm_factor, passed)

@@ -2,19 +2,19 @@
 
 A model is the pair of maps t -> A(t) (drift) and t -> B(t) (noise) on a
 finite truncation of the state space, together with a query window
-[t_min, t_max] on which all coefficient bounds are checked.  Three kinds are
+[t_min, t_max] on which all coefficient bounds are checked.  Two kinds are
 supported:
 
   diagonal   A(t) e_k = a_k(t) e_k,  B(t) e_k = b_k(t) e_k
-  scalar     A(t) = a(t) I with an arbitrary bounded noise map B(t)
   dense      A(t), B(t) arbitrary matrix-valued callables
 
 The factories below ship the concrete families used throughout the test
 suite: constant diagonal coefficients, a rational-in-time diagonal drift with
 oscillating diffusion, the scalar non-autonomous analogue of the classical
-Ornstein-Uhlenbeck operator, a 1-D finite-difference discretization of a
-divergence-form parabolic operator with Dirichlet boundary, and a two-mode
-family engineered so that more than one evolution system of measures exists.
+Ornstein-Uhlenbeck operator (n identical diagonal modes), a 1-D
+finite-difference discretization of a divergence-form parabolic operator
+with Dirichlet boundary, and a two-mode family engineered so that more than
+one evolution system of measures exists.
 
 All boundedness checks are window-relative: numerics cannot verify suprema
 over the whole real line.
@@ -106,16 +106,16 @@ class OperatorFamily:
     name: str
     dim: int
     window: tuple[float, float]
-    kind: str  # "diagonal" | "scalar" | "dense"
+    kind: str  # "diagonal" | "dense"
     modes: tuple[ModeCoefficients, ...] = ()
-    scalar_drift: Callable | None = None
-    scalar_drift_antideriv: Callable | None = None
-    noise_fn: Callable | None = None  # t -> (dim, dim), scalar/dense kinds
+    noise_fn: Callable | None = None  # t -> (dim, dim), dense kind
     drift_fn: Callable | None = None  # t -> (dim, dim), dense kind
     decay: tuple[float, float] | None = None  # (M, zeta): ||U(t,s)|| <= M e^{-zeta (t-s)}
-    hr_decay: tuple[float, float, float] | None = None  # (C, eta, alpha) range-norm bound
     lambda_sup: tuple[float, ...] | None = None  # per-mode drift suprema on the window
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # model data only
+    # pure-function caches of (s, t) results: the flow memo, the covariance
+    # kernels and the cumulative-drift interpolants
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window[0] >= self.window[1]:
@@ -135,8 +135,6 @@ class OperatorFamily:
         self.require_window(t)
         if self.kind == "diagonal":
             return np.diag([float(m.drift(t)) for m in self.modes])
-        if self.kind == "scalar":
-            return float(self.scalar_drift(t)) * np.eye(self.dim)
         return np.asarray(self.drift_fn(t), dtype=float)
 
     def drift_adjoint(self, t: float) -> np.ndarray:
@@ -156,7 +154,7 @@ class OperatorFamily:
     @property
     def closed_form(self) -> bool:
         """True when the propagator is an entrywise exponential."""
-        return self.kind in ("diagonal", "scalar")
+        return self.kind == "diagonal"
 
 
 def _diag_common_meta(modes, window) -> dict:
@@ -185,8 +183,7 @@ def make_diagonal_constant(n: int, lam: float, b: float,
     """Constant diagonal model: a_k = lam < 0, b_k = b.
 
     The propagator is exp(lam (t-s)) I, so the decay certificate (M, zeta) =
-    (1, -lam) and the range-norm certificate (C, eta, alpha) = (1, -lam, 0)
-    are exact, not fitted.
+    (1, -lam) is exact, not fitted.
     """
     if lam >= 0:
         raise BadParameterError(f"need lam < 0, got {lam}")
@@ -205,7 +202,7 @@ def make_diagonal_constant(n: int, lam: float, b: float,
     meta = _diag_common_meta(modes, window)
     return OperatorFamily(
         name="diag-constant", dim=n, window=window, kind="diagonal", modes=modes,
-        decay=(1.0, -lam), hr_decay=(1.0, -lam, 0.0),
+        decay=(1.0, -lam),
         lambda_sup=tuple([lam] * n), meta=meta,
     )
 
@@ -260,32 +257,31 @@ def _constant_noise(b: np.ndarray) -> Callable:
 
 
 def make_scalar(a: Callable, n: int,
-                noise: Callable | None = None,
                 window: tuple[float, float] = (-50.0, 50.0),
                 drift_antideriv: Callable | None = None,
                 require_decay: bool = False) -> OperatorFamily:
-    """Scalar model A(t) = a(t) I with noise map B(t).
+    """Scalar model A(t) = a(t) I with identity noise: n identical diagonal
+    modes with drift a and diffusion 1.
 
-    ``noise`` maps t to an (n, n) matrix; None means B = I.  When
-    a0 := sup a over the window is negative a decay certificate
+    When a0 := sup a over the window is negative a decay certificate
     (1, -a0) is recorded; inequality experiments need that, so
-    ``require_decay=True`` turns a0 >= 0 into an error.
+    ``require_decay=True`` turns a0 >= 0 into an error.  A scalar drift
+    with any other noise is a dense model.
     """
     if n < 1:
         raise BadParameterError("n must be >= 1")
     a0 = sup_on_window(lambda t: np.asarray(a(t), dtype=float), window)
     if require_decay and a0 >= 0:
         raise BadParameterError(f"sup of drift coefficient is {a0} >= 0")
-    if noise is None:
-        noise = _constant_noise(np.eye(n))
-    grid = np.linspace(window[0], window[1], 201)
-    noise_sup = max(operator_norm(np.asarray(noise(t), dtype=float)) for t in grid)
-    meta = {"noise_sup": noise_sup, "drift_sup": a0}
+    mode = ModeCoefficients(
+        drift=a,
+        diffusion=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        drift_antideriv=drift_antideriv,
+    )
     decay = (1.0, -a0) if a0 < 0 else None
     return OperatorFamily(
-        name="scalar", dim=n, window=window, kind="scalar",
-        scalar_drift=a, scalar_drift_antideriv=drift_antideriv, noise_fn=noise,
-        decay=decay, meta=meta,
+        name="scalar", dim=n, window=window, kind="diagonal", modes=(mode,) * n,
+        decay=decay, lambda_sup=(a0,) * n, meta={"noise_sup": 1.0, "drift_sup": a0},
     )
 
 

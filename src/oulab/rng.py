@@ -2,7 +2,7 @@
 
 Every stochastic routine in the package draws from a substream addressed by
 ``(seed, label, index)``.  The derivation is fixed so that results are
-bit-identical across runs, platforms and worker counts:
+bit-identical across runs and platforms, however chunks are scheduled:
 
   key   = first 16 bytes of SHA-256("oulab|<seed>|<label>|<index>"),
           read as two little-endian 64-bit words
@@ -44,7 +44,7 @@ def chunked_normals(seed: int, label: str, count: int, dim: int) -> np.ndarray:
     """(count, dim) standard normals, assembled chunk by chunk.
 
     Chunk ``i`` comes entirely from substream (seed, label, i), so the merged
-    array does not depend on how chunks are distributed over workers.
+    array does not depend on the order in which chunks are drawn.
     """
     out = np.empty((count, dim))
     for i, lo in enumerate(range(0, count, CHUNK)):

@@ -1,9 +1,9 @@
 """Path simulation of dZ = A(t) Z dt + B(t) dW on the truncation.
 
-Diagonal models use an exact per-mode integrator: over each step the mode
-decays by exp(integral of a_k) and receives a Gaussian kick whose variance
-is the mode's accumulated covariance over the step, so the terminal law is
-exactly the Gaussian transition law up to roundoff.  Other kinds use
+Diagonal models use an exact per-mode integrator: over each step a mode
+decays by its diagonal entry of U and receives a Gaussian kick whose
+variance is its diagonal entry of K over the step, so the terminal law is
+exactly the Gaussian transition law up to roundoff.  Dense models use
 Euler-Maruyama with a stability guard.
 
 For Euler-Maruyama the mean and covariance of the simulated chain obey the
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import accumulated, mode_accumulated
-from .evolution import mode_drift_integral, propagator_matrix
+from .covariance import accumulated
+from .evolution import propagator_matrix
 from .linalg import operator_norm
 from .models import OperatorFamily
 from .rng import CHUNK, seed_stream
@@ -98,9 +98,8 @@ def simulate(model: OperatorFamily, s: float, t: float, x0: np.ndarray,
         decays = np.empty((n_steps, model.dim))
         stds = np.empty((n_steps, model.dim))
         for j, (lo, hi) in enumerate(zip(taus[:-1], taus[1:])):
-            for i, mode in enumerate(model.modes):
-                decays[j, i] = math.exp(mode_drift_integral(mode, lo, hi))
-                stds[j, i] = math.sqrt(max(mode_accumulated(model, i, lo, hi), 0.0))
+            decays[j] = np.diag(propagator_matrix(model, lo, hi))
+            stds[j] = np.sqrt(np.diag(accumulated(model, lo, hi).matrix))
         scheme = {"name": "exact-mode", "step": step, "seed": seed, "mean_bias": 0.0,
                   "cov_bias": 0.0}
     else:

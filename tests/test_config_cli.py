@@ -46,6 +46,24 @@ def test_cli_invalid_config_exits_two(tmp_path):
     assert cli.main(["evolve", str(path)]) == cli.EXIT_CONFIG_INVALID
 
 
+@pytest.mark.parametrize("old, new", [
+    ("[mc]\n", "[mc]\nworkers = 4\n"),           # a removed knob
+    ("s_values =", "s_value ="),                  # a misspelled key
+    ("[run]\n", "[extra]\nseed = 1\n\n[run]\n"),  # an unknown section
+])
+def test_cli_unknown_key_exits_two(tmp_path, old, new):
+    text = small_config().to_text()
+    assert old in text
+    path = tmp_path / "stale.cfg"
+    path.write_text(text.replace(old, new, 1))
+    assert cli.main(["evolve", str(path)]) == cli.EXIT_CONFIG_INVALID
+
+
+def test_config_accepts_every_optional_key():
+    cfg = small_config(model_params={"n": 3}, window=(-20.0, 20.0), anchor=-5.0)
+    assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+
 def test_cli_missing_config_exits_two(tmp_path):
     assert cli.main(["evolve", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG_INVALID
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from oulab import covariance as cov
 from oulab import evolution as evo
 from oulab import experiments
 from oulab.config import ExperimentConfig
@@ -15,22 +16,22 @@ from oulab.rng import seed_stream
 
 def test_evolve_at_equal_times_is_identity(dc8, rational4, parabolic5, scalar4):
     for model in (dc8, rational4, parabolic5, scalar4):
-        np.testing.assert_allclose(evo.evolve(model, 0.5, 0.5).matrix,
+        np.testing.assert_allclose(evo.propagator_matrix(model, 0.5, 0.5),
                                    np.eye(model.dim), atol=1e-14)
 
 
 def test_constant_model_closed_form(dc8):
-    u = evo.evolve(dc8, 0.0, 1.0)
-    assert u.method == "closed-form"
-    np.testing.assert_allclose(u.matrix, math.exp(-1.0) * np.eye(8), atol=1e-14)
-    assert u.matrix[0, 0] == pytest.approx(0.36787944117144233, abs=1e-15)
+    u = evo.propagator_matrix(dc8, 0.0, 1.0)
+    assert dc8.closed_form
+    np.testing.assert_allclose(u, math.exp(-1.0) * np.eye(8), atol=1e-14)
+    assert u[0, 0] == pytest.approx(0.36787944117144233, abs=1e-15)
 
 
 def test_rational_mode_one_arctangent(rational4):
     # integral of -2/(1+u^2) over [0, 1] is -2 arctan 1 = -pi/2
     expected = math.exp(-math.pi / 2.0)
     assert expected == pytest.approx(0.20787957635076193, abs=1e-15)
-    assert evo.evolve(rational4, 0.0, 1.0).matrix[0, 0] == pytest.approx(expected, abs=1e-12)
+    assert evo.propagator_matrix(rational4, 0.0, 1.0)[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_chain_law_all_kinds(dc8, rational4, scalar4, parabolic5, nonunique3):
@@ -49,14 +50,22 @@ def test_chain_law_all_kinds(dc8, rational4, scalar4, parabolic5, nonunique3):
 @settings(max_examples=20, deadline=None)
 @given(cell=st.integers(-3, 3), before=st.floats(0.05, 1.5), after=st.floats(0.05, 1.5),
        split=st.floats(0.05, 0.95))
-def test_flow_laws_across_grid_cells(scalar4, parabolic5, cell, before, after, split):
-    # s < cell < t, so the whole span is composed from more than one cell
+def test_flow_laws_across_grid_cells(scalar4, rational4, parabolic5, nonunique3,
+                                     cell, before, after, split):
+    # s < cell < t, so a dense span is composed from more than one cell;
+    # diagonal models are read the way report-all reads them
     s, t = cell - before, cell + after
     r = s + split * (t - s)
-    for model in (parabolic5, scalar4):
-        u_ts, k_ts = evo.flow(model, s, t)
-        u_tr, k_tr = evo.flow(model, r, t)
-        u_rs, k_rs = evo.flow(model, s, r)
+
+    def u_k(model, lo, hi):
+        if model.kind == "dense":
+            return evo.flow(model, lo, hi)
+        return evo.propagator_matrix(model, lo, hi), cov.accumulated(model, lo, hi).matrix
+
+    for model in (parabolic5, scalar4, rational4, nonunique3):
+        u_ts, k_ts = u_k(model, s, t)
+        u_tr, k_tr = u_k(model, r, t)
+        u_rs, k_rs = u_k(model, s, r)
         assert np.abs(u_ts - u_tr @ u_rs).max() <= 1e-12
         split_k = u_tr @ k_rs @ u_tr.T + k_tr
         assert np.abs(k_ts - split_k).max() <= 1e-10 * np.abs(k_ts).max()
@@ -74,13 +83,13 @@ def test_finite_difference_generator_first_order(parabolic5):
 
 
 def test_adjoint_is_transpose_for_diagonal(dc8):
-    u = evo.evolve(dc8, 0.0, 2.0).matrix
-    np.testing.assert_allclose(evo.adjoint_evolve(dc8, 0.0, 2.0).matrix, u, atol=1e-15)
+    u = evo.propagator_matrix(dc8, 0.0, 2.0)
+    np.testing.assert_allclose(u.T, u, atol=1e-15)
 
 
 def test_adjoint_against_dual_integration(parabolic5):
     s, t = 0.1, 1.2
-    direct = evo.adjoint_evolve(parabolic5, s, t).matrix
+    direct = evo.propagator_matrix(parabolic5, s, t).T
     dual = evo.adjoint_by_integration(parabolic5, s, t)
     assert np.abs(direct - dual).max() <= 1e-8
 
@@ -88,8 +97,8 @@ def test_adjoint_against_dual_integration(parabolic5):
 def test_adjoint_by_integration_bypasses_the_flow_memo():
     model = build_model("parabolic-1d", {})
     dual = evo.adjoint_by_integration(model, 0.1, 1.2)
-    assert "_flow_memo" not in model.meta
-    assert np.abs(evo.adjoint_evolve(model, 0.1, 1.2).matrix - dual).max() <= 1e-12
+    assert "flow" not in model.memo
+    assert np.abs(evo.propagator_matrix(model, 0.1, 1.2).T - dual).max() <= 1e-12
 
 
 @pytest.mark.parametrize("s, t", [(-0.2, 0.2), (-1.0, 0.4), (-8.0, 0.0)])
@@ -121,7 +130,7 @@ def test_non_finite_drift_raises_diverged():
 
 
 def test_adjoint_identity_at_equal_times(parabolic5):
-    np.testing.assert_allclose(evo.adjoint_evolve(parabolic5, 0.3, 0.3).matrix,
+    np.testing.assert_allclose(evo.propagator_matrix(parabolic5, 0.3, 0.3).T,
                                np.eye(5), atol=1e-15)
 
 

@@ -12,7 +12,6 @@ from oulab.mehler import (
     apply_exact,
     apply_mc,
     check_differentiation,
-    check_gradient_bound,
     generator_apply,
     propagate_trig,
     transition_of_generator,
@@ -197,44 +196,3 @@ def test_differentiation_formulas_rational(rational2):
         rep = check_differentiation(rational2, -0.3, 0.9, poly, x, fd_step=1e-4)
         worst = max(worst, rep.start_discrepancy, rep.end_discrepancy)
     assert worst <= 1e-6
-
-
-def test_gradient_bound_constant_observable(dc8):
-    phi = CylindricalFunction(
-        profile=lambda u: np.full(u.shape[:-1], 2.0),
-        gradient=lambda u: np.zeros_like(u),
-        hessian=lambda u: np.zeros(u.shape[:-1] + (1, 1)),
-        directions=np.eye(8)[:1],
-    )
-    rep = check_gradient_bound(dc8, 0.0, 1.0, phi, np.zeros(8), count=2000, seed=3)
-    assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
-
-
-def test_gradient_bound_sine(dc8):
-    phi = CylindricalFunction(
-        profile=lambda u: np.sin(u[..., 0]),
-        gradient=lambda u: np.stack([np.cos(u[..., 0])], axis=-1),
-        hessian=lambda u: -np.sin(u[..., 0])[..., None, None],
-        directions=np.eye(8)[:1],
-    )
-    rep = check_gradient_bound(dc8, 0.0, 1.0, phi, np.zeros(8), count=50_000, seed=13)
-    assert rep.passed
-    assert rep.lhs < rep.rhs  # strict Jensen gap for this probe
-
-
-def test_gradient_bound_rational_sweep(rational4):
-    gen = seed_stream(29, "grad-sweep")
-    for k in range(20):
-        freq = gen.standard_normal()
-        shift = gen.standard_normal()
-        phi = CylindricalFunction(
-            profile=lambda u, a=freq, b=shift: np.sin(a * u[..., 0] + b),
-            gradient=lambda u, a=freq, b=shift: np.stack(
-                [a * np.cos(a * u[..., 0] + b)], axis=-1),
-            hessian=lambda u, a=freq, b=shift: (
-                -a * a * np.sin(a * u[..., 0] + b))[..., None, None],
-            directions=np.eye(4)[:1],
-        )
-        x = gen.standard_normal(4)
-        rep = check_gradient_bound(rational4, 0.0, 1.0, phi, x, count=20_000, seed=100 + k)
-        assert rep.passed, (k, rep)

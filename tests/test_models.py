@@ -131,13 +131,12 @@ def test_parabolic_rejects_coefficients_without_array_points():
         make_parabolic_1d(3, a=lambda t, x: 1.0, a0=lambda t, x: np.zeros(2))
 
 
-def test_default_identity_noise_is_one_read_only_array(parabolic5, scalar4):
-    for model in (parabolic5, scalar4):
-        b = model.noise_matrix(0.3)
-        assert b is model.noise_matrix(-1.7)
-        np.testing.assert_array_equal(b, np.eye(model.dim))
-        with pytest.raises(ValueError):
-            b[0, 0] = 2.0
+def test_default_identity_noise_is_one_read_only_array(parabolic5):
+    b = parabolic5.noise_matrix(0.3)
+    assert b is parabolic5.noise_matrix(-1.7)
+    np.testing.assert_array_equal(b, np.eye(parabolic5.dim))
+    with pytest.raises(ValueError):
+        b[0, 0] = 2.0
 
 
 def test_parabolic_constant_coefficients_match_matrix_exponential():
