@@ -9,10 +9,10 @@ at t.  Diagonal models reduce to one scalar integral per mode,
 
     k_i(t, s) = integral of exp(2 integral_sigma^t a_i) b_i(sigma)^2 dsigma,
 
-evaluated with an exact drift antiderivative when the model carries one and
-a cached dense interpolant otherwise.  Dense models read K from
-``evolution.flow``, which solves the joint (U, K) system on unit-grid cells
-and composes longer spans with the flow decomposition.
+with the inner drift integral c_i(t) - c_i(sigma) taken from
+``evolution.mode_cumulative``, the antiderivative that U uses too.  Dense
+models read K from ``evolution.flow``, which solves the joint (U, K) system
+on unit-grid cells and composes longer spans with the flow decomposition.
 
 The infinite-horizon limit K(t, -inf) is realized by truncating at a start
 time s* whose neglected tail is controlled either by the model's decay
@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.integrate import solve_ivp
 
-from .evolution import FLOW_ATOL, FLOW_RTOL, flow, propagator_matrix
+from .evolution import FLOW_ATOL, FLOW_RTOL, flow, mode_cumulative, propagator_matrix
 from .linalg import NotPSDError, SymOperator
 from .models import OperatorFamily, WindowExceededError
 
@@ -74,34 +73,16 @@ def _ensure_psd(mat: np.ndarray) -> SymOperator:
 
 # -- per-mode machinery ------------------------------------------------------
 
-def _drift_cumulative(model: OperatorFamily, idx: int):
-    """Callable giving the cumulative drift integral of mode idx from the
-    window start; built once per (model, mode) on a dense interpolant."""
-    cache = model.memo.setdefault("drift_cumulative", {})
-    if idx not in cache:
-        mode = model.modes[idx]
-        lo, hi = model.window
-        sol = solve_ivp(lambda u, y: [float(mode.drift(u))], (lo, hi), [0.0],
-                        method="DOP853", dense_output=True, rtol=1e-13, atol=1e-14)
-        cache[idx] = lambda u, s=sol: float(s.sol(u)[0])
-    return cache[idx]
-
-
 def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float,
                      tol: float = MODE_TOL) -> float:
     """Scalar accumulated covariance of one diagonal mode over [s, t]."""
     if t == s:
         return 0.0
     mode = model.modes[idx]
-    if mode.drift_antideriv is not None:
-        anti = mode.drift_antideriv
-        at = float(anti(t))
-        inner = lambda sigma: at - float(anti(sigma))
-    else:
-        cum = _drift_cumulative(model, idx)
-        at = cum(t)
-        inner = lambda sigma: at - cum(sigma)
-    f = lambda sigma: math.exp(2.0 * inner(sigma)) * float(mode.diffusion(sigma)) ** 2
+    cum = mode_cumulative(model, idx)
+    at = float(cum(t))
+    f = lambda sigma: (math.exp(2.0 * (at - float(cum(sigma))))
+                       * float(mode.diffusion(sigma)) ** 2)
     val, _ = integrate.quad(f, s, t, epsabs=tol, epsrel=tol, limit=400)
     return val
 

@@ -11,10 +11,12 @@ U(t, r) U(r, s) = U(t, s), and K the flow decomposition
 
     K(t, s) = U(t, r) K(r, s) U(t, r)^T + K(t, r).
 
-Diagonal models get U as entrywise exponentials exp(integral of a_k over
-[s, t]).  ``flow`` serves U and K for dense models: a span inside one cell
-[k, k+1] of the unit grid is one DOP853 solve of the joint system, and a
-longer span is split at ceil(t) - 1 and composed with the two laws above.
+Diagonal models get U as entrywise exponentials exp(c_k(t) - c_k(s)), with
+c_k the drift antiderivative of ``mode_cumulative``; K of the mode takes its
+exponent from the same c_k.  ``flow`` serves U and K for dense models: a
+span inside one cell [k, k+1] of the unit grid is one DOP853 solve of the
+joint system, and a longer span is split at ceil(t) - 1 and composed with
+the two laws above.
 The split depends on (s, t) alone, so results do not depend on call order,
 and long spans reuse the memoized cells.
 
@@ -36,11 +38,10 @@ import numpy as np
 from scipy import integrate
 
 from .linalg import CameronMartinMetric, SymOperator, operator_norm, spectral, sqrt_psd
-from .models import ModeCoefficients, OperatorFamily
+from .models import OperatorFamily
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-14
-MODE_QUAD_TOL = 1e-12
 
 
 class IntegratorDivergedError(RuntimeError):
@@ -56,14 +57,23 @@ class RangeIncompatibleError(ValueError):
     the range-norm is ill posed."""
 
 
-def mode_drift_integral(mode: ModeCoefficients, s: float, t: float) -> float:
-    """integral of the mode drift over [s, t], exact when an antiderivative
-    is available, adaptive quadrature otherwise."""
+def mode_cumulative(model: OperatorFamily, idx: int):
+    """t -> an antiderivative of the drift of diagonal mode idx.
+
+    The mode's exact antiderivative when it carries one; otherwise a DOP853
+    dense interpolant of the drift integral from the window start, built
+    once per (model, mode).  U and K of the mode both take their exponents
+    from it, so the two agree to roundoff.
+    """
+    mode = model.modes[idx]
     if mode.drift_antideriv is not None:
-        return float(mode.drift_antideriv(t)) - float(mode.drift_antideriv(s))
-    val, _ = integrate.quad(lambda u: float(mode.drift(u)), s, t,
-                            epsabs=MODE_QUAD_TOL, epsrel=MODE_QUAD_TOL, limit=200)
-    return val
+        return mode.drift_antideriv
+    cache = model.memo.setdefault("drift_cumulative", {})
+    if idx not in cache:
+        sol = integrate.solve_ivp(lambda u, y: [float(mode.drift(u))], model.window, [0.0],
+                                  method="DOP853", dense_output=True, rtol=1e-13, atol=1e-14)
+        cache[idx] = lambda u, s=sol: float(s.sol(u)[0])
+    return cache[idx]
 
 
 def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:
@@ -127,7 +137,8 @@ def propagator_matrix(model: OperatorFamily, s: float, t: float) -> np.ndarray:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
     if model.kind == "diagonal":
-        return np.diag([math.exp(mode_drift_integral(m, s, t)) for m in model.modes])
+        cums = [mode_cumulative(model, i) for i in range(model.dim)]
+        return np.diag([math.exp(float(c(t)) - float(c(s))) for c in cums])
     return flow(model, s, t)[0]
 
 

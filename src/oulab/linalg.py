@@ -154,22 +154,28 @@ class CameronMartinMetric:
     def dim(self) -> int:
         return self.base.dim
 
+    def inverse_eigenvalues(self) -> np.ndarray:
+        """1/w on eigenvalues above the cut, 0 on the kernel."""
+        w = self._decomp.eigenvalues
+        return np.where(w > self._cut, 1.0 / np.where(w > self._cut, w, 1.0), 0.0)
+
     def pseudo_inverse_matrix(self) -> np.ndarray:
         """Matrix of R^-1 on range(R), zero on the kernel."""
-        w = self._decomp.eigenvalues
         v = self._decomp.eigenvectors
-        inv = np.where(w > self._cut, 1.0 / np.where(w > self._cut, w, 1.0), 0.0)
-        return (v * inv) @ v.T
+        return (v * self.inverse_eigenvalues()) @ v.T
 
 
 def pseudo_inverse_apply(metric: CameronMartinMetric, y: np.ndarray) -> np.ndarray:
-    """Apply R^-1: the unique preimage of y in (ker R)^perp.
+    """Apply R^-1 to a vector: the unique preimage of y in (ker R)^perp.
 
     Components of y along kernel directions map to zero, so the left identity
-    R (R^-1 y) = y - P_ker y holds by construction.
+    R (R^-1 y) = y - P_ker y holds by construction.  The factors are applied
+    in turn, V (w^+ * (V^T y)): the formed matrix of R^-1 would lose about
+    cond(R) * eps of the identity.
     """
     y = np.asarray(y, dtype=float)
-    return metric.pseudo_inverse_matrix() @ y
+    v = metric._decomp.eigenvectors
+    return v @ (metric.inverse_eigenvalues() * (v.T @ y))
 
 
 def cm_norm(metric: CameronMartinMetric, x: np.ndarray) -> float:

@@ -93,7 +93,8 @@ class ModeCoefficients:
     """Scalar drift/diffusion coefficients of one diagonal mode.
 
     ``drift_antideriv``, when supplied, is an exact antiderivative of the
-    drift; propagator entries then avoid quadrature altogether.
+    drift; U and K of the mode then use it in place of a DOP853 interpolant
+    of the drift.
     """
 
     drift: Callable

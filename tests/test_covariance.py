@@ -86,6 +86,22 @@ def test_flow_decomposition(dc8, rational4, parabolic5):
         assert np.abs(whole - split).max() <= 1e-8
 
 
+def test_flow_decomposition_with_one_drift_integral(nonunique3):
+    # mode 1 of nonunique3 has no antiderivative: U and K must both take
+    # their exponents from the same cumulative drift for the flow
+    # decomposition to close at roundoff
+    gen = seed_stream(5, "one-integral")
+    worst = 0.0
+    for _ in range(60):
+        s, r, t = np.sort(gen.uniform(-3.0, 3.0, 3))
+        u = evo.propagator_matrix(nonunique3, r, t)
+        whole = cov.accumulated(nonunique3, s, t).matrix
+        split = (u @ cov.accumulated(nonunique3, s, r).matrix @ u.T
+                 + cov.accumulated(nonunique3, r, t).matrix)
+        worst = max(worst, np.abs(whole - split).max() / np.abs(whole).max())
+    assert worst <= 1e-13
+
+
 def test_stationarity_identity(dc8):
     s, t = -0.5, 1.0
     u = evo.propagator_matrix(dc8, s, t)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from oulab import linalg
@@ -106,6 +106,7 @@ def test_range_norm_by_hand():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
+@example(seed=1652)  # cond 4.3e7: the formed pseudo-inverse misses by 1.4e-8
 def test_left_identity_on_range(seed):
     s = random_psd(seed, 4)
     metric = CameronMartinMetric(s)

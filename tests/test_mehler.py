@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from oulab import mehler
 from oulab.covariance import accumulated
@@ -129,6 +131,23 @@ def test_mc_exactness_sweep(dc4):
         exact = apply_exact(dc4, 0.0, 1.0, poly, x)
         est = apply_mc(dc4, 0.0, 1.0, poly.evaluate, x, count=4000, seed=k)
         assert abs(est.value - exact) <= 4.0 * est.stderr + 1e-12
+
+
+# a statistical bound on drawn inputs fails at some rate; derandomize pins
+# the examples so the suite is reproducible
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(s=st.floats(-3.0, 2.0), gap=st.floats(0.05, 1.5), seed=st.integers(0, 2**16))
+def test_propagate_trig_against_mc_for_every_model(dc8, rational4, scalar4, parabolic5,
+                                                    nonunique3, s, gap, seed):
+    t = s + gap
+    for model in (dc8, rational4, scalar4, parabolic5, nonunique3):
+        gen = seed_stream(seed, "trig-vs-mc", model.dim)
+        poly = (TrigPolynomial.cosine(gen.standard_normal(model.dim))
+                + 0.5 * TrigPolynomial.sine(gen.standard_normal(model.dim)))
+        x = gen.standard_normal(model.dim)
+        exact = apply_exact(model, s, t, poly, x)
+        est = apply_mc(model, s, t, poly.evaluate, x, count=20_000, seed=seed)
+        assert abs(est.value - exact) <= 5.0 * est.stderr + 1e-12, model.name
 
 
 def test_generator_on_plane_wave(dc8):
