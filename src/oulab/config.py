@@ -1,18 +1,21 @@
 """Experiment configuration: flat key-value text with typed sections.
 
-The format is INI (configparser).  Numeric experiment knobs live in fixed
-sections; everything under [model] except ``name`` is forwarded to the
-catalog builder.  Any other section or key outside the layout ``to_text``
-writes is rejected, so a stale or misspelled knob cannot be silently
-ignored.  Configurations round-trip losslessly through ``to_text`` /
-``from_text`` (floats serialize with repr).
+The format is INI (configparser).  Everything under [model] except
+``name`` is forwarded to the catalog builder, and [window] holds
+``t_min``/``t_max``.  Every other knob is one row of ``LAYOUT``, the
+(section, key, field, kind) table that ``to_text`` writes from, that
+``from_text`` reads from, and that the unknown-key check compares with: a
+section or key outside it is rejected, so a stale or misspelled knob cannot
+be silently ignored, and a value its kind cannot parse is a ConfigError.
+Configurations round-trip losslessly through ``to_text`` / ``from_text``
+(floats serialize with repr).
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
@@ -90,40 +93,17 @@ class ExperimentConfig:
                        **{k: repr(v) for k, v in sorted(self.model_params.items())}}
         if self.window is not None:
             cp["window"] = {"t_min": repr(self.window[0]), "t_max": repr(self.window[1])}
-        cp["grids"] = {
-            "s_values": ", ".join(repr(v) for v in self.s_values),
-            "t_values": ", ".join(repr(v) for v in self.t_values),
-            "triple_count": str(self.triple_count),
-            "triple_span": repr(self.triple_span),
-        }
-        cp["probes"] = {"count": str(self.probe_count)}
-        if self.anchor is not None:
-            cp["probes"]["anchor"] = repr(self.anchor)
-        cp["mc"] = {
-            "samples": str(self.mc_samples),
-            "spde_paths": str(self.spde_paths),
-            "spde_step": repr(self.spde_step),
-        }
-        cp["tolerances"] = {
-            "invariance": repr(self.tol_invariance),
-            "chain": repr(self.tol_chain),
-            "tail": repr(self.tol_tail),
-            "fd": repr(self.tol_fd),
-            "ergodic": repr(self.tol_ergodic),
-            "fd_step": repr(self.fd_step),
-        }
-        cp["hyper"] = {
-            "q": repr(self.hyper_q),
-            "gap": repr(self.hyper_gap),
-            "p_values": ", ".join(repr(v) for v in self.hyper_p_values),
-            "sharpness_p": ", ".join(repr(v) for v in self.sharpness_p_values),
-        }
-        cp["logsob"] = {"p_values": ", ".join(repr(v) for v in self.logsob_p_values)}
-        cp["ergodic"] = {
-            "s_values": ", ".join(repr(v) for v in self.ergodic_s_values),
-            "t": repr(self.ergodic_t),
-        }
-        cp["run"] = {"seed": str(self.seed), "outdir": self.outdir}
+        for section, key, name, kind in LAYOUT:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if kind is _num_list:
+                text = ", ".join(repr(v) for v in value)
+            else:
+                text = repr(value) if kind is float else str(value)
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp[section][key] = text
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -137,64 +117,65 @@ class ExperimentConfig:
             raise ConfigError(f"bad config syntax: {exc}") from exc
         if cp.defaults():
             raise ConfigError("unknown section [DEFAULT]")
-        # the layout: every key to_text writes, optional ones included
-        full = configparser.ConfigParser()
-        full.read_string(ExperimentConfig(window=(0.0, 1.0), anchor=0.0).to_text())
+        known = {"window": {"t_min", "t_max"}}
+        for section, key, _, _ in LAYOUT:
+            known.setdefault(section, set()).add(key)
         for section in cp.sections():
-            if not full.has_section(section):
+            if section == "model":
+                continue
+            if section not in known:
                 raise ConfigError(f"unknown section [{section}]")
-            if section != "model":
-                unknown = sorted(set(cp.options(section)) - set(full.options(section)))
-                if unknown:
-                    raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
+            unknown = sorted(set(cp.options(section)) - known[section])
+            if unknown:
+                raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
-        def get(section, key, default, conv):
-            if cp.has_option(section, key):
-                return conv(cp.get(section, key))
-            return default
-
-        base = ExperimentConfig()
-        model_params = {}
-        if cp.has_section("model"):
-            for key, val in cp.items("model"):
-                if key != "name":
-                    model_params[key] = _num(val)
-        window = None
-        if cp.has_section("window"):
-            window = (get("window", "t_min", -50.0, float),
-                      get("window", "t_max", 50.0, float))
-        kwargs = dict(
-            model_name=get("model", "name", base.model_name, str),
-            model_params=model_params,
-            window=window,
-            s_values=get("grids", "s_values", base.s_values, _num_list),
-            t_values=get("grids", "t_values", base.t_values, _num_list),
-            triple_count=get("grids", "triple_count", base.triple_count, int),
-            triple_span=get("grids", "triple_span", base.triple_span, float),
-            probe_count=get("probes", "count", base.probe_count, int),
-            anchor=get("probes", "anchor", None, float),
-            mc_samples=get("mc", "samples", base.mc_samples, int),
-            spde_paths=get("mc", "spde_paths", base.spde_paths, int),
-            spde_step=get("mc", "spde_step", base.spde_step, float),
-            tol_invariance=get("tolerances", "invariance", base.tol_invariance, float),
-            tol_chain=get("tolerances", "chain", base.tol_chain, float),
-            tol_tail=get("tolerances", "tail", base.tol_tail, float),
-            tol_fd=get("tolerances", "fd", base.tol_fd, float),
-            tol_ergodic=get("tolerances", "ergodic", base.tol_ergodic, float),
-            fd_step=get("tolerances", "fd_step", base.fd_step, float),
-            hyper_q=get("hyper", "q", base.hyper_q, float),
-            hyper_gap=get("hyper", "gap", base.hyper_gap, float),
-            hyper_p_values=get("hyper", "p_values", base.hyper_p_values, _num_list),
-            sharpness_p_values=get("hyper", "sharpness_p", base.sharpness_p_values, _num_list),
-            logsob_p_values=get("logsob", "p_values", base.logsob_p_values, _num_list),
-            ergodic_s_values=get("ergodic", "s_values", base.ergodic_s_values, _num_list),
-            ergodic_t=get("ergodic", "t", base.ergodic_t, float),
-            seed=get("run", "seed", base.seed, int),
-            outdir=get("run", "outdir", base.outdir, str),
-        )
+        params = dict(cp.items("model")) if cp.has_section("model") else {}
+        kwargs = {"model_params": {k: _num(v) for k, v in params.items() if k != "name"}}
+        if "name" in params:
+            kwargs["model_name"] = params["name"]
+        try:
+            if cp.has_section("window"):
+                kwargs["window"] = (cp.getfloat("window", "t_min", fallback=-50.0),
+                                    cp.getfloat("window", "t_max", fallback=50.0))
+            for section, key, name, kind in LAYOUT:
+                if cp.has_option(section, key):
+                    kwargs[name] = kind(cp.get(section, key))
+        except ValueError as exc:
+            raise ConfigError(f"not a valid value: {exc}") from exc
         return ExperimentConfig(**kwargs).validate()
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return ExperimentConfig.from_text(fh.read())
+
+
+# (section, key, field, kind): the layout of every section but [model] and
+# [window], in the order to_text writes it.  ``kind`` parses the text; a
+# field that is None (``anchor`` by default) is not written.
+LAYOUT = (
+    ("grids", "s_values", "s_values", _num_list),
+    ("grids", "t_values", "t_values", _num_list),
+    ("grids", "triple_count", "triple_count", int),
+    ("grids", "triple_span", "triple_span", float),
+    ("probes", "count", "probe_count", int),
+    ("probes", "anchor", "anchor", float),
+    ("mc", "samples", "mc_samples", int),
+    ("mc", "spde_paths", "spde_paths", int),
+    ("mc", "spde_step", "spde_step", float),
+    ("tolerances", "invariance", "tol_invariance", float),
+    ("tolerances", "chain", "tol_chain", float),
+    ("tolerances", "tail", "tol_tail", float),
+    ("tolerances", "fd", "tol_fd", float),
+    ("tolerances", "ergodic", "tol_ergodic", float),
+    ("tolerances", "fd_step", "fd_step", float),
+    ("hyper", "q", "hyper_q", float),
+    ("hyper", "gap", "hyper_gap", float),
+    ("hyper", "p_values", "hyper_p_values", _num_list),
+    ("hyper", "sharpness_p", "sharpness_p_values", _num_list),
+    ("logsob", "p_values", "logsob_p_values", _num_list),
+    ("ergodic", "s_values", "ergodic_s_values", _num_list),
+    ("ergodic", "t", "ergodic_t", float),
+    ("run", "seed", "seed", int),
+    ("run", "outdir", "outdir", str),
+)

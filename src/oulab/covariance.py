@@ -73,8 +73,7 @@ def _ensure_psd(mat: np.ndarray) -> SymOperator:
 
 # -- per-mode machinery ------------------------------------------------------
 
-def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float,
-                     tol: float = MODE_TOL) -> float:
+def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float) -> float:
     """Scalar accumulated covariance of one diagonal mode over [s, t]."""
     if t == s:
         return 0.0
@@ -83,7 +82,7 @@ def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float,
     at = float(cum(t))
     f = lambda sigma: (math.exp(2.0 * (at - float(cum(sigma))))
                        * float(mode.diffusion(sigma)) ** 2)
-    val, _ = integrate.quad(f, s, t, epsabs=tol, epsrel=tol, limit=400)
+    val, _ = integrate.quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)
     return val
 
 
@@ -115,8 +114,7 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
 
 
 def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10,
-                 s_star: float | None = None,
-                 tail_bound: float | None = None) -> CovarianceKernel:
+                 s_star: float | None = None) -> CovarianceKernel:
     """Infinite-horizon covariance K(t, -inf), truncated at a certified s*.
 
     Without an explicit ``s_star`` the cutoff comes from the model's decay
@@ -125,9 +123,10 @@ def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10,
         neglected trace <= dim * M^2 K^2 * exp(-2 zeta (t - s*)) / (2 zeta),
 
     pushed below ``tol_tail``.  With an explicit cutoff the caller owns the
-    tail estimate; pass ``tail_bound`` to record it.
+    tail estimate, and ``tail_trace_bound`` is recorded as None.
     """
     model.require_window(t)
+    tail_bound = None
     if s_star is None:
         if model.decay is None or model.decay[1] <= 0.0:
             raise NoDecayError(

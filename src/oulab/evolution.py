@@ -1,12 +1,13 @@
 """Two-parameter propagators, the joint (U, K) flow, and decay certificates.
 
 For a model with drift family A(t) and noise B(t), the propagator U(t, s)
-and the accumulated noise covariance K(t, s) solve the joint system
+and the accumulated noise covariance K(t, s) solve, in the start time s,
 
-    d/dt U = A(t) U,                     U(s, s) = I,
-    d/dt K = A(t) K + K A(t)^T + Q(t),   K(s, s) = 0,
+    d/ds U = -U A(s),                    U(t, t) = I,
+    d/ds K = -(U B(s)) (U B(s))^T,       K(t, t) = 0,
 
-with Q = B B^T (Van Loan, IEEE TAC 1978).  U satisfies the chain law
+the backward form of the joint system U' = A U, K' = A K + K A^T + B B^T
+(Van Loan, IEEE TAC 1978).  U satisfies the chain law
 U(t, r) U(r, s) = U(t, s), and K the flow decomposition
 
     K(t, s) = U(t, r) K(r, s) U(t, r)^T + K(t, r).
@@ -15,7 +16,7 @@ Diagonal models get U as entrywise exponentials exp(c_k(t) - c_k(s)), with
 c_k the drift antiderivative of ``mode_cumulative``; K of the mode takes its
 exponent from the same c_k.  ``flow`` serves U and K for dense models: a
 span inside one cell [k, k+1] of the unit grid is one DOP853 solve of the
-joint system, and a longer span is split at ceil(t) - 1 and composed with
+backward system, and a longer span is split at ceil(t) - 1 and composed with
 the two laws above.
 The split depends on (s, t) alone, so results do not depend on call order,
 and long spans reuse the memoized cells.
@@ -37,11 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .linalg import CameronMartinMetric, SymOperator, operator_norm, spectral, sqrt_psd
+from .linalg import (CameronMartinMetric, SymOperator, operator_norm, pseudo_inverse_apply,
+                     sqrt_psd)
 from .models import OperatorFamily
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-14
+FLOW_FIRST_STEP = 1e-3
+RANGE_TOL = 1e-8  # relative share of U(t, s) R_s allowed outside range(R_t)
 
 
 class IntegratorDivergedError(RuntimeError):
@@ -77,8 +81,14 @@ def mode_cumulative(model: OperatorFamily, idx: int):
 
 
 def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:
-    """State at t of y' = rhs(tau, y), y(s) = y0, by one DOP853 solve."""
+    """State at t of y' = rhs(tau, y), y(s) = y0, by one DOP853 solve;
+    t < s integrates backward.  The first step is explicit: the solver's
+    heuristic would step to nan on a non-finite right-hand side instead of
+    reporting a failed solve."""
+    if s == t:
+        return y0
     sol = integrate.solve_ivp(rhs, (s, t), y0, method="DOP853",
+                              first_step=min(abs(t - s), FLOW_FIRST_STEP),
                               rtol=FLOW_RTOL, atol=FLOW_ATOL)
     if not sol.success:
         raise IntegratorDivergedError(f"DOP853 on [{s}, {t}]: {sol.message}")
@@ -86,18 +96,23 @@ def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:
 
 
 def _cell_flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(U(t, s), K(t, s)) from one solve of the joint system, carried as the
-    n x 2n block [U | K]; K' is built as AK + (AK)^T, exactly symmetric."""
+    """(U(t, s), K(t, s)) from one DOP853 solve of the backward system from
+    (I, 0) at sigma = t down to s, carried as the n x 2n block [U | K].
+
+    K' does not depend on K, so the step control never sees the stiff block
+    A K + K A^T of the forward system.
+    """
     n = model.dim
 
-    def rhs(tau, y):
-        ay = model.drift_matrix(tau) @ y.reshape(n, 2 * n)
-        ak = ay[:, n:]
-        ay[:, n:] = ak + ak.T + model.diffusion_matrix(tau)
-        return ay.ravel()
+    def rhs(sigma, y):
+        v = y.reshape(n, 2 * n)[:, :n]
+        vb = v @ model.noise_matrix(sigma)
+        out = np.empty((n, 2 * n))
+        np.matmul(v, model.drift_matrix(sigma), out=out[:, :n])
+        np.matmul(vb, vb.T, out=out[:, n:])
+        return np.negative(out, out=out).ravel()
 
-    y = _solve(rhs, s, t, np.hstack([np.eye(n), np.zeros((n, n))]).ravel())
-    y = y.reshape(n, 2 * n)
+    y = _solve(rhs, t, s, np.eye(n, 2 * n).ravel()).reshape(n, 2 * n)  # from [I | 0]
     return y[:, :n], y[:, n:]
 
 
@@ -156,30 +171,25 @@ def adjoint_by_integration(model: OperatorFamily, s: float, t: float) -> np.ndar
 
 # -- norms and decay certificates -------------------------------------------
 
-def cm_operator_norm(model: OperatorFamily, s: float, t: float,
-                     range_tol: float = 1e-8) -> float:
+def cm_operator_norm(model: OperatorFamily, s: float, t: float) -> float:
     """Norm of U(t, s) between the noise-range metrics at times s and t.
 
     Computed as the spectral norm of R_t^-1 U(t, s) R_s with R_r the PSD
     square root of B(r) B(r)^T and R_t^-1 its pseudo-inverse.  Raises when
-    U(t, s) pushes the range of R_s measurably outside the range of R_t;
-    the mapping is ill posed in that case.
+    U(t, s) pushes the range of R_s outside the range of R_t by more than
+    RANGE_TOL relative; the mapping is ill posed in that case.
     """
     u = propagator_matrix(model, s, t)
-    root_s = sqrt_psd(SymOperator(model.diffusion_matrix(s)))
-    root_t = sqrt_psd(SymOperator(model.diffusion_matrix(t)))
-    metric_t = CameronMartinMetric(root_t)
-    m = metric_t.pseudo_inverse_matrix() @ u @ root_s.entries
-    dec = spectral(root_t)
-    in_range = dec.eigenvalues > metric_t._cut
-    v_range = dec.eigenvectors[:, in_range]
-    mapped = u @ root_s.entries
+    root_s = sqrt_psd(SymOperator(model.diffusion_matrix(s))).entries
+    metric_t = CameronMartinMetric(sqrt_psd(SymOperator(model.diffusion_matrix(t))))
+    mapped = u @ root_s
+    dec = metric_t._decomp
+    v_range = dec.eigenvectors[:, dec.eigenvalues > metric_t._cut]
     residual = mapped - v_range @ (v_range.T @ mapped)
-    denom = max(1.0, float(np.abs(mapped).max()))
-    if float(np.abs(residual).max()) > range_tol * denom:
+    if float(np.abs(residual).max()) > RANGE_TOL * max(1.0, float(np.abs(mapped).max())):
         raise RangeIncompatibleError(
             "range of the start metric is not carried into the end metric")
-    return operator_norm(m)
+    return operator_norm(pseudo_inverse_apply(metric_t, u) @ root_s)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ def run_evolve(model, cfg, report: RunReport, outdir: Path) -> None:
                "PASS" if worst <= cfg.tol_chain else "FAIL",
                f"max residual {worst:.3e} vs {cfg.tol_chain:.0e} on {len(rows)} triples")
 
-    if not model.closed_form:
+    if model.kind == "dense":
         gen = seed_stream(cfg.seed, "adjoint")
         bad = 0.0
         for _ in range(5):

@@ -7,8 +7,8 @@ inequality constant is
 
 finite for alpha in [0, 1/2).  Two families of checks use it:
 
-  * entropy gap: for smooth positive cylindrical observables phi and
-    exponents p in (1, inf),
+  * entropy gap: for smooth positive cylindrical observables phi (profile
+    and gradient) and exponents p in (1, inf),
 
       E[ |phi|^p log |phi|^p ] - m log m
           <= kappa p^2 E[ |phi|^{p-2} |R grad phi|^2 ; phi != 0 ],
@@ -20,12 +20,15 @@ finite for alpha in [0, 1/2).  Two families of checks use it:
 
       p_max(q, t - s) = (q - 1) exp((t - s) / (2 kappa)) + 1,
 
-    i.e. the p-norm of the propagated observable at the start measure stays
-    below the q-norm at the end measure whenever p <= p_max.
+    i.e. the p-norm of the propagated trig-polynomial observable at the
+    start measure stays below the q-norm at the end measure whenever
+    p <= p_max.
 
 Expectations over at most two active directions are done by tensor
 Gauss-Hermite quadrature (64 nodes per dimension, error estimated against a
 coarser rule); everything else is Monte Carlo with delta-method errors.
+Norm ratios beyond the curve use nested 1-D Gauss-Hermite rules with
+SHARPNESS_NODES nodes.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import DecayCertificate
-from .measures import EvolutionSystem, GaussianMeasure, gaussian_system, sample
+from .measures import EvolutionSystem, gaussian_system, sample
 from .mehler import CylindricalFunction, TrigPolynomial, propagate_trig
 from .models import OperatorFamily
 
 GH_NODES = 64
 GH_NODES_COARSE = 48
+SHARPNESS_NODES = 96  # the error estimate uses 16 fewer
+RAMP_RATES = (0.5, 1.0, 1.5, 2.0, 2.5)  # capped_exponential_family
+RAMP_CAP = 6.0
 
 
 class BadCertificateError(ValueError):
@@ -90,15 +96,11 @@ def _gh_grid(cov: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _entropy_terms(u: np.ndarray, phi: CylindricalFunction, p: float,
-                   q_proj: np.ndarray, regularization: float):
+                   q_proj: np.ndarray):
     """Per-point summands of E|phi|^p, of the entropy E[|phi|^p log |phi|^p]
-    and of the gradient energy, after the optional regularization."""
+    and of the gradient energy."""
     vals = np.asarray(phi.profile(u), dtype=float)
     grads = np.asarray(phi.gradient(u), dtype=float)
-    if regularization > 0.0:
-        reg = np.sqrt(vals**2 + regularization**2)
-        grads = grads * (vals / reg)[..., None]
-        vals = reg
     av = np.abs(vals)
     pos = av > 0.0
     vp = np.where(pos, av, 1.0) ** p
@@ -128,8 +130,7 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction,
                 p: float, kappa: float,
                 system: EvolutionSystem | None = None,
                 method: str = "quadrature",
-                count: int = 100_000, seed: int = 0,
-                regularization: float = 0.0) -> LogSobolevReport:
+                count: int = 100_000, seed: int = 0) -> LogSobolevReport:
     """Entropy versus weighted gradient energy at time t.
 
     Quadrature handles cylindrical observables over at most two directions;
@@ -149,11 +150,9 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction,
         if phi.n_dirs > 2:
             raise ValueError("quadrature path handles at most 2 active directions")
         u, w = _gh_grid(marginal, GH_NODES)
-        m, ent, energy = (float(w @ a) for a in
-                          _entropy_terms(u, phi, p, q_proj, regularization))
+        m, ent, energy = (float(w @ a) for a in _entropy_terms(u, phi, p, q_proj))
         uc, wc = _gh_grid(marginal, GH_NODES_COARSE)
-        mc, entc, energyc = (float(wc @ a) for a in
-                             _entropy_terms(uc, phi, p, q_proj, regularization))
+        mc, entc, energyc = (float(wc @ a) for a in _entropy_terms(uc, phi, p, q_proj))
         if m <= 0.0:
             raise NonPositiveMeanError(f"E|phi|^p = {m}")
         lhs = ent - m * math.log(m)
@@ -165,7 +164,7 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction,
         xs = sample(mu, count, seed, label="entropy-gap")
         u = phi.coords(xs)
         w = np.full(len(u), 1.0 / len(u))
-        terms = _entropy_terms(u, phi, p, q_proj, regularization)
+        terms = _entropy_terms(u, phi, p, q_proj)
         m, ent, energy = (float(w @ a) for a in terms)
         if m <= 0.0:
             raise NonPositiveMeanError(f"E|phi|^p = {m}")
@@ -214,16 +213,14 @@ class HyperReport:
 
 
 def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
-                             q: float, p, phi, kappa: float,
-                             count: int, seed: int,
-                             system: EvolutionSystem | None = None,
-                             inner_count: int = 1000) -> HyperReport | list[HyperReport]:
+                             q: float, p, phi: TrigPolynomial, kappa: float,
+                             count: int, seed: int, system: EvolutionSystem | None = None
+                             ) -> HyperReport | list[HyperReport]:
     """p-norm of the propagated observable at nu_s against its q-norm at nu_t.
 
-    Trig observables propagate exactly (one Monte Carlo layer over nu_s);
-    other callables get an inner Monte Carlo transition average per outer
-    sample.  PASS requires p on or under the exponent curve and the norm
-    inequality to hold within three combined standard errors.
+    The trig observable propagates exactly, so one Monte Carlo layer over
+    nu_s suffices.  PASS requires p on or under the exponent curve and the
+    norm inequality to hold within three combined standard errors.
 
     ``p`` is one exponent or a sequence of them.  A single exponent returns
     one HyperReport.  A sequence returns one HyperReport per exponent, in
@@ -238,27 +235,15 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
         system = gaussian_system(model)
     mu_s, mu_t = system(s), system(t)
     xs = sample(mu_s, count, seed, label="hyper-outer")
-    if isinstance(phi, TrigPolynomial):
-        prop = propagate_trig(model, s, t, phi)
-        vals = np.asarray(prop.evaluate(xs))
-        if np.abs(vals.imag).max(initial=0.0) > 1e-8:
-            raise ValueError("observable must be real for norm checks")
-        vals = vals.real
-        phi_eval = lambda ys: np.asarray(phi.evaluate(ys)).real
-    else:
-        from .mehler import apply_mc
-        vals = np.empty(count)
-        for i, x in enumerate(xs):
-            vals[i] = apply_mc(model, s, t, phi, x, inner_count, seed,
-                               label=f"hyper-inner-{i}").value.real
-        phi_eval = lambda ys: np.asarray(phi(ys), dtype=float)
-
+    vals = np.asarray(propagate_trig(model, s, t, phi).evaluate(xs))
+    if np.abs(vals.imag).max(initial=0.0) > 1e-8:
+        raise ValueError("observable must be real for norm checks")
     ys = sample(mu_t, count, seed + 1, label="hyper-rhs")
-    rhs, rhs_err = _p_norm_and_err(phi_eval(ys), q)
+    rhs, rhs_err = _p_norm_and_err(np.asarray(phi.evaluate(ys)).real, q)
     p_max = exponent_curve(q, t - s, kappa)
     reports = []
     for p in p_values:
-        lhs, lhs_err = _p_norm_and_err(vals, p)
+        lhs, lhs_err = _p_norm_and_err(vals.real, p)
         passed = (p <= p_max + 1e-12) and (lhs <= rhs + 3.0 * (lhs_err + rhs_err))
         reports.append(HyperReport(s, t, q, p, p_max, lhs, rhs, lhs_err, rhs_err,
                                    kappa, passed))
@@ -305,8 +290,7 @@ def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p: float,
 
 def sharpness_probe(model: OperatorFamily, s: float, t: float, q: float,
                     p_grid, family, kappa: float,
-                    system: EvolutionSystem | None = None,
-                    nodes: int = 96) -> list[SharpnessRow]:
+                    system: EvolutionSystem | None = None) -> list[SharpnessRow]:
     """Norm ratios beyond the exponent curve, reported as evidence.
 
     Every observable in ``family`` must be cylindrical over one direction;
@@ -322,22 +306,22 @@ def sharpness_probe(model: OperatorFamily, s: float, t: float, q: float,
         for phi in family:
             if phi.n_dirs != 1:
                 raise ValueError("sharpness probes must have one active direction")
-            r = _ratio_1d(model, s, t, q, p, phi, system, nodes)
-            r_coarse = _ratio_1d(model, s, t, q, p, phi, system, nodes - 16)
+            r = _ratio_1d(model, s, t, q, p, phi, system, SHARPNESS_NODES)
+            r_coarse = _ratio_1d(model, s, t, q, p, phi, system, SHARPNESS_NODES - 16)
             err = abs(r - r_coarse)
             rows.append(SharpnessRow(float(p), phi.label, r, err, r > 1.0 + 3.0 * err))
     return rows
 
 
-def capped_exponential_family(dim: int, rates=(0.5, 1.0, 1.5, 2.0, 2.5),
-                              cap: float = 6.0) -> list[CylindricalFunction]:
-    """exp(rate * clip(u, -cap, cap)) along the first coordinate: bounded
-    ramps that approximate the extremal exponentials of Gaussian smoothing."""
+def capped_exponential_family(dim: int) -> list[CylindricalFunction]:
+    """exp(rate * clip(u, -RAMP_CAP, RAMP_CAP)) along the first coordinate,
+    one per rate in RAMP_RATES: bounded ramps that approximate the extremal
+    exponentials of Gaussian smoothing."""
     e1 = np.eye(dim)[:1]
     fam = []
-    for lam in rates:
+    for lam in RAMP_RATES:
         fam.append(CylindricalFunction(
-            profile=lambda u, lam=lam: np.exp(lam * np.clip(u[..., 0], -cap, cap)),
+            profile=lambda u, lam=lam: np.exp(lam * np.clip(u[..., 0], -RAMP_CAP, RAMP_CAP)),
             directions=e1,
             label=f"capped-exp({lam:g})",
         ))
@@ -346,70 +330,45 @@ def capped_exponential_family(dim: int, rates=(0.5, 1.0, 1.5, 2.0, 2.5),
 
 def default_entropy_probes(dim: int) -> list[CylindricalFunction]:
     """Twelve smooth probes over one or two directions, with closed-form
-    gradients and Hessians, mostly bounded away from zero."""
+    gradients, mostly bounded away from zero."""
     e1 = np.eye(dim)[:1]
     e12 = np.eye(dim)[:2]
     probes = []
 
-    def one_d(label, f, g, h):
+    def one_d(label, f, g):
         probes.append(CylindricalFunction(
             profile=lambda u: f(u[..., 0]),
             gradient=lambda u: g(u[..., 0])[..., None],
-            hessian=lambda u: h(u[..., 0])[..., None, None],
             directions=e1, label=label))
 
-    one_d("2+cos", lambda x: 2 + np.cos(x), lambda x: -np.sin(x), lambda x: -np.cos(x))
-    one_d("2+sin", lambda x: 2 + np.sin(x), lambda x: np.cos(x), lambda x: -np.sin(x))
-    one_d("3+cos2", lambda x: 3 + np.cos(2 * x), lambda x: -2 * np.sin(2 * x),
-          lambda x: -4 * np.cos(2 * x))
-    one_d("exp-sin", lambda x: np.exp(np.sin(x)),
-          lambda x: np.cos(x) * np.exp(np.sin(x)),
-          lambda x: (np.cos(x) ** 2 - np.sin(x)) * np.exp(np.sin(x)))
-    one_d("exp-cos", lambda x: np.exp(np.cos(x)),
-          lambda x: -np.sin(x) * np.exp(np.cos(x)),
-          lambda x: (np.sin(x) ** 2 - np.cos(x)) * np.exp(np.cos(x)))
-    one_d("2+tanh", lambda x: 2 + np.tanh(x), lambda x: 1 - np.tanh(x) ** 2,
-          lambda x: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2))
-    one_d("gauss-bump", lambda x: np.exp(-x**2 / 4), lambda x: -(x / 2) * np.exp(-x**2 / 4),
-          lambda x: (x**2 / 4 - 0.5) * np.exp(-x**2 / 4))
-    one_d("1+gauss", lambda x: 1 + np.exp(-x**2 / 2), lambda x: -x * np.exp(-x**2 / 2),
-          lambda x: (x**2 - 1) * np.exp(-x**2 / 2))
+    one_d("2+cos", lambda x: 2 + np.cos(x), lambda x: -np.sin(x))
+    one_d("2+sin", lambda x: 2 + np.sin(x), lambda x: np.cos(x))
+    one_d("3+cos2", lambda x: 3 + np.cos(2 * x), lambda x: -2 * np.sin(2 * x))
+    one_d("exp-sin", lambda x: np.exp(np.sin(x)), lambda x: np.cos(x) * np.exp(np.sin(x)))
+    one_d("exp-cos", lambda x: np.exp(np.cos(x)), lambda x: -np.sin(x) * np.exp(np.cos(x)))
+    one_d("2+tanh", lambda x: 2 + np.tanh(x), lambda x: 1 - np.tanh(x) ** 2)
+    one_d("gauss-bump", lambda x: np.exp(-x**2 / 4), lambda x: -(x / 2) * np.exp(-x**2 / 4))
+    one_d("1+gauss", lambda x: 1 + np.exp(-x**2 / 2), lambda x: -x * np.exp(-x**2 / 2))
 
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))
 
-    one_d("1+sigmoid", lambda x: 1 + sig(x), lambda x: sig(x) * (1 - sig(x)),
-          lambda x: sig(x) * (1 - sig(x)) * (1 - 2 * sig(x)))
+    one_d("1+sigmoid", lambda x: 1 + sig(x), lambda x: sig(x) * (1 - sig(x)))
 
-    def two_d(label, f, g, h):
+    def two_d(label, f, g):
         probes.append(CylindricalFunction(
             profile=lambda u: f(u[..., 0], u[..., 1]),
             gradient=lambda u: np.stack(g(u[..., 0], u[..., 1]), axis=-1),
-            hessian=lambda u: _stack_hess(h(u[..., 0], u[..., 1])),
             directions=e12, label=label))
-
-    def _stack_hess(entries):
-        (a, b), (c, d) = entries
-        row1 = np.stack([a, b], axis=-1)
-        row2 = np.stack([c, d], axis=-1)
-        return np.stack([row1, row2], axis=-2)
 
     two_d("2+cos*sin",
           lambda x, y: 2 + np.cos(x) * np.sin(y),
-          lambda x, y: (-np.sin(x) * np.sin(y), np.cos(x) * np.cos(y)),
-          lambda x, y: ((-np.cos(x) * np.sin(y), -np.sin(x) * np.cos(y)),
-                        (-np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y))))
+          lambda x, y: (-np.sin(x) * np.sin(y), np.cos(x) * np.cos(y)))
     two_d("1+gauss2",
           lambda x, y: 1 + np.exp(-(x**2 + y**2) / 8),
           lambda x, y: (-(x / 4) * np.exp(-(x**2 + y**2) / 8),
-                        -(y / 4) * np.exp(-(x**2 + y**2) / 8)),
-          lambda x, y: (((x**2 / 16 - 0.25) * np.exp(-(x**2 + y**2) / 8),
-                         (x * y / 16) * np.exp(-(x**2 + y**2) / 8)),
-                        ((x * y / 16) * np.exp(-(x**2 + y**2) / 8),
-                         (y**2 / 16 - 0.25) * np.exp(-(x**2 + y**2) / 8))))
+                        -(y / 4) * np.exp(-(x**2 + y**2) / 8)))
     two_d("2.5+sin-sum",
           lambda x, y: 2.5 + 0.5 * np.sin(x + y),
-          lambda x, y: (0.5 * np.cos(x + y), 0.5 * np.cos(x + y)),
-          lambda x, y: ((-0.5 * np.sin(x + y), -0.5 * np.sin(x + y)),
-                        (-0.5 * np.sin(x + y), -0.5 * np.sin(x + y))))
+          lambda x, y: (0.5 * np.cos(x + y), 0.5 * np.cos(x + y)))
     return probes

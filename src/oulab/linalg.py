@@ -1,11 +1,12 @@
 """Dense symmetric linear algebra substrate.
 
-Spectral decompositions, PSD square roots, pseudo-inverses, traces and the
-norm induced by a covariance-type operator R on its range,
+Spectral decompositions, PSD square roots and factors, and the norm
+induced by a covariance-type operator R on its range,
 
     <x, y>_R = <R^-1 x, R^-1 y>,
 
-with R^-1 the pseudo-inverse (zero on ker R).  Everything is dense: the
+with R^-1 the pseudo-inverse (zero on ker R), applied through the spectral
+factors of R and never formed as a matrix.  Everything is dense: the
 working dimensions are a few hundred at most, so no sparse machinery.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 
 SYM_TOL = 1e-12
 PSD_TOL = 1e-10
+RANK_CUT = 1e-12  # eigenvalues below this share of the largest count as kernel
 
 
 class NonSymmetricError(ValueError):
@@ -103,11 +105,6 @@ def spectral(s: SymOperator) -> SpectralDecomp:
     return SpectralDecomp(w[order], v[:, order])
 
 
-def trace(s: SymOperator) -> float:
-    """Sum of the diagonal (= sum of eigenvalues, basis independent)."""
-    return float(np.trace(s.entries))
-
-
 def sqrt_psd(s: SymOperator) -> SymOperator:
     """Symmetric PSD square root.
 
@@ -128,27 +125,20 @@ def sqrt_psd(s: SymOperator) -> SymOperator:
 class CameronMartinMetric:
     """Range-space metric of a symmetric non-negative operator R.
 
-    ``rank_cut`` is the absolute spectral threshold below which eigenvalues
-    count as kernel.  The default (None) resolves to 1e-12 times the largest
-    eigenvalue; the continuous theory works with exact kernels, a numerical
-    threshold is mandatory here.
+    Eigenvalues at or below RANK_CUT times the largest one count as kernel:
+    the continuous theory works with exact kernels, a numerical threshold
+    is mandatory here.
     """
 
     base: SymOperator
-    rank_cut: float | None = None
     _decomp: SpectralDecomp = field(init=False, repr=False, compare=False)
     _cut: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dec = spectral(self.base)
-        cut = self.rank_cut
-        if cut is None:
-            top = float(dec.eigenvalues.max(initial=0.0))
-            cut = 1e-12 * max(top, 0.0)
-        if cut < 0:
-            raise ValueError("rank_cut must be >= 0")
+        top = float(dec.eigenvalues.max(initial=0.0))
         object.__setattr__(self, "_decomp", dec)
-        object.__setattr__(self, "_cut", float(cut))
+        object.__setattr__(self, "_cut", RANK_CUT * max(top, 0.0))
 
     @property
     def dim(self) -> int:
@@ -159,23 +149,19 @@ class CameronMartinMetric:
         w = self._decomp.eigenvalues
         return np.where(w > self._cut, 1.0 / np.where(w > self._cut, w, 1.0), 0.0)
 
-    def pseudo_inverse_matrix(self) -> np.ndarray:
-        """Matrix of R^-1 on range(R), zero on the kernel."""
-        v = self._decomp.eigenvectors
-        return (v * self.inverse_eigenvalues()) @ v.T
-
 
 def pseudo_inverse_apply(metric: CameronMartinMetric, y: np.ndarray) -> np.ndarray:
-    """Apply R^-1 to a vector: the unique preimage of y in (ker R)^perp.
+    """Apply R^-1 to a vector, or to each column of a matrix: the unique
+    preimage of y in (ker R)^perp.
 
     Components of y along kernel directions map to zero, so the left identity
     R (R^-1 y) = y - P_ker y holds by construction.  The factors are applied
-    in turn, V (w^+ * (V^T y)): the formed matrix of R^-1 would lose about
-    cond(R) * eps of the identity.
+    in turn, V (w^+ * (V^T y)), with w^+ scaling the rows of V^T y: the
+    formed matrix of R^-1 would lose about cond(R) * eps of the identity.
     """
     y = np.asarray(y, dtype=float)
     v = metric._decomp.eigenvectors
-    return v @ (metric.inverse_eigenvalues() * (v.T @ y))
+    return v @ ((v.T @ y).T * metric.inverse_eigenvalues()).T
 
 
 def cm_norm(metric: CameronMartinMetric, x: np.ndarray) -> float:

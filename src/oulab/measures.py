@@ -158,15 +158,13 @@ class InvarianceReport:
 
 
 def verify_invariance(system: EvolutionSystem, model: OperatorFamily,
-                      pairs, probes, tol: float | None = None) -> InvarianceReport:
-    """Check nu_t^(h) = e^{-<K(t,s)h,h>/2} nu_s^(U^T h) over pairs x probes.
+                      pairs, probes, tol: float) -> InvarianceReport:
+    """Check nu_t^(h) = e^{-<K(t,s)h,h>/2} nu_s^(U^T h) over pairs x probes,
+    passing when every discrepancy is at most ``tol``.
 
-    The default tolerance is 1e-8 for models with closed-form propagators
-    and 1e-6 for integrated ones.  A handful of multi-term trig polynomials
-    cross-check the dual form through the exact propagation of terms.
+    A handful of multi-term trig polynomials cross-check the dual form
+    through the exact propagation of terms.
     """
-    if tol is None:
-        tol = 1e-8 if model.closed_form else 1e-6
     from .evolution import propagator_matrix
 
     rows = []

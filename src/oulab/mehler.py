@@ -9,11 +9,14 @@ exponential e^{i<., h>} that average is a closed form,
 so finite combinations of exponentials propagate exactly: coefficients pick
 up the Gaussian damping factor and frequencies flow along the adjoint
 propagator.  Everything else about the operator family is checked against
-this closed form: Monte Carlo application, the pointwise generator
+this closed form: Monte Carlo application, the pointwise generator on trig
+polynomials
 
     (L(r) phi)(x) = 1/2 Tr(Q(r) Hess phi(x)) + <x, A(r)^T grad phi(x)>,
 
 and the two differentiation formulas (in the start and end times).
+Cylindrical functions psi(<x, h_1>, ..., <x, h_k>) carry a profile and its
+gradient, all that the entropy and norm-ratio checks evaluate.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .evolution import propagator_matrix
 from .linalg import spectral_factor
 from .models import OperatorFamily
 from .rng import chunked_normals
+
+CANONICAL_DECIMALS = 12  # frequencies equal to this many decimals merge
 
 
 @dataclass(frozen=True)
@@ -109,39 +114,26 @@ class TrigPolynomial:
         return TrigPolynomial(np.concatenate([self.coeffs, other.coeffs]),
                               np.vstack([self.freqs, other.freqs]))
 
-    def canonical(self, decimals: int = 12) -> "TrigPolynomial":
-        """Merge duplicate frequencies and sort terms, for data-level
-        comparisons of two polynomials."""
+    def canonical(self) -> "TrigPolynomial":
+        """Merge duplicate frequencies (to CANONICAL_DECIMALS) and sort
+        terms, for data-level comparisons of two polynomials."""
         keys = {}
         for c, f in zip(self.coeffs, self.freqs):
-            key = tuple(np.round(f, decimals))
+            key = tuple(np.round(f, CANONICAL_DECIMALS))
             keys[key] = keys.get(key, 0.0) + c
         items = sorted(keys.items())
         coeffs = np.array([v for _, v in items], dtype=complex)
         freqs = np.array([k for k, _ in items], dtype=float)
         return TrigPolynomial(coeffs, freqs)
 
-    def to_term_list(self) -> list[dict]:
-        """JSON-friendly term data for external verification."""
-        return [
-            {"re": float(c.real), "im": float(c.imag), "freq": [float(v) for v in f]}
-            for c, f in zip(self.coeffs, self.freqs)
-        ]
-
-    @staticmethod
-    def from_term_list(terms: list[dict]) -> "TrigPolynomial":
-        coeffs = [complex(t["re"], t["im"]) for t in terms]
-        freqs = [t["freq"] for t in terms]
-        return TrigPolynomial(np.array(coeffs), np.array(freqs))
-
     @staticmethod
     def constant(dim: int, value: complex = 1.0) -> "TrigPolynomial":
         return TrigPolynomial([value], np.zeros((1, dim)))
 
     @staticmethod
-    def plane_wave(h: np.ndarray, coeff: complex = 1.0) -> "TrigPolynomial":
+    def plane_wave(h: np.ndarray) -> "TrigPolynomial":
         h = np.asarray(h, dtype=float)
-        return TrigPolynomial([coeff], h[None, :])
+        return TrigPolynomial([1.0], h[None, :])
 
     @staticmethod
     def cosine(h: np.ndarray) -> "TrigPolynomial":
@@ -159,15 +151,13 @@ class CylindricalFunction:
     """phi(x) = psi(<x, h_1>, ..., <x, h_k>) with a smooth profile psi.
 
     ``directions`` holds the h_i as rows and must be orthonormal.  The
-    profile and its gradient/Hessian act on arrays of shape (..., k);
-    derivative callables may be omitted for routines that never
-    differentiate (norm ratios, plain averages).
+    profile and its gradient act on arrays of shape (..., k); the gradient
+    may be omitted for routines that never differentiate (norm ratios).
     """
 
     profile: callable
     directions: np.ndarray
     gradient: callable | None = None
-    hessian: callable | None = None
     label: str = "cylindrical"
 
     def __post_init__(self):
@@ -243,32 +233,17 @@ def apply_mc(model: OperatorFamily, s: float, t: float, phi, x: np.ndarray,
 
 # -- generator ----------------------------------------------------------------
 
-def generator_apply(model: OperatorFamily, r: float, phi, x: np.ndarray):
-    """Pointwise generator L(r) on a trig polynomial or cylindrical function.
-
-    Trig terms pick up the factor i<x, A(r)^T h> - <Q(r)h, h>/2; cylindrical
-    functions use the finite-dimensional trace/drift form over their
-    directions.
-    """
+def generator_apply(model: OperatorFamily, r: float, phi: TrigPolynomial,
+                    x: np.ndarray) -> complex:
+    """Pointwise generator L(r) on a trig polynomial: each term picks up the
+    factor i<x, A(r)^T h> - <Q(r)h, h>/2."""
     x = np.asarray(x, dtype=float)
-    a_star = model.drift_adjoint(r)
-    q = model.diffusion_matrix(r)
-    if isinstance(phi, TrigPolynomial):
-        ah = phi.freqs @ a_star.T          # rows A(r)^T h_j
-        drift_part = 1j * (ah @ x)
-        noise_part = -0.5 * np.einsum("ij,jk,ik->i", phi.freqs, q, phi.freqs)
-        phases = np.exp(1j * (phi.freqs @ x))
-        return complex(np.sum(phi.coeffs * (drift_part + noise_part) * phases))
-    if isinstance(phi, CylindricalFunction):
-        u = phi.coords(x)
-        grad = np.asarray(phi.gradient(u), dtype=float)
-        hess = np.asarray(phi.hessian(u), dtype=float)
-        h = phi.directions
-        q_proj = h @ q @ h.T
-        trace_part = 0.5 * float(np.sum(hess * q_proj))
-        drift_part = float((h @ (a_star @ x)) @ grad)
-        return trace_part + drift_part
-    raise TypeError(f"unsupported observable type {type(phi).__name__}")
+    ah = phi.freqs @ model.drift_matrix(r)  # rows A(r)^T h_j
+    drift_part = 1j * (ah @ x)
+    noise_part = -0.5 * np.einsum("ij,jk,ik->i", phi.freqs, model.diffusion_matrix(r),
+                                  phi.freqs)
+    phases = np.exp(1j * (phi.freqs @ x))
+    return complex(np.sum(phi.coeffs * (drift_part + noise_part) * phases))
 
 
 def transition_of_generator(model: OperatorFamily, s: float, t: float,

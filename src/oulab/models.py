@@ -16,6 +16,10 @@ finite-difference discretization of a divergence-form parabolic operator
 with Dirichlet boundary, and a two-mode family engineered so that more than
 one evolution system of measures exists.
 
+``meta`` carries the model data the checks read: ``noise_sup``, the window
+supremum of |B(t)| behind the steady-state tail cutoff, and, for the
+non-uniqueness family, ``mean_scale``, the flow-invariant mean shift.
+
 All boundedness checks are window-relative: numerics cannot verify suprema
 over the whole real line.
 """
@@ -112,8 +116,7 @@ class OperatorFamily:
     noise_fn: Callable | None = None  # t -> (dim, dim), dense kind
     drift_fn: Callable | None = None  # t -> (dim, dim), dense kind
     decay: tuple[float, float] | None = None  # (M, zeta): ||U(t,s)|| <= M e^{-zeta (t-s)}
-    lambda_sup: tuple[float, ...] | None = None  # per-mode drift suprema on the window
-    meta: dict = field(default_factory=dict)  # model data only
+    meta: dict = field(default_factory=dict)  # "noise_sup", "mean_scale"
     # pure-function caches of (s, t) results: the flow memo, the covariance
     # kernels and the cumulative-drift interpolants
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -152,31 +155,10 @@ class OperatorFamily:
         b = self.noise_matrix(t)
         return b @ b.T
 
-    @property
-    def closed_form(self) -> bool:
-        """True when the propagator is an entrywise exponential."""
-        return self.kind == "diagonal"
 
-
-def _diag_common_meta(modes, window) -> dict:
-    """Window suprema of |b_k| plus the mode-sum trace diagnostic.
-
-    The diagnostic sum_k ||b_k||_inf^2 / |lambda_k| controls the trace
-    hypothesis in the non-truncated setting; on a finite truncation it is
-    automatically finite unless some lambda_k = 0, and it is recorded for
-    inspection, never asserted.
-    """
-    b_sup = [sup_on_window(lambda u, m=m: np.abs(m.diffusion(u)), window) for m in modes]
-    lam = [sup_on_window(lambda u, m=m: m.drift(u), window) for m in modes]
-    diag_terms = [
-        (b * b / abs(l)) if l != 0.0 else math.inf for b, l in zip(b_sup, lam)
-    ]
-    return {
-        "noise_sup": max(b_sup),
-        "mode_noise_sup": tuple(b_sup),
-        "mode_trace_diagnostic": sum(diag_terms),
-        "lambda": tuple(lam),
-    }
+def _diag_noise_sup(modes, window) -> float:
+    """Window supremum of |B(t)|: the max of the per-mode suprema of |b_k|."""
+    return max(sup_on_window(lambda u, m=m: np.abs(m.diffusion(u)), window) for m in modes)
 
 
 def make_diagonal_constant(n: int, lam: float, b: float,
@@ -200,11 +182,9 @@ def make_diagonal_constant(n: int, lam: float, b: float,
         )
         for _ in range(n)
     )
-    meta = _diag_common_meta(modes, window)
     return OperatorFamily(
         name="diag-constant", dim=n, window=window, kind="diagonal", modes=modes,
-        decay=(1.0, -lam),
-        lambda_sup=tuple([lam] * n), meta=meta,
+        decay=(1.0, -lam), meta={"noise_sup": _diag_noise_sup(modes, window)},
     )
 
 
@@ -215,8 +195,8 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
         a_k(t) = -(k^2 + c1) / (t^{2k} + 1),   b_k(t) = sin(k t) + c2,
 
     k = 1..n, with c1 > 0 and c2 > 1 so every b_k stays >= c2 - 1 > 0.
-    Each a_k is strictly negative but tends to 0 at infinity; the recorded
-    per-mode suprema are therefore window-relative and tiny in magnitude.
+    Each a_k is strictly negative but tends to 0 at infinity, so its
+    supremum over a window is window-relative and tiny in magnitude.
     Note mode 1 has integrable drift, so the propagator does NOT vanish as
     s -> -infinity and no infinite-horizon covariance exists: evolution
     systems for this model must be anchored at a finite start time.
@@ -243,11 +223,9 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
             anti = lambda t, c=c1: -(1.0 + c) * math.atan(t)
         modes.append(ModeCoefficients(drift=drift_k(k), diffusion=diff_k(k), drift_antideriv=anti))
     modes = tuple(modes)
-    meta = _diag_common_meta(modes, window)
-    lam = meta["lambda"]
     return OperatorFamily(
         name="diag-rational", dim=n, window=window, kind="diagonal", modes=modes,
-        lambda_sup=lam, meta=meta,
+        meta={"noise_sup": _diag_noise_sup(modes, window)},
     )
 
 
@@ -282,7 +260,7 @@ def make_scalar(a: Callable, n: int,
     decay = (1.0, -a0) if a0 < 0 else None
     return OperatorFamily(
         name="scalar", dim=n, window=window, kind="diagonal", modes=(mode,) * n,
-        decay=decay, lambda_sup=(a0,) * n, meta={"noise_sup": 1.0, "drift_sup": a0},
+        decay=decay, meta={"noise_sup": 1.0},
     )
 
 
@@ -344,16 +322,14 @@ def make_parabolic_1d(m: int, a: Callable, a0: Callable,
     if noise is None:
         noise = _constant_noise(np.eye(m))
     noise_sup = max(operator_norm(np.asarray(noise(t), dtype=float)) for t in t_grid)
-    meta = {"noise_sup": noise_sup, "grid_h": h, "interior_points": m}
     # the drift matrices are symmetric, so the logarithmic-norm bound
     # ||U(t,s)|| <= exp(integral of lambda_max(A)) holds and a sampled
     # negative top eigenvalue certifies exponential decay
     top = max(float(np.linalg.eigvalsh(drift_fn(t)).max()) for t in t_grid)
-    meta["drift_top_eigenvalue"] = top
     decay = (1.0, -top) if top < 0 else None
     return OperatorFamily(
         name="parabolic-1d", dim=m, window=window, kind="dense",
-        drift_fn=drift_fn, noise_fn=noise, decay=decay, meta=meta,
+        drift_fn=drift_fn, noise_fn=noise, decay=decay, meta={"noise_sup": noise_sup},
     )
 
 
@@ -373,12 +349,12 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
     diffusion is b_1(t) = 1/(1 + t^2) (square integrable, keeping the
     infinite-horizon covariance finite) and b_k = 1 for k >= 2.
 
-    The factory records m(t) = exp(integral of a_1 over (-inf, t]).  Since
-    m solves the mode-1 flow, m(t) e_1 is carried along by the propagator,
-    and shifting any zero-mean evolution system by m(t) e_1 produces a
-    second, distinct system.  The far tail of the integral, below tau = -1,
-    is folded in exactly via the substitution tau = -1/u, and the crossover
-    point is recorded.
+    The factory records m(t) = exp(integral of a_1 over (-inf, t]) as
+    ``meta["mean_scale"]``.  Since m solves the mode-1 flow, m(t) e_1 is
+    carried along by the propagator, and shifting any zero-mean evolution
+    system by m(t) e_1 produces a second, distinct system.  The far tail of
+    the integral, below tau = -1, is folded in exactly via the substitution
+    tau = -1/u.
     """
     if n < 2:
         raise BadParameterError("need n >= 2 to separate the two regimes")
@@ -413,27 +389,13 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
     def mean_scale(t: float) -> float:
         return math.exp(mode1_cumulative(t))
 
-    meta = _diag_common_meta(modes, window)
-    meta.update({
-        "mean_scale": mean_scale,
-        "mode1_cumulative": mode1_cumulative,
-        "mt_tail_crossover": -1.0,
-    })
     return OperatorFamily(
         name="nonunique-demo", dim=n, window=window, kind="diagonal", modes=modes,
-        lambda_sup=meta["lambda"], meta=meta,
+        meta={"noise_sup": _diag_noise_sup(modes, window), "mean_scale": mean_scale},
     )
 
 
 # -- catalog ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    builder: Callable
-    defaults: dict
-    doc: str
-
 
 def _build_scalar_osc(n: int = 4, offset: float = -1.0, amp: float = -0.5,
                       window: tuple[float, float] = (-50.0, 50.0)) -> OperatorFamily:
@@ -452,32 +414,13 @@ def _build_parabolic(m: int = 5, nu: float = 1.0, omega: float = 1.0,
     )
 
 
-CATALOG: dict[str, CatalogEntry] = {
-    "diag-constant": CatalogEntry(
-        "diag-constant", make_diagonal_constant,
-        {"n": 8, "lam": -1.0, "b": 1.0},
-        "constant diagonal coefficients; every quantity has a closed form",
-    ),
-    "diag-rational": CatalogEntry(
-        "diag-rational", make_diagonal_rational,
-        {"n": 4, "c1": 1.0, "c2": 2.0},
-        "rational-in-time drift with oscillating diffusion",
-    ),
-    "scalar-osc": CatalogEntry(
-        "scalar-osc", _build_scalar_osc,
-        {"n": 4, "offset": -1.0, "amp": -0.5},
-        "scalar drift a(t) = offset + amp sin t times the identity",
-    ),
-    "parabolic-1d": CatalogEntry(
-        "parabolic-1d", _build_parabolic,
-        {"m": 5, "nu": 1.0, "omega": 1.0},
-        "1-D divergence-form finite-difference drift, Dirichlet boundary",
-    ),
-    "nonunique-demo": CatalogEntry(
-        "nonunique-demo", make_nonunique_demo,
-        {"n": 3},
-        "integrable mode-1 drift; admits several evolution systems",
-    ),
+# name -> (builder, default parameters)
+CATALOG: dict[str, tuple[Callable, dict]] = {
+    "diag-constant": (make_diagonal_constant, {"n": 8, "lam": -1.0, "b": 1.0}),
+    "diag-rational": (make_diagonal_rational, {"n": 4, "c1": 1.0, "c2": 2.0}),
+    "scalar-osc": (_build_scalar_osc, {"n": 4, "offset": -1.0, "amp": -0.5}),
+    "parabolic-1d": (_build_parabolic, {"m": 5, "nu": 1.0, "omega": 1.0}),
+    "nonunique-demo": (make_nonunique_demo, {"n": 3}),
 }
 
 
@@ -485,8 +428,5 @@ def build_model(name: str, params: dict | None = None) -> OperatorFamily:
     """Construct a catalog model by name, overriding default parameters."""
     if name not in CATALOG:
         raise BadParameterError(f"unknown model {name!r}; catalog: {sorted(CATALOG)}")
-    entry = CATALOG[name]
-    kwargs = dict(entry.defaults)
-    if params:
-        kwargs.update(params)
-    return entry.builder(**kwargs)
+    builder, defaults = CATALOG[name]
+    return builder(**{**defaults, **(params or {})})

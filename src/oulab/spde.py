@@ -26,6 +26,8 @@ from .linalg import sqrt_psd
 from .models import OperatorFamily
 from .rng import CHUNK, seed_stream
 
+Z_LIMIT = 5.0  # largest z-score law_check accepts
+
 
 @dataclass(frozen=True)
 class PathEnsemble:
@@ -98,7 +100,8 @@ def simulate(model: OperatorFamily, s: float, t: float, x0: np.ndarray,
 @dataclass(frozen=True)
 class LawReport:
     """Terminal ensemble against the Gaussian transition law; the covariance
-    standard errors use the Gaussian fourth-moment formula."""
+    standard errors use the Gaussian fourth-moment formula, and every
+    z-score must stay at most Z_LIMIT."""
 
     mean_z_max: float
     cov_z_max: float
@@ -106,7 +109,7 @@ class LawReport:
 
 
 def law_check(ensemble: PathEnsemble, model: OperatorFamily, s: float, t: float,
-              x0: np.ndarray, z_limit: float = 5.0) -> LawReport:
+              x0: np.ndarray) -> LawReport:
     x0 = np.asarray(x0, dtype=float)
     term = ensemble.terminal
     n = term.shape[0]
@@ -126,5 +129,5 @@ def law_check(ensemble: PathEnsemble, model: OperatorFamily, s: float, t: float,
     se_cov = np.maximum(se_cov, 1e-12 * (1.0 + np.abs(s_cont)))
     z_cov = np.abs(emp_cov - s_cont) / se_cov
 
-    ok = bool(z_mean.max() <= z_limit and z_cov.max() <= z_limit)
+    ok = bool(z_mean.max() <= Z_LIMIT and z_cov.max() <= Z_LIMIT)
     return LawReport(float(z_mean.max()), float(z_cov.max()), ok)

@@ -15,7 +15,6 @@ from oulab.linalg import (
     pseudo_inverse_apply,
     spectral,
     sqrt_psd,
-    trace,
 )
 
 
@@ -125,30 +124,6 @@ def test_ambient_norm_dominated_by_range_norm(seed):
     lhs = np.linalg.norm(x)
     rhs = linalg.operator_norm(s.entries) * cm_norm(metric, x)
     assert lhs <= rhs * (1.0 + 1e-9)
-
-
-def test_trace_identity():
-    assert trace(SymOperator.identity(4)) == 4.0
-
-
-def test_trace_constant_diagonal():
-    assert trace(SymOperator.diagonal([0.5] * 8)) == pytest.approx(4.0, abs=1e-14)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_trace_equals_eigenvalue_sum(seed):
-    s = random_psd(seed, 6)
-    assert trace(s) == pytest.approx(float(spectral(s).eigenvalues.sum()), abs=1e-10)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_trace_basis_independent(seed):
-    s = random_psd(seed, 5)
-    q, _ = np.linalg.qr(np.random.default_rng(seed + 3).standard_normal((5, 5)))
-    rotated = SymOperator(q.T @ s.entries @ q)
-    assert trace(rotated) == pytest.approx(trace(s), abs=1e-9)
 
 
 def test_spectral_factor_reproduces_covariance():

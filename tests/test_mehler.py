@@ -9,7 +9,6 @@ from oulab import mehler
 from oulab.covariance import accumulated
 from oulab.evolution import propagator_matrix
 from oulab.mehler import (
-    CylindricalFunction,
     TrigPolynomial,
     apply_exact,
     apply_mc,
@@ -24,7 +23,7 @@ DC_HALF_K = (1.0 - math.exp(-2.0)) / 4.0  # half the mode kernel at gap 1
 
 
 def test_equal_times_is_identity(dc8):
-    poly = TrigPolynomial.plane_wave(np.eye(8)[0], 2.0 - 1.0j)
+    poly = (2.0 - 1.0j) * TrigPolynomial.plane_wave(np.eye(8)[0])
     x = np.ones(8)
     assert apply_exact(dc8, 1.0, 1.0, poly, x) == poly.evaluate(x)
 
@@ -85,17 +84,6 @@ def test_evaluate_folds_opposite_and_repeated_frequencies():
     point = poly.evaluate(x[7])
     assert isinstance(point, complex)
     assert point == pytest.approx(reference[7], abs=1e-14 * np.abs(coeffs).sum())
-
-
-def test_term_list_roundtrip():
-    import json
-
-    poly = TrigPolynomial(np.array([1.0 + 2.0j, -0.5j]),
-                          np.array([[1.0, 0.0], [0.25, -3.0]]))
-    text = json.dumps(poly.to_term_list())
-    back = TrigPolynomial.from_term_list(json.loads(text))
-    np.testing.assert_array_equal(back.coeffs, poly.coeffs)
-    np.testing.assert_array_equal(back.freqs, poly.freqs)
 
 
 def test_apply_mc_constant_observable(dc8):
@@ -159,19 +147,6 @@ def test_generator_on_plane_wave(dc8):
 def test_generator_on_constant(dc8):
     one = TrigPolynomial.constant(8, 1.0)
     assert generator_apply(dc8, 0.3, one, np.ones(8)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_generator_cylindrical_quadratic(dc8):
-    # psi(u) = u^2 along e_1: generator gives 1 - 2 x_1^2 for the constant model
-    phi = CylindricalFunction(
-        profile=lambda u: u[..., 0] ** 2,
-        gradient=lambda u: 2.0 * u,
-        hessian=lambda u: np.broadcast_to(2.0, u.shape + (1,)).reshape(u.shape[:-1] + (1, 1)),
-        directions=np.eye(8)[:1],
-    )
-    for x1 in (0.0, 0.7, -1.3):
-        x = x1 * np.eye(8)[0]
-        assert generator_apply(dc8, 0.0, phi, x) == pytest.approx(1.0 - 2.0 * x1**2, abs=1e-12)
 
 
 def test_transition_of_generator_against_mc(dc4):

@@ -1,0 +1,32 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from oulab.config import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_battery_reaches_every_span(tmp_path):
+    # the benchmark's tracer wraps oulab functions by name and binds their
+    # arguments; a rename or a dropped argument breaks it
+    cfg = ExperimentConfig(s_values=(-1.0, 0.0), t_values=(0.5, 1.0), triple_count=10,
+                           probe_count=8, mc_samples=4000, spde_paths=2000, spde_step=0.02)
+    path = tmp_path / "dc.cfg"
+    path.write_text(cfg.to_text())
+    summary = tmp_path / "summary.json"
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    paths = [str(ROOT / "src")] + [p for p in inherited if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_battery.py"), str(summary),
+         "report-all", str(path), "--outdir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(summary.read_text())["layers"]
+    # diagonal models never take the independent adjoint solve
+    idle = [name for name, agg in layers.items()
+            if agg["calls"] == 0 and name != "evolution.adjoint_by_integration"]
+    assert idle == []
