@@ -5,7 +5,7 @@ Between times s <= t the noise accumulates the covariance
     K(t, s) = integral over [s, t] of U(t, r) B(r) B(r)^T U(t, r)^T dr,
 
 which is the covariance of the Gaussian transition law started at s and read
-at t.  Diagonal models reduce to one scalar integral per mode,
+at t.  Diagonal models reduce to one scalar integral per distinct mode,
 
     k_i(t, s) = integral of exp(2 integral_sigma^t a_i) b_i(sigma)^2 dsigma,
 
@@ -103,7 +103,11 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
     if t == s:
         kern = CovarianceKernel(s, t, SymOperator.zero(model.dim), {"method": "exact-zero"})
     elif model.kind == "diagonal":
-        diag = [mode_accumulated(model, i, s, t) for i in range(model.dim)]
+        by_mode = {}  # one integral per distinct mode object, reused by its repeats
+        for i, mode in enumerate(model.modes):
+            if id(mode) not in by_mode:
+                by_mode[id(mode)] = mode_accumulated(model, i, s, t)
+        diag = [by_mode[id(mode)] for mode in model.modes]
         kern = CovarianceKernel(s, t, _ensure_psd(np.diag(diag)),
                                 {"method": "per-mode quad", "tol": MODE_TOL})
     else:
@@ -118,7 +122,8 @@ def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10,
     """Infinite-horizon covariance K(t, -inf), truncated at a certified s*.
 
     Without an explicit ``s_star`` the cutoff comes from the model's decay
-    certificate (scale M, rate zeta > 0) and noise bound K:
+    certificate (scale M, rate zeta > 0) and the noise bound K =
+    ``meta["noise_sup"]``:
 
         neglected trace <= dim * M^2 K^2 * exp(-2 zeta (t - s*)) / (2 zeta),
 
@@ -132,7 +137,10 @@ def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10,
             raise NoDecayError(
                 "model has no positive decay rate; supply an explicit s_star")
         big_m, zeta = model.decay
-        k_sup = float(model.meta.get("noise_sup", 1.0))
+        if "noise_sup" not in model.meta:
+            raise NoDecayError(
+                "model meta has no noise_sup to bound the tail; supply an explicit s_star")
+        k_sup = float(model.meta["noise_sup"])
         lead = model.dim * big_m**2 * k_sup**2 / (2.0 * zeta)
         gap = math.log(max(lead, tol_tail) / tol_tail) / (2.0 * zeta)
         gap = max(gap, 1.0)

@@ -14,10 +14,13 @@ U(t, r) U(r, s) = U(t, s), and K the flow decomposition
 
 Diagonal models get U as entrywise exponentials exp(c_k(t) - c_k(s)), with
 c_k the drift antiderivative of ``mode_cumulative``; K of the mode takes its
-exponent from the same c_k.  ``flow`` serves U and K for dense models: a
-span inside one cell [k, k+1] of the unit grid is one DOP853 solve of the
-backward system, and a longer span is split at ceil(t) - 1 and composed with
-the two laws above.
+exponent from the same c_k.  A mode without an exact antiderivative gets c_k
+from one DOP853 solve whose dense output is copied into Python floats, so a
+scalar evaluation costs a bisection and seven multiply-adds.
+
+``flow`` serves U and K for dense models: a span inside one cell [k, k+1] of
+the unit grid is one DOP853 solve of the backward system, and a longer span
+is split at ceil(t) - 1 and composed with the two laws above.
 The split depends on (s, t) alone, so results do not depend on call order,
 and long spans reuse the memoized cells.
 
@@ -32,6 +35,7 @@ fitted bound majorizes every sample; they certify the sampled window only.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -64,9 +68,10 @@ class RangeIncompatibleError(ValueError):
 def mode_cumulative(model: OperatorFamily, idx: int):
     """t -> an antiderivative of the drift of diagonal mode idx.
 
-    The mode's exact antiderivative when it carries one; otherwise a DOP853
-    dense interpolant of the drift integral from the window start, built
-    once per (model, mode).  U and K of the mode both take their exponents
+    The mode's exact antiderivative when it carries one; otherwise the
+    DOP853 dense output of one solve of the drift integral from the window
+    start, built once per (model, mode) and evaluated in plain floats by
+    ``_dense_cumulative``.  U and K of the mode both take their exponents
     from it, so the two agree to roundoff.
     """
     mode = model.modes[idx]
@@ -76,8 +81,36 @@ def mode_cumulative(model: OperatorFamily, idx: int):
     if idx not in cache:
         sol = integrate.solve_ivp(lambda u, y: [float(mode.drift(u))], model.window, [0.0],
                                   method="DOP853", dense_output=True, rtol=1e-13, atol=1e-14)
-        cache[idx] = lambda u, s=sol: float(s.sol(u)[0])
+        if not sol.success:
+            raise IntegratorDivergedError(f"DOP853 drift integral of mode {idx}: {sol.message}")
+        cache[idx] = _dense_cumulative(sol.sol)
     return cache[idx]
+
+
+def _dense_cumulative(dense):
+    """Scalar evaluator of a forward DOP853 ``OdeSolution`` with one state.
+
+    Each step keeps (t_old, h, y_old) and its seven interpolant coefficients
+    as Python floats; a call picks the step as ``OdeSolution`` does (left
+    bisection, clamped to the first and last step) and runs the nested
+    product of ``Dop853DenseOutput`` in the same operation order, so values
+    match ``float(dense(u)[0])`` bit for bit at a small fraction of its cost.
+    """
+    ts = [float(u) for u in dense.ts]
+    steps = [(float(p.t_old), float(p.h), float(p.y_old[0]),
+              tuple(float(f[0]) for f in reversed(p.F))) for p in dense.interpolants]
+    last = len(steps) - 1
+
+    def cumulative(u: float) -> float:
+        t_old, h, y_old, coefs = steps[min(max(bisect.bisect_left(ts, u) - 1, 0), last)]
+        x = (u - t_old) / h
+        factors = (x, 1 - x)
+        y = 0.0
+        for i, f in enumerate(coefs):
+            y = (y + f) * factors[i & 1]
+        return float(y + y_old)
+
+    return cumulative
 
 
 def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:

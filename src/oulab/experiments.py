@@ -10,6 +10,7 @@ bodies are byte-identical across runs.
 from __future__ import annotations
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -363,10 +364,9 @@ def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> RunReport:
     model = build_model(cfg.model_name, params or None)
     report = RunReport(cfg.to_text(), __version__)
     outdir.mkdir(parents=True, exist_ok=True)
-    if name == "report-all":
-        for sub in SUBCOMMANDS.values():
-            sub(model, cfg, report, outdir)
-    else:
-        SUBCOMMANDS[name](model, cfg, report, outdir)
+    for sub in SUBCOMMANDS if name == "report-all" else (name,):
+        start = time.perf_counter()
+        SUBCOMMANDS[sub](model, cfg, report, outdir)
+        report.subcommand_seconds[sub] = time.perf_counter() - start
     report.write(outdir)
     return report

@@ -174,14 +174,12 @@ def make_diagonal_constant(n: int, lam: float, b: float,
         raise BadParameterError("n must be >= 1")
     lam = float(lam)
     b = float(b)
-    modes = tuple(
-        ModeCoefficients(
-            drift=lambda t, l=lam: l * np.ones_like(np.asarray(t, dtype=float)),
-            diffusion=lambda t, v=b: v * np.ones_like(np.asarray(t, dtype=float)),
-            drift_antideriv=lambda t, l=lam: l * t,
-        )
-        for _ in range(n)
+    mode = ModeCoefficients(
+        drift=lambda t: lam * np.ones_like(np.asarray(t, dtype=float)),
+        diffusion=lambda t: b * np.ones_like(np.asarray(t, dtype=float)),
+        drift_antideriv=lambda t: lam * t,
     )
+    modes = (mode,) * n
     return OperatorFamily(
         name="diag-constant", dim=n, window=window, kind="diagonal", modes=modes,
         decay=(1.0, -lam), meta={"noise_sup": _diag_noise_sup(modes, window)},

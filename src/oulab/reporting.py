@@ -57,13 +57,15 @@ class RunReport:
     """Aggregated verdicts of one CLI invocation.
 
     Every requested check appears exactly once with status PASS, FAIL, or
-    REPORT (evidence rows that never gate the exit code).
+    REPORT (evidence rows that never gate the exit code).  Wall times of
+    the subcommands that ran go to run_meta.json only.
     """
 
     config_text: str
     version: str
     checks: list = field(default_factory=list)
     started: float = field(default_factory=time.time)
+    subcommand_seconds: dict = field(default_factory=dict)
 
     def add(self, name: str, status: str, detail: str = "") -> None:
         if status not in ("PASS", "FAIL", "REPORT"):
@@ -88,4 +90,5 @@ class RunReport:
         write_json(outdir / "run_meta.json", {
             "started_unix": self.started,
             "elapsed_seconds": time.time() - self.started,
+            "subcommand_seconds": self.subcommand_seconds,
         })

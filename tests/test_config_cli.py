@@ -104,3 +104,24 @@ def test_report_lists_every_check_once(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names))
     assert all(c["status"] in ("PASS", "FAIL", "REPORT") for c in report["checks"])
+
+
+def test_run_meta_times_each_subcommand_that_ran(tmp_path):
+    from oulab.experiments import SUBCOMMANDS
+
+    path = tmp_path / "dc.cfg"
+    path.write_text(small_config().to_text())
+    bodies = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        cli.main(["report-all", str(path), "--outdir", str(out)])
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert sorted(meta["subcommand_seconds"]) == sorted(SUBCOMMANDS)
+        assert all(v >= 0.0 for v in meta["subcommand_seconds"].values())
+        assert "subcommand_seconds" not in (out / "report.json").read_text()
+        bodies.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert bodies[0] and bodies[0] == bodies[1]
+    single = tmp_path / "single"
+    cli.main(["covariance", str(path), "--outdir", str(single)])
+    meta = json.loads((single / "run_meta.json").read_text())
+    assert list(meta["subcommand_seconds"]) == ["covariance"]

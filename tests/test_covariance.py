@@ -48,6 +48,49 @@ def test_steady_state_scalar_matches_constant(dc4):
                                atol=1e-8)
 
 
+def _dense_scaled_noise(meta):
+    # A = -I, B = 10 I: K(t, -inf) = 50 I, decay certificate (1, 1)
+    from oulab.models import OperatorFamily
+
+    return OperatorFamily(
+        name="dense-noisy", dim=3, window=(-30.0, 5.0), kind="dense",
+        drift_fn=lambda t: -np.eye(3), noise_fn=lambda t: 10.0 * np.eye(3),
+        decay=(1.0, 1.0), meta=meta,
+    )
+
+
+def test_steady_state_without_noise_bound_raises():
+    with pytest.raises(cov.NoDecayError):
+        cov.steady_state(_dense_scaled_noise({}), 0.0)
+
+
+def test_steady_state_tail_bound_covers_neglected_trace():
+    model = _dense_scaled_noise({"noise_sup": 10.0})
+    t = 0.0
+    ss = cov.steady_state(model, t, tol_tail=1e-10)
+    # neglected trace: n b^2 / (2 |a|) e^{-2 (t - s*)}, exact for this model
+    neglected = 3 * 100.0 / 2.0 * math.exp(-2.0 * (t - ss.meta["s_star"]))
+    assert ss.meta["tail_trace_bound"] >= neglected * (1.0 - 1e-12)
+    np.testing.assert_allclose(ss.matrix, 50.0 * np.eye(3), atol=1e-8)
+
+
+@pytest.mark.parametrize("which", ["dc8", "scalar4"])
+def test_repeated_modes_are_integrated_once(request, monkeypatch, which):
+    model = request.getfixturevalue(which)
+    assert len(set(map(id, model.modes))) == 1
+    calls = []
+    original = cov.mode_accumulated
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cov, "mode_accumulated", counted)
+    kern = cov.accumulated(model, -0.8125, 0.4375)  # a pair no other test uses
+    assert len(calls) == 1
+    np.testing.assert_array_equal(np.diag(kern.matrix), np.full(model.dim, kern.matrix[0, 0]))
+
+
 def test_monotone_horizon_convergence(dc8):
     t = 0.0
     horizons = [1.0, 2.0, 4.0, 8.0, 12.0]
