@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .evolution import FLOW_ATOL, FLOW_RTOL, flow, mode_cumulative, propagator_matrix
+from .integrators import quad
 from .linalg import NotPSDError, SymOperator
 from .models import OperatorFamily, WindowExceededError
 
@@ -82,7 +82,7 @@ def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float) -> flo
     at = float(cum(t))
     f = lambda sigma: (math.exp(2.0 * (at - float(cum(sigma))))
                        * float(mode.diffusion(sigma)) ** 2)
-    val, _ = integrate.quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)
+    val, _ = quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)
     return val
 
 

@@ -40,8 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+from .integrators import IntegratorDivergedError, dop853
 from .linalg import (CameronMartinMetric, SymOperator, operator_norm, pseudo_inverse_apply,
                      sqrt_psd)
 from .models import OperatorFamily
@@ -50,10 +50,6 @@ FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-14
 FLOW_FIRST_STEP = 1e-3
 RANGE_TOL = 1e-8  # relative share of U(t, s) R_s allowed outside range(R_t)
-
-
-class IntegratorDivergedError(RuntimeError):
-    """The flow solver failed; carries the solver's message."""
 
 
 class FitFailedError(RuntimeError):
@@ -79,26 +75,24 @@ def mode_cumulative(model: OperatorFamily, idx: int):
         return mode.drift_antideriv
     cache = model.memo.setdefault("drift_cumulative", {})
     if idx not in cache:
-        sol = integrate.solve_ivp(lambda u, y: [float(mode.drift(u))], model.window, [0.0],
-                                  method="DOP853", dense_output=True, rtol=1e-13, atol=1e-14)
-        if not sol.success:
-            raise IntegratorDivergedError(f"DOP853 drift integral of mode {idx}: {sol.message}")
-        cache[idx] = _dense_cumulative(sol.sol)
+        _, steps = dop853(lambda u, y: [float(mode.drift(u))], *model.window, [0.0],
+                          rtol=1e-13, atol=1e-14, dense=True)
+        cache[idx] = _dense_cumulative(steps)
     return cache[idx]
 
 
-def _dense_cumulative(dense):
-    """Scalar evaluator of a forward DOP853 ``OdeSolution`` with one state.
+def _dense_cumulative(steps):
+    """Scalar evaluator of the dense output of a forward one-state ``dop853``.
 
     Each step keeps (t_old, h, y_old) and its seven interpolant coefficients
-    as Python floats; a call picks the step as ``OdeSolution`` does (left
-    bisection, clamped to the first and last step) and runs the nested
-    product of ``Dop853DenseOutput`` in the same operation order, so values
-    match ``float(dense(u)[0])`` bit for bit at a small fraction of its cost.
+    as Python floats; a call picks the step by left bisection, clamped to
+    the first and last step, and evaluates the interpolant's nested product
+    (coefficients from the last, factors x and 1 - x in turn), the
+    operation order of SciPy's ``OdeSolution`` of the same solve.
     """
-    ts = [float(u) for u in dense.ts]
-    steps = [(float(p.t_old), float(p.h), float(p.y_old[0]),
-              tuple(float(f[0]) for f in reversed(p.F))) for p in dense.interpolants]
+    ts = [float(steps[0][0])] + [float(t) for _, t, _, _ in steps]
+    steps = [(float(t_old), float(t - t_old), float(y_old[0]),
+              tuple(float(f[0]) for f in reversed(F))) for t_old, t, y_old, F in steps]
     last = len(steps) - 1
 
     def cumulative(u: float) -> float:
@@ -120,12 +114,9 @@ def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:
     reporting a failed solve."""
     if s == t:
         return y0
-    sol = integrate.solve_ivp(rhs, (s, t), y0, method="DOP853",
-                              first_step=min(abs(t - s), FLOW_FIRST_STEP),
-                              rtol=FLOW_RTOL, atol=FLOW_ATOL)
-    if not sol.success:
-        raise IntegratorDivergedError(f"DOP853 on [{s}, {t}]: {sol.message}")
-    return sol.y[:, -1].copy()  # a view would keep the whole step history alive
+    y, _ = dop853(rhs, s, t, y0, FLOW_RTOL, FLOW_ATOL,
+                  first_step=min(abs(t - s), FLOW_FIRST_STEP))
+    return y
 
 
 def _cell_flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
+from .integrators import quad
 from .linalg import operator_norm
 
 
@@ -333,7 +333,7 @@ def make_parabolic_1d(m: int, a: Callable, a0: Callable,
 
 def _rational_quartic_tail(u: float) -> float:
     """integral of 1/(1+w^4) dw over [0, u], for the substituted far tail."""
-    val, _ = integrate.quad(lambda w: 1.0 / (1.0 + w**4), 0.0, u, epsabs=1e-13, epsrel=1e-13)
+    val, _ = quad(lambda w: 1.0 / (1.0 + w**4), 0.0, u, epsabs=1e-13, epsrel=1e-13)
     return val
 
 
@@ -381,7 +381,7 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
     def mode1_cumulative(t: float) -> float:
         if t <= -1.0:
             return -_rational_quartic_tail(-1.0 / t)
-        mid, _ = integrate.quad(a1, -1.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
+        mid, _ = quad(a1, -1.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
         return -head + mid
 
     def mean_scale(t: float) -> float:

@@ -111,16 +111,12 @@ def test_run_meta_times_each_subcommand_that_ran(tmp_path):
 
     path = tmp_path / "dc.cfg"
     path.write_text(small_config().to_text())
-    bodies = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        cli.main(["report-all", str(path), "--outdir", str(out)])
-        meta = json.loads((out / "run_meta.json").read_text())
-        assert sorted(meta["subcommand_seconds"]) == sorted(SUBCOMMANDS)
-        assert all(v >= 0.0 for v in meta["subcommand_seconds"].values())
-        assert "subcommand_seconds" not in (out / "report.json").read_text()
-        bodies.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
-    assert bodies[0] and bodies[0] == bodies[1]
+    out = tmp_path / "all"
+    cli.main(["report-all", str(path), "--outdir", str(out)])
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert sorted(meta["subcommand_seconds"]) == sorted(SUBCOMMANDS)
+    assert all(v >= 0.0 for v in meta["subcommand_seconds"].values())
+    assert "subcommand_seconds" not in (out / "report.json").read_text()
     single = tmp_path / "single"
     cli.main(["covariance", str(path), "--outdir", str(single)])
     meta = json.loads((single / "run_meta.json").read_text())

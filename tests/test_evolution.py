@@ -37,8 +37,8 @@ def test_rational_mode_one_arctangent(rational4):
 @pytest.mark.parametrize("which, idx", [("rational4", 1), ("rational4", 2), ("rational4", 3),
                                         ("nonunique3", 0)])
 def test_mode_cumulative_matches_dop853_dense_output_bitwise(request, which, idx):
-    # the float evaluator copies SciPy's DOP853 dense output; a change in
-    # SciPy's layout or operation order shows up here as a mismatch
+    # the solve and the float evaluator follow SciPy's DOP853 and OdeSolution
+    # operation for operation; a change on either side shows up as a mismatch
     from scipy import integrate
 
     model = request.getfixturevalue(which)
