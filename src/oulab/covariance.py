@@ -11,8 +11,11 @@ at t.  Diagonal models reduce to one scalar integral per distinct mode,
 
 with the inner drift integral c_i(t) - c_i(sigma) taken from
 ``evolution.mode_cumulative``, the antiderivative that U uses too.  Dense
-models read K from ``evolution.flow``, which solves the joint (U, K) system
-on unit-grid cells and composes longer spans with the flow decomposition.
+models read K from ``evolution.flow``: in closed form from one
+eigendecomposition of the drift when the family is autonomous (provenance
+``"spectral"``), otherwise by solving the joint (U, K) system on unit-grid
+cells and composing longer spans with the flow decomposition (``"flow"``,
+with the solver tolerances).
 
 The infinite-horizon limit K(t, -inf) is realized by truncating at a start
 time s* whose neglected tail is controlled either by the model's decay
@@ -111,8 +114,9 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
         kern = CovarianceKernel(s, t, _ensure_psd(np.diag(diag)),
                                 {"method": "per-mode quad", "tol": MODE_TOL})
     else:
-        kern = CovarianceKernel(s, t, _ensure_psd(flow(model, s, t)[1]),
-                                {"method": "flow", "rtol": FLOW_RTOL, "atol": FLOW_ATOL})
+        method = ({"method": "spectral"} if model.autonomous
+                  else {"method": "flow", "rtol": FLOW_RTOL, "atol": FLOW_ATOL})
+        kern = CovarianceKernel(s, t, _ensure_psd(flow(model, s, t)[1]), method)
     cache[key] = kern
     return kern
 

@@ -18,11 +18,14 @@ exponent from the same c_k.  A mode without an exact antiderivative gets c_k
 from one DOP853 solve whose dense output is copied into Python floats, so a
 scalar evaluation costs a bisection and seven multiply-adds.
 
-``flow`` serves U and K for dense models: a span inside one cell [k, k+1] of
-the unit grid is one DOP853 solve of the backward system, and a longer span
-is split at ceil(t) - 1 and composed with the two laws above.
-The split depends on (s, t) alone, so results do not depend on call order,
-and long spans reuse the memoized cells.
+``flow`` serves U and K for dense models.  An autonomous family (A and B
+constant, A symmetric) gets both in closed form from one eigendecomposition
+A = V diag(lam) V^T: U = e^{A tau} and K the Van Loan integral of
+e^{A r} Q e^{A r} over [0, tau], tau = t - s.  For any other dense family a
+span inside one cell [k, k+1] of the unit grid is one DOP853 solve of the
+backward system, and a longer span is split at ceil(t) - 1 and composed with
+the two laws above.  The split depends on (s, t) alone, so results do not
+depend on call order, and long spans reuse the memoized cells.
 
 fit_decay measures propagator norms on a grid of (s, t) pairs and fits
 
@@ -140,12 +143,42 @@ def _cell_flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, n
     return y[:, :n], y[:, n:]
 
 
+def _spectral_flow(model: OperatorFamily, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U, K) over a span of length tau of an autonomous family, in closed form.
+
+    With the constant symmetric A = V diag(lam) V^T and C = V^T Q V,
+
+        U = V e^{lam tau} V^T,   K = V (E o C) V^T,
+        E_ij = integral of e^{(lam_i + lam_j) r} over [0, tau]
+             = expm1((lam_i + lam_j) tau) / (lam_i + lam_j),
+
+    and E_ij = tau where lam_i + lam_j = 0; tau = 0 gives (I, 0) exactly.
+    The decomposition is computed on first use and kept in
+    ``model.memo["spectral"]``.
+    """
+    if tau == 0.0:
+        return np.eye(model.dim), np.zeros((model.dim, model.dim))
+    if "spectral" not in model.memo:
+        a = model.drift_matrix(model.window[0])
+        if not np.array_equal(a, a.T):
+            raise ValueError(f"autonomous family {model.name!r} has a non-symmetric drift")
+        lam, v = np.linalg.eigh(a)
+        rates = lam[:, None] + lam[None, :]
+        model.memo["spectral"] = lam, v, rates, v.T @ model.diffusion_matrix(model.window[0]) @ v
+    lam, v, rates, c = model.memo["spectral"]
+    e = np.full_like(rates, tau)
+    np.divide(np.expm1(rates * tau), rates, out=e, where=rates != 0.0)
+    return (v * np.exp(lam * tau)) @ v.T, v @ (e * c) @ v.T
+
+
 def flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(U(t, s), K(t, s)) of the joint flow, memoized per model.
 
-    A span inside one unit-grid cell is solved directly; a longer one is
-    split at r = ceil(t) - 1 into [s, r] and [r, t] and composed.  The
-    returned arrays are the memo's own and are read-only.
+    An autonomous family is served in closed form from one eigendecomposition
+    of its drift (``_spectral_flow``).  Otherwise a span inside one unit-grid
+    cell is solved directly, and a longer one is split at r = ceil(t) - 1
+    into [s, r] and [r, t] and composed.  The returned arrays are the memo's
+    own and are read-only.
     """
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
@@ -154,7 +187,9 @@ def flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndar
     key = (float(s), float(t))
     if key not in memo:
         r = math.ceil(t) - 1
-        if s >= r:
+        if model.autonomous:
+            u, k = _spectral_flow(model, key[1] - key[0])
+        elif s >= r:
             u, k = _cell_flow(model, s, t)
         else:
             u_tr, k_tr = flow(model, r, t)

@@ -117,6 +117,9 @@ class OperatorFamily:
     drift_fn: Callable | None = None  # t -> (dim, dim), dense kind
     decay: tuple[float, float] | None = None  # (M, zeta): ||U(t,s)|| <= M e^{-zeta (t-s)}
     meta: dict = field(default_factory=dict)  # "noise_sup", "mean_scale"
+    # dense kind: A and B constant in t and A symmetric, so evolution.flow
+    # evaluates (U, K) from one eigendecomposition of A
+    autonomous: bool = False
     # pure-function caches of (s, t) results: the flow memo, the covariance
     # kernels and the cumulative-drift interpolants
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -227,10 +230,15 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
     )
 
 
-def _constant_noise(b: np.ndarray) -> Callable:
+def _constant_matrix(b: np.ndarray) -> Callable:
     """t -> b, handing out one read-only array instead of a copy per call."""
     b.setflags(write=False)
     return lambda t: b
+
+
+def _as_coefficient(c) -> Callable:
+    """A coefficient (t, x) -> value; a plain number is constant in t and x."""
+    return c if callable(c) else lambda t, x: c
 
 
 def make_scalar(a: Callable, n: int,
@@ -262,7 +270,7 @@ def make_scalar(a: Callable, n: int,
     )
 
 
-def make_parabolic_1d(m: int, a: Callable, a0: Callable,
+def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
                       window: tuple[float, float] = (-50.0, 50.0),
                       noise: Callable | None = None) -> OperatorFamily:
     """Second-order finite-difference drift on (0, 1) with Dirichlet rows.
@@ -273,34 +281,42 @@ def make_parabolic_1d(m: int, a: Callable, a0: Callable,
         (A u)_i = [a(t, x_i + h/2)(u_{i+1} - u_i)
                    - a(t, x_i - h/2)(u_i - u_{i-1})] / h^2 + a0(t, x_i) u_i.
 
-    The coefficients are called with a float t and an array of points x and
-    must return one value per point, or a scalar that broadcasts; a
-    coefficient that cannot take an array raises BadParameterError here.
-    A(t) = diag(a0) - D^T diag(a / h^2) D with D the (m+1) x m Dirichlet
-    difference matrix, applied as one precomputed stencil.
+    A coefficient is a plain number, constant in t and x, or a callable
+    taking a float t and an array of points x and returning one value per
+    point, or a scalar that broadcasts; a callable that cannot take an
+    array raises BadParameterError here.  A(t) = diag(a0) - D^T diag(a / h^2) D
+    with D the (m+1) x m Dirichlet difference matrix, applied as one
+    precomputed stencil.
 
     Ellipticity a >= nu > 0 and non-positivity of a0 are checked on a sample
     grid of the window times the spatial nodes.  B defaults to the identity.
+    When a and a0 are numbers and B is the default, A is one symmetric
+    matrix built once, every check and bound is taken from it exactly, and
+    the family is marked ``autonomous``.
     """
     if m < 1:
         raise BadParameterError("m must be >= 1")
+    autonomous = not callable(a) and not callable(a0) and noise is None
+    a, a0 = _as_coefficient(a), _as_coefficient(a0)
     h = 1.0 / (m + 1)
     xs = np.arange(1, m + 1) * h
     mids = np.arange(0.5, m + 1) * h  # staggered coefficient nodes
-    t_grid = np.linspace(window[0], window[1], 101)
+    # an autonomous family is the same at every time, so one time is exact
+    t_grid = [float(window[0])] if autonomous else np.linspace(window[0], window[1], 101)
 
     def sample(f, name, t, points):
         try:
             return np.broadcast_to(np.asarray(f(t, points), dtype=float), points.shape)
         except (TypeError, ValueError) as err:
             raise BadParameterError(
-                f"coefficient {name}(t, x) must accept an array of points: {err}") from err
+                f"coefficient {name} must be a number or accept an array of points: {err}"
+            ) from err
 
     a_min = min(float(sample(a, "a", t, mids).min()) for t in t_grid)
-    if a_min <= 0:
+    if not a_min > 0:
         raise BadParameterError(f"ellipticity violated: min a = {a_min}")
     a0_max = max(float(sample(a0, "a0", t, xs).max()) for t in t_grid)
-    if a0_max > 0:
+    if not a0_max <= 0:
         raise BadParameterError(f"zero-order coefficient must be <= 0, max is {a0_max}")
 
     # row (i, j) of the stencil maps the midpoint samples a / h^2 to the
@@ -317,17 +333,20 @@ def make_parabolic_1d(m: int, a: Callable, a0: Callable,
         flat[diagonal] += a0(t, xs)
         return flat.reshape(m, m)
 
+    if autonomous:
+        drift_fn = _constant_matrix(drift_fn(t_grid[0]))
     if noise is None:
-        noise = _constant_noise(np.eye(m))
+        noise = _constant_matrix(np.eye(m))
     noise_sup = max(operator_norm(np.asarray(noise(t), dtype=float)) for t in t_grid)
     # the drift matrices are symmetric, so the logarithmic-norm bound
-    # ||U(t,s)|| <= exp(integral of lambda_max(A)) holds and a sampled
-    # negative top eigenvalue certifies exponential decay
+    # ||U(t,s)|| <= exp(integral of lambda_max(A)) holds and a negative top
+    # eigenvalue, sampled or (autonomous) exact, certifies exponential decay
     top = max(float(np.linalg.eigvalsh(drift_fn(t)).max()) for t in t_grid)
     decay = (1.0, -top) if top < 0 else None
     return OperatorFamily(
         name="parabolic-1d", dim=m, window=window, kind="dense",
         drift_fn=drift_fn, noise_fn=noise, decay=decay, meta={"noise_sup": noise_sup},
+        autonomous=autonomous,
     )
 
 
@@ -404,12 +423,7 @@ def _build_scalar_osc(n: int = 4, offset: float = -1.0, amp: float = -0.5,
 
 def _build_parabolic(m: int = 5, nu: float = 1.0, omega: float = 1.0,
                      window: tuple[float, float] = (-50.0, 50.0)) -> OperatorFamily:
-    return make_parabolic_1d(
-        m,
-        a=lambda t, x: nu,
-        a0=lambda t, x: -omega,
-        window=window,
-    )
+    return make_parabolic_1d(m, a=nu, a0=-omega, window=window)
 
 
 # name -> (builder, default parameters)

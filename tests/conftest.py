@@ -35,6 +35,13 @@ def parabolic5():
 
 
 @pytest.fixture(scope="session")
+def parabolic5_varying():
+    # time-dependent dense drift: served by the DOP853 cell flow
+    return models.make_parabolic_1d(5, a=lambda t, x: 1.0 + 0.5 * np.sin(t + x),
+                                    a0=lambda t, x: -1.0)
+
+
+@pytest.fixture(scope="session")
 def nonunique3():
     return models.make_nonunique_demo(3)
 

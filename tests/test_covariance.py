@@ -173,6 +173,7 @@ def test_dense_quadrature_against_closed_form():
     )
     k = cov.accumulated(dense, 0.0, 1.0)
     np.testing.assert_allclose(k.matrix, DC_K10 * np.eye(3), atol=1e-9)
+    assert k.meta == {"method": "flow", "rtol": evo.FLOW_RTOL, "atol": evo.FLOW_ATOL}
 
 
 @pytest.mark.parametrize("s, t", [(-0.2, 0.2), (-1.0, 0.4), (-8.0, 0.0)])
@@ -185,7 +186,9 @@ def test_dense_flow_against_lyapunov(parabolic5, s, t):
     u = expm(a * (t - s))
     k = cov.accumulated(parabolic5, s, t)
     assert np.abs(k.matrix - (x - u @ x @ u.T)).max() <= 1e-12
-    assert k.meta == {"method": "flow", "rtol": evo.FLOW_RTOL, "atol": evo.FLOW_ATOL}
+    # closed form from one eigendecomposition: no integrator tolerances
+    assert k.meta == {"method": "spectral"}
+    assert cov.steady_state(parabolic5, t).meta["method"] == "spectral"
 
 
 def test_flow_is_independent_of_call_order():

@@ -9,7 +9,7 @@ from oulab import covariance as cov
 from oulab import evolution as evo
 from oulab import experiments
 from oulab.config import ExperimentConfig
-from oulab.models import OperatorFamily, build_model, make_diagonal_constant
+from oulab.models import OperatorFamily, build_model, make_diagonal_constant, make_parabolic_1d
 from oulab.reporting import RunReport
 from oulab.rng import seed_stream
 
@@ -70,8 +70,8 @@ def test_chain_law_all_kinds(dc8, rational4, scalar4, parabolic5, nonunique3):
        split=st.floats(0.05, 0.95))
 # a single-cell parabolic span whose K was 2.2e-12 off with a forward solve
 @example(cell=0, before=0.28125, after=0.8828125, split=0.28125)
-def test_flow_laws_across_grid_cells(scalar4, rational4, parabolic5, nonunique3,
-                                     cell, before, after, split):
+def test_flow_laws_across_grid_cells(scalar4, rational4, parabolic5, parabolic5_varying,
+                                     nonunique3, cell, before, after, split):
     # s < cell < t, so a dense span is composed from more than one cell;
     # diagonal models are read the way report-all reads them
     s, t = cell - before, cell + after
@@ -82,7 +82,7 @@ def test_flow_laws_across_grid_cells(scalar4, rational4, parabolic5, nonunique3,
             return evo.flow(model, lo, hi)
         return evo.propagator_matrix(model, lo, hi), cov.accumulated(model, lo, hi).matrix
 
-    for model in (parabolic5, scalar4, rational4, nonunique3):
+    for model in (parabolic5, parabolic5_varying, scalar4, rational4, nonunique3):
         u_ts, k_ts = u_k(model, s, t)
         u_tr, k_tr = u_k(model, r, t)
         u_rs, k_rs = u_k(model, s, r)
@@ -107,11 +107,12 @@ def test_adjoint_is_transpose_for_diagonal(dc8):
     np.testing.assert_allclose(u.T, u, atol=1e-15)
 
 
-def test_adjoint_against_dual_integration(parabolic5):
+def test_adjoint_against_dual_integration(parabolic5, parabolic5_varying):
     s, t = 0.1, 1.2
-    direct = evo.propagator_matrix(parabolic5, s, t).T
-    dual = evo.adjoint_by_integration(parabolic5, s, t)
-    assert np.abs(direct - dual).max() <= 1e-8
+    for model in (parabolic5, parabolic5_varying):
+        direct = evo.propagator_matrix(model, s, t).T
+        dual = evo.adjoint_by_integration(model, s, t)
+        assert np.abs(direct - dual).max() <= 1e-8
 
 
 def test_adjoint_by_integration_bypasses_the_flow_memo():
@@ -123,10 +124,46 @@ def test_adjoint_by_integration_bypasses_the_flow_memo():
 
 @pytest.mark.parametrize("s, t", [(-0.2, 0.2), (-1.0, 0.4), (-8.0, 0.0)])
 def test_dense_propagator_against_expm(parabolic5, s, t):
-    from scipy.linalg import expm
+    # the oracle's formulas: U = e^{A h}, K = X - U X U^T with A X + X A^T = -I
+    from scipy.linalg import expm, solve_continuous_lyapunov
 
-    u = evo.propagator_matrix(parabolic5, s, t)
-    assert np.abs(u - expm(parabolic5.drift_matrix(0.0) * (t - s))).max() <= 1e-12
+    a = parabolic5.drift_matrix(0.0)
+    ref = expm(a * (t - s))
+    x = solve_continuous_lyapunov(a, -np.eye(5))
+    u, k = evo.flow(parabolic5, s, t)
+    assert evo.propagator_matrix(parabolic5, s, t) is u
+    assert np.abs(u - ref).max() <= 1e-12
+    assert np.abs(k - (x - ref @ x @ ref.T)).max() <= 1e-12 * np.abs(k).max()
+
+
+def test_spectral_flow_against_cell_flow():
+    # the catalog drift given as numbers takes the closed form, given as
+    # callables the DOP853 cells; U is a contraction whose error DOP853
+    # controls in absolute terms, so it is compared on the scale of I
+    exact = make_parabolic_1d(5, a=1.0, a0=-1.0)
+    cells = make_parabolic_1d(5, a=lambda t, x: 1.0, a0=lambda t, x: -1.0)
+    assert exact.autonomous and not cells.autonomous
+    gen = seed_stream(9, "spectral-vs-cells")
+    spans = [(-8.0, 0.0)] + [tuple(np.sort(gen.uniform(-3.0, 3.0, 2))) for _ in range(12)]
+    assert sum(math.ceil(t) - math.floor(s) > 1 for s, t in spans) >= 6
+    for s, t in spans:
+        u_exact, k_exact = evo.flow(exact, s, t)
+        u_cells, k_cells = evo.flow(cells, s, t)
+        assert np.abs(u_exact - u_cells).max() <= 1e-12 * max(1.0, np.abs(u_cells).max())
+        assert np.abs(k_exact - k_cells).max() <= 1e-12 * np.abs(k_cells).max()
+    assert "spectral" in exact.memo and "spectral" not in cells.memo
+
+
+def test_spectral_flow_at_equal_times_and_symmetry_guard():
+    model = make_parabolic_1d(4, a=2.0, a0=0.0)
+    u, k = evo.flow(model, 0.3, 0.3)
+    assert np.array_equal(u, np.eye(4)) and np.array_equal(k, np.zeros((4, 4)))
+    skew = OperatorFamily(
+        name="skew", dim=2, window=(-5.0, 5.0), kind="dense", autonomous=True,
+        drift_fn=lambda t: np.array([[-1.0, 1.0], [0.0, -1.0]]), noise_fn=lambda t: np.eye(2),
+    )
+    with pytest.raises(ValueError, match="non-symmetric"):
+        evo.flow(skew, 0.0, 1.0)
 
 
 def test_flow_memo_is_read_only(parabolic5):

@@ -157,6 +157,25 @@ def test_parabolic_validation():
         make_parabolic_1d(4, a=lambda t, x: -1.0, a0=lambda t, x: 0.0)
     with pytest.raises(BadParameterError):
         make_parabolic_1d(4, a=lambda t, x: 1.0, a0=lambda t, x: 0.5)
+    # number coefficients are held to the same contract
+    for a, a0 in [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.5), (math.nan, 0.0), (1.0, math.nan),
+                  ("stiff", 0.0), (1.0, lambda t, x: 0.5), (lambda t, x: 0.0, -1.0)]:
+        with pytest.raises(BadParameterError):
+            make_parabolic_1d(4, a=a, a0=a0)
+
+
+def test_parabolic_number_coefficients_mark_an_autonomous_family():
+    exact = make_parabolic_1d(5, a=1.0, a0=-1.0)
+    cells = make_parabolic_1d(5, a=lambda t, x: 1.0, a0=lambda t, x: -1.0)
+    assert exact.autonomous and not cells.autonomous
+    assert not make_parabolic_1d(5, a=1.0, a0=lambda t, x: -1.0).autonomous
+    assert not make_parabolic_1d(5, a=1.0, a0=-1.0, noise=lambda t: np.eye(5)).autonomous
+    # bounds from the one constant matrix equal the 101-time samples bit for bit
+    assert exact.decay == cells.decay and exact.meta == cells.meta
+    a = exact.drift_matrix(0.3)
+    assert a is exact.drift_matrix(-1.7) and a.tobytes() == cells.drift_matrix(0.3).tobytes()
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
 
 
 def test_sup_on_window_covers_the_whole_window():
