@@ -2,7 +2,8 @@
 """Run the full check suite for every shipped model configuration.
 
 Artifacts land in each config's own outdir (out/<model>/ by default).
-Exit status is nonzero if any asserted check fails anywhere.
+Exit status is the largest of the per-config exit codes (see ``oulab.cli``):
+nonzero if any asserted check fails or any subcommand errors anywhere.
 """
 
 import sys

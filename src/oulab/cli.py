@@ -4,7 +4,10 @@
 
 Subcommands: evolve, covariance, invariance, diffcheck, logsob, hyper,
 spde, ergodic, report-all.  Exit codes: 0 all asserted checks pass,
-1 at least one check failed (failing rows listed), 2 invalid configuration.
+1 at least one check failed (failing rows listed), 2 invalid configuration,
+3 a subcommand stopped on a numerical error (an ERROR row; the other
+subcommands still run and report.json is written), which takes precedence
+over 1.
 The output directory resolves as --outdir, then $OULAB_OUTDIR, then the
 config's ``outdir`` key.
 """
@@ -22,6 +25,7 @@ from .experiments import SUBCOMMANDS, run_suite
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_INVALID = 2
+EXIT_NUMERICAL_ERROR = 3
 
 
 def main(argv=None) -> int:
@@ -42,8 +46,11 @@ def main(argv=None) -> int:
 
     for check in report.checks:
         print(f"[{check['status']:6s}] {check['name']}: {check['detail']}")
-    if report.failed:
-        failing = [c["name"] for c in report.checks if c["status"] == "FAIL"]
+    errors, failing = report.named("ERROR"), report.named("FAIL")
+    if errors:
+        print(f"ERROR: {', '.join(errors)}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
+    if failing:
         print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK

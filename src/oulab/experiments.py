@@ -2,9 +2,11 @@
 
 Each ``run_*`` function drives one family of checks for the configured
 model, writes its CSV artifacts into the output directory, and records
-PASS/FAIL/REPORT verdicts on the shared RunReport.  All randomness is
-derived from the configured seed through labelled substreams, so artifact
-bodies are byte-identical across runs.
+PASS/FAIL/REPORT verdicts on the shared RunReport.  ``run_suite`` turns
+one of oulab's numerical errors raised by a subcommand into an ERROR
+verdict and goes on with the next.  All randomness is derived from the
+configured seed through labelled substreams, so artifact bodies are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from . import measures as meas
 from . import mehler
 from . import spde
 from .config import ExperimentConfig
-from .linalg import operator_norm
-from .models import OperatorFamily, build_model
+from .integrators import IntegratorDivergedError
+from .linalg import NotPSDError, operator_norm
+from .models import OperatorFamily, WindowExceededError, build_model
 from .reporting import RunReport, write_csv, write_json
 from .rng import seed_stream
 
@@ -343,6 +346,10 @@ def run_ergodic(model, cfg, report: RunReport, outdir: Path) -> None:
                f"monotone={rep.monotone}")
 
 
+# what a subcommand may raise on a model or window the numerics cannot serve
+NUMERICAL_ERRORS = (WindowExceededError, IntegratorDivergedError, cov.NoDecayError, NotPSDError,
+                    evo.FitFailedError, ineq.BadCertificateError, ineq.NonPositiveMeanError)
+
 SUBCOMMANDS = {
     "evolve": run_evolve,
     "covariance": run_covariance,
@@ -366,7 +373,10 @@ def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> RunReport:
     outdir.mkdir(parents=True, exist_ok=True)
     for sub in SUBCOMMANDS if name == "report-all" else (name,):
         start = time.perf_counter()
-        SUBCOMMANDS[sub](model, cfg, report, outdir)
+        try:
+            SUBCOMMANDS[sub](model, cfg, report, outdir)
+        except NUMERICAL_ERRORS as exc:
+            report.add(f"{sub}.error", "ERROR", f"{type(exc).__name__}: {exc}")
         report.subcommand_seconds[sub] = time.perf_counter() - start
     report.write(outdir)
     return report

@@ -1,4 +1,5 @@
-"""The two integrators oulab runs: DOP853 for ODEs and QAGS for quadrature.
+"""The two integrators oulab runs: DOP853 for ODEs and adaptive
+Gauss-Kronrod quadrature.
 
 ``dop853`` is the explicit Runge-Kutta pair of order 8(5,3) of Dormand and
 Prince with its order-7 dense output (Hairer, Norsett and Wanner, *Solving
@@ -7,10 +8,13 @@ the same tableau, initial-step heuristic, error norm and step factors,
 written with the same NumPy operations, so states and interpolant
 coefficients equal that solver's bit for bit.
 
-``quad`` is QUADPACK's QAGS (Piessens et al., 1983): adaptive bisection
-with the 21-point Gauss-Kronrod rule and Wynn's epsilon extrapolation, in
-the operation order of ``dqagse``, so a finite interval gets the value
-``scipy.integrate.quad`` returns.
+``quad`` bisects the part with the largest error estimate under the
+21-point Gauss-Kronrod rule of QUADPACK (Piessens et al., 1983), keeping the
+parts and the running sums in the order of ``dqagse``.  It has no epsilon
+extrapolation, which only singular integrands need, and oulab integrates
+none: on oulab's integrands it takes the same evaluations as
+``scipy.integrate.quad`` and returns its value, to the last bit or within
+an ulp where QAGS bisects in its extrapolation order.
 
 Both live here so that importing oulab does not import ``scipy.integrate``,
 which loads ``scipy.optimize``, ``scipy.special`` and ``scipy.sparse``:
@@ -27,7 +31,6 @@ import numpy as np
 
 EPMACH = sys.float_info.epsilon
 UFLOW = sys.float_info.min
-OFLOW = sys.float_info.max
 
 
 class IntegratorDivergedError(RuntimeError):
@@ -206,7 +209,7 @@ def _error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-# -- QAGS ----------------------------------------------------------------------
+# -- adaptive Gauss-Kronrod quadrature -----------------------------------------
 
 # 21-point Kronrod abscissae (descending; odd 1-based entries are the
 # Kronrod points, even ones the 10-point Gauss points) and weights
@@ -227,25 +230,41 @@ WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 # (index, abscissa, Kronrod weight, Gauss weight or 0): Gauss points first
 _NODES = tuple((j, XGK[j], WGK[j], WG[j // 2] if j % 2 else 0.0)
                for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
-LIMEXP = 50  # largest epsilon table
-QAGS_ERRORS = {
-    1: "the maximum number of subintervals was reached",
-    2: "roundoff error keeps the requested tolerance from being reached",
-    3: "the integrand behaves extremely badly at some points",
-    4: "roundoff error in the extrapolation table: the tolerance is not reached",
-    5: "the integral is probably divergent or slowly convergent",
-}
 
 
 def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int = 50):
-    """(integral of f over [a, b], error estimate) by QAGS; b < a negates.
-    A QUADPACK error code becomes a RuntimeWarning, as SciPy's quad warns on it."""
+    """(integral of f over [a, b], error estimate); b < a negates.
+
+    Globally adaptive bisection with the 21-point Gauss-Kronrod rule: the
+    part with the largest error estimate is halved until the summed
+    estimate is within max(epsabs, epsrel |integral|).  Reaching ``limit``
+    parts first gives a RuntimeWarning.
+    """
     if a == b:
         return 0.0, 0.0
-    val, err, ier = _qagse(f, min(a, b), max(a, b), epsabs, epsrel, limit)
-    if ier:
-        warnings.warn(f"QAGS on [{a}, {b}]: {QAGS_ERRORS[ier]}", RuntimeWarning, stacklevel=2)
-    return (-val if b < a else val), err
+    lo, hi = min(a, b), max(a, b)
+    area, errsum, _, _ = _qk21(f, lo, hi)
+    parts = [(lo, hi, area, errsum)]
+    while errsum > max(epsabs, epsrel * abs(area)):
+        if len(parts) == limit:
+            warnings.warn(f"quad on [{a}, {b}]: {limit} subintervals leave an error "
+                          f"estimate of {errsum:.3g}", RuntimeWarning, stacklevel=2)
+            break
+        k = max(range(len(parts)), key=lambda i: parts[i][3])
+        left, right, r, e = parts[k]
+        mid = 0.5 * (left + right)
+        r1, e1, _, _ = _qk21(f, left, mid)
+        r2, e2, _, _ = _qk21(f, mid, right)
+        errsum = errsum + (e1 + e2) - e
+        area = area + (r1 + r2) - r
+        lower, upper = (left, mid, r1, e1), (mid, right, r2, e2)
+        # the half with the larger error takes slot k, the other goes last
+        parts[k], spare = (upper, lower) if e2 > e1 else (lower, upper)
+        parts.append(spare)
+    total = 0.0  # left to right, as dqagse sums; sum() compensates from Python 3.12
+    for part in parts:
+        total = total + part[2]
+    return (-total if b < a else total), errsum
 
 
 def _qk21(f, a: float, b: float):
@@ -280,257 +299,3 @@ def _qk21(f, a: float, b: float):
     if resabs > UFLOW / (50.0 * EPMACH):
         abserr = max((EPMACH * 50.0) * resabs, abserr)
     return result, abserr, resabs, resasc
-
-
-def _qagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
-    """QUADPACK dqagse on a < b, for limit >= 1 and a positive tolerance:
-    (result, abserr, ier).  Lists are 1-based as in the Fortran."""
-    alist, blist = [0.0] * (limit + 1), [0.0] * (limit + 1)
-    rlist, elist = [0.0] * (limit + 1), [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    rlist2, res3la = [0.0] * (LIMEXP + 3), [0.0] * 4
-    alist[1], blist[1] = a, b
-    ier = ierro = 0
-    # QUADPACK's names: defabs takes the rule's resabs and resabs its resasc
-    result, abserr, defabs, resabs = _qk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    rlist[1], elist[1], iord[1] = result, abserr, 1
-    if abserr <= 100.0 * EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, ier
-
-    rlist2[1] = result
-    errmax, maxerr, area, errsum = abserr, 1, result, abserr
-    abserr = OFLOW
-    nrmax, nres, numrl2, ktmin = 1, 0, 2, 0
-    extrap = noext = False
-    iroff1 = iroff2 = iroff3 = 0
-    ksgn = 1 if dres >= (1.0 - 50.0 * EPMACH) * defabs else -1
-    small = erlarg = ertest = correc = 0.0
-    summed = False
-    for last in range(2, limit + 1):
-        # bisect the interval with the nrmax-th largest error estimate
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2, b2 = b1, blist[maxerr]
-        erlast = errmax
-        area1, error1, resabs, defab1 = _qk21(f, a1, b1)
-        area2, error2, resabs, defab2 = _qk21(f, a2, b2)
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if defab1 != error1 and defab2 != error2:
-            if abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr], rlist[last] = area1, area2
-        errbnd = max(epsabs, epsrel * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPMACH) * (abs(a2) + 1000.0 * UFLOW):
-            ier = 4
-        if error2 > error1:
-            alist[maxerr], alist[last], blist[last] = a2, a1, b1
-            rlist[maxerr], rlist[last] = area2, area1
-            elist[maxerr], elist[last] = error2, error1
-        else:
-            alist[last], blist[maxerr], blist[last] = a2, b1, b2
-            elist[maxerr], elist[last] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            summed = True
-            break
-        if ier != 0:
-            break
-        if last == 2:
-            small, erlarg, ertest = abs(b - a) * 0.375, errsum, errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # extrapolate only once the next interval to bisect is a smallest one
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if ierro != 3 and erlarg > ertest:
-            # the smallest interval has the largest error: bisect the larger
-            # ones first while their errors exceed the extrapolation's
-            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
-            large = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    large = True
-                    break
-                nrmax += 1
-            if large:
-                continue
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if abseps < abserr:
-            ktmin, abserr, result, correc = 0, abseps, reseps, erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax, extrap = 1, False
-        small = small * 0.5
-        erlarg = errsum
-
-    if not summed:
-        # pick the extrapolated or the summed result, then test for divergence
-        test = True
-        if abserr == OFLOW:
-            summed = True
-        elif ier + ierro != 0:
-            if ierro == 3:
-                abserr = abserr + correc
-            if ier == 0:
-                ier = 3
-            if result != 0.0 and area != 0.0:
-                summed = abserr / abs(result) > errsum / abs(area)
-            else:
-                summed, test = abserr > errsum, area != 0.0
-        if not summed and test and (ksgn == 1 or max(abs(result), abs(area)) > defabs * 0.01):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.float64(result) / area
-            if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-                ier = 6
-    if summed:
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    return result, abserr, ier - 1 if ier > 2 else ier
-
-
-def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
-    """Keep iord descending in error and return (maxerr, errmax, nrmax) of
-    the interval to bisect next (QUADPACK dqpsrt)."""
-    if last <= 2:
-        iord[1], iord[2] = 1, 2
-    else:
-        errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
-        errmin = elist[last]
-        jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                # insert errmax here, then errmin bottom-up
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    k = i - 1
-                iord[k + 1] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
-
-
-def _qelg(n: int, epstab: list, res3la: list, nres: int):
-    """Wynn's epsilon algorithm on epstab[1..n] (QUADPACK dqelg): returns
-    (n, result, abserr, nres) and updates epstab and res3la in place."""
-    nres += 1
-    abserr = OFLOW
-    result = epstab[n]
-    if n >= 3:
-        epstab[n + 2] = epstab[n]
-        newelm = (n - 1) // 2
-        epstab[n] = OFLOW
-        num = k1 = n
-        converged = False
-        for i in range(1, newelm + 1):
-            res = epstab[k1 + 2]
-            e0, e1, e2 = epstab[k1 - 2], epstab[k1 - 1], res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = max(abs(e2), e1abs) * EPMACH
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = max(e1abs, abs(e0)) * EPMACH
-            if err2 <= tol2 and err3 <= tol3:
-                # e0, e1 and e2 agree to machine accuracy
-                result, abserr = res, err2 + err3
-                converged = True
-                break
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = max(e1abs, abs(e3)) * EPMACH
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                n = i + i - 1
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            if not abs(ss * e1) > 1e-4:
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 -= 2
-            error = err2 + abs(res - e2) + err3
-            if error <= abserr:
-                abserr, result = error, res
-        if not converged:
-            if n == LIMEXP:
-                n = 2 * (LIMEXP // 2) - 1
-            ib = 2 if num % 2 == 0 else 1
-            for _ in range(newelm + 1):
-                epstab[ib] = epstab[ib + 2]
-                ib += 2
-            if num != n:
-                epstab[1:n + 1] = epstab[num - n + 1:num + 1]
-            if nres < 4:
-                res3la[nres] = result
-                abserr = OFLOW
-            else:
-                abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                          + abs(result - res3la[1]))
-                res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
-    return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres

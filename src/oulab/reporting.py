@@ -56,9 +56,11 @@ def write_json(path: Path, payload: dict) -> None:
 class RunReport:
     """Aggregated verdicts of one CLI invocation.
 
-    Every requested check appears exactly once with status PASS, FAIL, or
-    REPORT (evidence rows that never gate the exit code).  Wall times of
-    the subcommands that ran go to run_meta.json only.
+    Every check that ran appears exactly once with status PASS, FAIL, or
+    REPORT (evidence rows that never gate the exit code).  A subcommand
+    stopped by a numerical error adds one ``<sub>.error`` row with status
+    ERROR in place of the checks it did not reach.  Wall times of the
+    subcommands that ran go to run_meta.json only.
     """
 
     config_text: str
@@ -68,15 +70,14 @@ class RunReport:
     subcommand_seconds: dict = field(default_factory=dict)
 
     def add(self, name: str, status: str, detail: str = "") -> None:
-        if status not in ("PASS", "FAIL", "REPORT"):
+        if status not in ("PASS", "FAIL", "REPORT", "ERROR"):
             raise ValueError(f"bad status {status!r}")
         if any(c["name"] == name for c in self.checks):
             raise ValueError(f"duplicate check name {name!r}")
         self.checks.append({"name": name, "status": status, "detail": detail})
 
-    @property
-    def failed(self) -> bool:
-        return any(c["status"] == "FAIL" for c in self.checks)
+    def named(self, status: str) -> list[str]:
+        return [c["name"] for c in self.checks if c["status"] == status]
 
     def write(self, outdir: Path) -> None:
         outdir = Path(outdir)

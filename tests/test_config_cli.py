@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oulab
 from oulab import cli
 from oulab.config import ConfigError, ExperimentConfig
 
@@ -13,6 +18,9 @@ def small_config(**over):
         probe_count=8, mc_samples=4000, spde_paths=2000, spde_step=0.02,
     )
     return dataclasses.replace(base, **over)
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_config_roundtrip_lossless():
@@ -121,3 +129,27 @@ def test_run_meta_times_each_subcommand_that_ran(tmp_path):
     cli.main(["covariance", str(path), "--outdir", str(single)])
     meta = json.loads((single / "run_meta.json").read_text())
     assert list(meta["subcommand_seconds"]) == ["covariance"]
+
+
+def test_numerical_error_is_an_error_row_and_the_other_subcommands_run(tmp_path):
+    # the window ends above the covariance grid's earliest s, so run_covariance
+    # raises WindowExceededError partway through
+    cfg = ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg")
+    path = tmp_path / "narrow.cfg"
+    path.write_text(dataclasses.replace(cfg, window=(-3.0, 5.0), mc_samples=2000,
+                                        spde_paths=2000).to_text())
+    out = tmp_path / "out"
+    assert cli.main(["report-all", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["covariance.error"]["status"] == "ERROR"
+    assert checks["covariance.error"]["detail"].startswith("WindowExceededError: time -3.75")
+    assert checks["evolve.chain-law"]["status"] == "PASS"
+
+
+def test_contraction_curve_scan_script_writes_its_table(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(oulab.__file__).parents[1]))
+    subprocess.run([sys.executable, str(REPO / "scripts" / "contraction_curve_scan.py"),
+                    "--gaps", "0.693", "--outdir", str(tmp_path)],
+                   capture_output=True, check=True, env=env)
+    rows = (tmp_path / "contraction_scan.csv").read_text().splitlines()
+    assert len(rows) > 2  # schema line, header, data
