@@ -7,7 +7,7 @@ spde, ergodic, report-all.  Exit codes: 0 all asserted checks pass,
 1 at least one check failed (failing rows listed), 2 invalid configuration,
 3 a subcommand stopped on a numerical error (an ERROR row; the other
 subcommands still run and report.json is written), which takes precedence
-over 1.
+over 1; failing rows are listed either way.
 The output directory resolves as --outdir, then $OULAB_OUTDIR, then the
 config's ``outdir`` key.
 """
@@ -47,13 +47,12 @@ def main(argv=None) -> int:
     for check in report.checks:
         print(f"[{check['status']:6s}] {check['name']}: {check['detail']}")
     errors, failing = report.named("ERROR"), report.named("FAIL")
+    if failing:
+        print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
     if errors:
         print(f"ERROR: {', '.join(errors)}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    if failing:
-        print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if failing else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -153,3 +153,17 @@ def test_contraction_curve_scan_script_writes_its_table(tmp_path):
                    capture_output=True, check=True, env=env)
     rows = (tmp_path / "contraction_scan.csv").read_text().splitlines()
     assert len(rows) > 2  # schema line, header, data
+
+
+def test_cli_lists_failed_checks_beside_errors(tmp_path, monkeypatch, capsys):
+    from oulab.reporting import RunReport
+
+    path = tmp_path / "dc.cfg"
+    path.write_text(small_config().to_text())
+    report = RunReport(config_text="", version="")
+    report.add("hyper.curve", "FAIL")
+    report.add("covariance.error", "ERROR", "NotPSDError: K not PSD")
+    monkeypatch.setattr(cli, "run_suite", lambda *args: report)
+    assert cli.main(["report-all", str(path), "--outdir", str(tmp_path)]) == cli.EXIT_NUMERICAL_ERROR
+    err = capsys.readouterr().err
+    assert "FAILED: hyper.curve" in err and "ERROR: covariance.error" in err

@@ -39,23 +39,45 @@ INTEGRANDS = {
     "empty": (math.cos, 0.5, 0.5, 0.0),
 }
 SMOOTH = ("poly", "gauss", "oscillating", "reversed", "empty")
+TOLERANCES = [(1.49e-8, 50), (1e-14, 50), (1e-11, 400), (1e-10, 10)]
+# the one seeded mode integral (model, mode, (s, t) pair) on which QAGS, in
+# the phase that readies its extrapolation, bisects a longer part ahead of
+# the part with the largest error: quad evaluates the same abscissae in
+# another order, so the value is SciPy's but the error estimate, a running
+# sum, ends 2.4e-12 relative off SciPy's
+BISECTED_IN_QAGS_ORDER = {("rational4", 3, 4)}
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
-@pytest.mark.parametrize("tol, limit", [(1.49e-8, 50), (1e-14, 50), (1e-11, 400), (1e-10, 10)])
+@pytest.mark.parametrize("tol, limit", TOLERANCES)
 def test_quad_is_bitwise_scipy_quad(name, tol, limit):
-    # value, error estimate and evaluation count equal SciPy's on the smooth
-    # integrands at tolerances above roundoff; on every integrand quad either
-    # warns or is within tolerance of the exact integral
+    # on the smooth integrands above roundoff: SciPy's value, error estimate
+    # and evaluation count.  Elsewhere QAGS's extrapolation takes another
+    # course, so the 21-point rule is compared instead: on each part SciPy
+    # ends with, it gives SciPy's result and error estimate
+    f, a, b, _ = INTEGRANDS[name]
+    value, error, info = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit,
+                                        full_output=1)[:3]
+    if name in SMOOTH and tol > 1e-14:
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # oscillating at limit 10
+            got = integrators.quad(lambda x: calls.append(x) or f(x), a, b, tol, tol, limit)
+        assert got == (value, error) and len(calls) == info["neval"]
+    else:
+        parts = zip(*(info[key][:info["last"]] for key in ("alist", "blist", "rlist", "elist")))
+        for lo, hi, result, abserr in parts:
+            assert integrators._qk21(f, lo, hi)[:2] == (result, abserr)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+@pytest.mark.parametrize("tol, limit", TOLERANCES)
+def test_quad_warns_or_is_within_tolerance(name, tol, limit):
+    # a divergent integral must warn
     f, a, b, exact = INTEGRANDS[name]
-    calls = []
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
-        got = integrators.quad(lambda x: calls.append(x) or f(x), a, b, tol, tol, limit)
-    if name in SMOOTH and tol > 1e-14:
-        value, error, info = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit,
-                                            full_output=1)[:3]
-        assert got == (value, error) and len(calls) == info["neval"]
+        got = integrators.quad(f, a, b, tol, tol, limit)
     if not any(issubclass(w.category, RuntimeWarning) for w in warned):
         assert exact is not None and abs(got[0] - exact) <= max(tol, tol * abs(exact))
 
@@ -68,23 +90,24 @@ def test_quad_warns_at_its_subinterval_limit():
 
 @pytest.mark.parametrize("which", ["rational4", "nonunique3"])
 def test_quad_is_bitwise_scipy_on_mode_covariance_integrands(request, which):
-    # the integrands of covariance.mode_accumulated, at seeded (s, t): values
-    # and evaluation counts equal SciPy's; error estimates may differ in their
-    # last digits where QAGS bisects in the order of its extrapolation
+    # the integrands of covariance.mode_accumulated, at seeded (s, t)
     model = request.getfixturevalue(which)
     gen = np.random.default_rng(7)
     for idx, mode in enumerate(model.modes):
         cum = mode_cumulative(model, idx)
-        for s, t in np.sort(gen.uniform(-4.0, 2.0, (10, 2)), axis=1):
+        for pair, (s, t) in enumerate(np.sort(gen.uniform(-4.0, 2.0, (10, 2)), axis=1)):
             at = cum(t)
             f = lambda u: math.exp(2.0 * (at - cum(u))) * float(mode.diffusion(u)) ** 2
-            value, error, info = integrate.quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL,
-                                                limit=400, full_output=1)[:3]
-            calls = []
-            counted = lambda u: calls.append(u) or f(u)
-            got = integrators.quad(counted, s, t, MODE_TOL, MODE_TOL, 400)
-            assert got[0] == value and len(calls) == info["neval"]
-            assert got[1] == pytest.approx(error, rel=1e-10, abs=0.0)
+            if (which, idx, pair) not in BISECTED_IN_QAGS_ORDER:
+                ref = integrate.quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)
+                assert integrators.quad(f, s, t, MODE_TOL, MODE_TOL, 400) == ref
+                continue
+            ref_calls, calls = [], []
+            ref = integrate.quad(lambda u: ref_calls.append(u) or f(u), s, t,
+                                 epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)
+            got = integrators.quad(lambda u: calls.append(u) or f(u), s, t, MODE_TOL, MODE_TOL, 400)
+            assert calls != ref_calls and sorted(calls) == sorted(ref_calls)
+            assert got[0] == ref[0] and got[1] == pytest.approx(ref[1], rel=1e-11, abs=0.0)
 
 
 def test_dop853_backward_matrix_flow_is_bitwise_solve_ivp():
