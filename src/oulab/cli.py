@@ -4,10 +4,10 @@
 
 Subcommands: evolve, covariance, invariance, diffcheck, logsob, hyper,
 spde, ergodic, report-all.  Exit codes: 0 all asserted checks pass,
-1 at least one check failed (failing rows listed), 2 invalid configuration,
-3 a subcommand stopped on a numerical error (an ERROR row; the other
-subcommands still run and report.json is written), which takes precedence
-over 1; failing rows are listed either way.
+1 at least one check failed (failing rows listed), 2 invalid configuration
+or model parameters, 3 a subcommand stopped on a numerical error (an ERROR
+row; the other subcommands still run and report.json is written), which
+takes precedence over 1; failing rows are listed either way.
 The output directory resolves as --outdir, then $OULAB_OUTDIR, then the
 config's ``outdir`` key.
 """
@@ -42,7 +42,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_INVALID
 
     outdir = Path(args.outdir or os.environ.get("OULAB_OUTDIR") or cfg.outdir)
-    report = run_suite(args.subcommand, cfg, outdir)
+    try:
+        report = run_suite(args.subcommand, cfg, outdir)
+    except ConfigError as exc:  # model parameters, rejected before any output
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_INVALID
 
     for check in report.checks:
         print(f"[{check['status']:6s}] {check['name']}: {check['detail']}")

@@ -1,12 +1,13 @@
 """Experiment configuration: flat key-value text with typed sections.
 
 The format is INI (configparser).  Everything under [model] except
-``name`` is forwarded to the catalog builder, and [window] holds
-``t_min``/``t_max``.  Every other knob is one row of ``LAYOUT``, the
-(section, key, field, kind) table that ``to_text`` writes from, that
-``from_text`` reads from, and that the unknown-key check compares with: a
-section or key outside it is rejected, so a stale or misspelled knob cannot
-be silently ignored, and a value its kind cannot parse is a ConfigError.
+``name`` is forwarded to the catalog builder, and [window], when present,
+holds both ``t_min`` and ``t_max``.  Every other knob is one row of
+``LAYOUT``, the (section, key, field, kind) table that ``to_text`` writes
+from, that ``from_text`` reads from, and that the unknown-key check compares
+with: a section or key outside it is rejected, so a stale or misspelled knob
+cannot be silently ignored, and a value its kind cannot parse is a
+ConfigError.  What every model shares is a constant of ``experiments``.
 Configurations round-trip losslessly through ``to_text`` / ``from_text``
 (floats serialize with repr).
 """
@@ -53,34 +54,22 @@ class ExperimentConfig:
     spde_paths: int = 100_000
     spde_step: float = 0.01
     tol_invariance: float = 1e-8
-    tol_chain: float = 1e-8
-    tol_tail: float = 1e-10
     tol_fd: float = 1e-6
-    tol_ergodic: float = 1e-3
-    fd_step: float = 1e-4
-    hyper_q: float = 2.0
-    hyper_gap: float = 0.6931471805599453
     hyper_p_values: tuple = (2.0, 2.5, 3.0)
     sharpness_p_values: tuple = (4.5, 6.0)
-    logsob_p_values: tuple = (1.5, 2.0, 3.0)
-    ergodic_s_values: tuple = (-1.0, -2.0, -4.0, -8.0)
-    ergodic_t: float = 0.0
     seed: int = 1234
     outdir: str = "out"
 
     def validate(self) -> "ExperimentConfig":
         if self.window is not None and self.window[0] >= self.window[1]:
             raise ConfigError(f"window is empty: {self.window}")
-        for name in ("tol_invariance", "tol_chain", "tol_tail", "tol_fd",
-                     "tol_ergodic", "fd_step", "spde_step"):
+        for name in ("tol_invariance", "tol_fd", "spde_step"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("triple_count", "probe_count", "mc_samples",
                      "spde_paths"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.hyper_q <= 1.0:
-            raise ConfigError("hyper_q must exceed 1")
         if not self.s_values or not self.t_values:
             raise ConfigError("grids must be nonempty")
         return self
@@ -135,11 +124,13 @@ class ExperimentConfig:
             kwargs["model_name"] = params["name"]
         try:
             if cp.has_section("window"):
-                kwargs["window"] = (cp.getfloat("window", "t_min", fallback=-50.0),
-                                    cp.getfloat("window", "t_max", fallback=50.0))
+                kwargs["window"] = (cp.getfloat("window", "t_min"),
+                                    cp.getfloat("window", "t_max"))
             for section, key, name, kind in LAYOUT:
                 if cp.has_option(section, key):
                     kwargs[name] = kind(cp.get(section, key))
+        except configparser.NoOptionError as exc:
+            raise ConfigError(f"[window] needs both t_min and t_max: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"not a valid value: {exc}") from exc
         return ExperimentConfig(**kwargs).validate()
@@ -164,18 +155,9 @@ LAYOUT = (
     ("mc", "spde_paths", "spde_paths", int),
     ("mc", "spde_step", "spde_step", float),
     ("tolerances", "invariance", "tol_invariance", float),
-    ("tolerances", "chain", "tol_chain", float),
-    ("tolerances", "tail", "tol_tail", float),
     ("tolerances", "fd", "tol_fd", float),
-    ("tolerances", "ergodic", "tol_ergodic", float),
-    ("tolerances", "fd_step", "fd_step", float),
-    ("hyper", "q", "hyper_q", float),
-    ("hyper", "gap", "hyper_gap", float),
     ("hyper", "p_values", "hyper_p_values", _num_list),
     ("hyper", "sharpness_p", "sharpness_p_values", _num_list),
-    ("logsob", "p_values", "logsob_p_values", _num_list),
-    ("ergodic", "s_values", "ergodic_s_values", _num_list),
-    ("ergodic", "t", "ergodic_t", float),
     ("run", "seed", "seed", int),
     ("run", "outdir", "outdir", str),
 )

@@ -32,11 +32,10 @@ import numpy as np
 
 from .evolution import FLOW_ATOL, FLOW_RTOL, flow, mode_cumulative, propagator_matrix
 from .integrators import quad
-from .linalg import NotPSDError, SymOperator
+from .linalg import PSD_TOL, NotPSDError, SymOperator
 from .models import OperatorFamily, WindowExceededError
 
 MODE_TOL = 1e-11
-PSD_CLAMP = 1e-10
 
 
 class NoDecayError(RuntimeError):
@@ -62,11 +61,11 @@ class CovarianceKernel:
 
 
 def _ensure_psd(mat: np.ndarray) -> SymOperator:
-    """Clamp eigenvalues in [-PSD_CLAMP, 0) to zero; reject worse."""
+    """Clamp eigenvalues in [-PSD_TOL, 0) to zero; reject worse."""
     sym = 0.5 * (mat + mat.T)
     w = np.linalg.eigvalsh(sym)
     lo = float(w.min())
-    if lo < -PSD_CLAMP:
+    if lo < -PSD_TOL:
         raise NotPSDError(f"covariance has eigenvalue {lo:.3e}")
     if lo < 0.0:
         w2, v = np.linalg.eigh(sym)
@@ -121,35 +120,39 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
     return kern
 
 
+def tail_cutoff(model: OperatorFamily, t: float, tol_tail: float = 1e-10) -> tuple[float, float]:
+    """The certified cutoff s* of K(t, -inf) and its neglected-trace bound.
+
+    The cutoff comes from the model's decay certificate (scale M, rate
+    zeta > 0) and the noise bound K = ``meta["noise_sup"]``:
+
+        neglected trace <= dim * M^2 K^2 * exp(-2 zeta (t - s*)) / (2 zeta),
+
+    pushed below ``tol_tail``, with t - s* at least 1.
+    """
+    if model.decay is None or model.decay[1] <= 0.0:
+        raise NoDecayError("model has no positive decay rate; supply an explicit s_star")
+    big_m, zeta = model.decay
+    if "noise_sup" not in model.meta:
+        raise NoDecayError(
+            "model meta has no noise_sup to bound the tail; supply an explicit s_star")
+    k_sup = float(model.meta["noise_sup"])
+    lead = model.dim * big_m**2 * k_sup**2 / (2.0 * zeta)
+    gap = max(math.log(max(lead, tol_tail) / tol_tail) / (2.0 * zeta), 1.0)
+    return t - gap, lead * math.exp(-2.0 * zeta * gap)
+
+
 def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10,
                  s_star: float | None = None) -> CovarianceKernel:
     """Infinite-horizon covariance K(t, -inf), truncated at a certified s*.
 
-    Without an explicit ``s_star`` the cutoff comes from the model's decay
-    certificate (scale M, rate zeta > 0) and the noise bound K =
-    ``meta["noise_sup"]``:
-
-        neglected trace <= dim * M^2 K^2 * exp(-2 zeta (t - s*)) / (2 zeta),
-
-    pushed below ``tol_tail``.  With an explicit cutoff the caller owns the
-    tail estimate, and ``tail_trace_bound`` is recorded as None.
+    Without an explicit ``s_star`` the cutoff is ``tail_cutoff``; with one
+    the caller owns the tail estimate, and ``tail_trace_bound`` is None.
     """
     model.require_window(t)
     tail_bound = None
     if s_star is None:
-        if model.decay is None or model.decay[1] <= 0.0:
-            raise NoDecayError(
-                "model has no positive decay rate; supply an explicit s_star")
-        big_m, zeta = model.decay
-        if "noise_sup" not in model.meta:
-            raise NoDecayError(
-                "model meta has no noise_sup to bound the tail; supply an explicit s_star")
-        k_sup = float(model.meta["noise_sup"])
-        lead = model.dim * big_m**2 * k_sup**2 / (2.0 * zeta)
-        gap = math.log(max(lead, tol_tail) / tol_tail) / (2.0 * zeta)
-        gap = max(gap, 1.0)
-        s_star = t - gap
-        tail_bound = lead * math.exp(-2.0 * zeta * gap)
+        s_star, tail_bound = tail_cutoff(model, t, tol_tail)
     if s_star < model.window[0]:
         raise WindowExceededError(
             f"tail cutoff {s_star:.3f} falls before window start {model.window[0]}; "

@@ -2,7 +2,8 @@
 
 Each ``run_*`` function drives one family of checks for the configured
 model, writes its CSV artifacts into the output directory, and records
-PASS/FAIL/REPORT verdicts on the shared RunReport.  ``run_suite`` turns
+PASS/FAIL/REPORT verdicts on the shared RunReport; the parameters that
+every model shares are the module constants below.  ``run_suite`` turns
 one of oulab's numerical errors raised by a subcommand into an ERROR
 verdict and goes on with the next.  All randomness is derived from the
 configured seed through labelled substreams, so artifact bodies are
@@ -23,12 +24,19 @@ from . import inequalities as ineq
 from . import measures as meas
 from . import mehler
 from . import spde
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .integrators import IntegratorDivergedError
 from .linalg import NotPSDError, operator_norm
-from .models import OperatorFamily, WindowExceededError, build_model
+from .models import BadParameterError, OperatorFamily, WindowExceededError, build_model
 from .reporting import RunReport, write_csv, write_json
 from .rng import seed_stream
+
+TOL_CHAIN = 1e-8  # evolve.chain-law: bound on |U(t,s) - U(t,r) U(r,s)|
+REF_T = 0.0  # reference time t of logsob, hyper, spde and ergodic
+HYPER_Q = 2.0  # hyper: the norm exponent q mapped to p along p_max(q, t - s)
+HYPER_GAP = math.log(2.0)  # hyper: t - s
+LOGSOB_P_VALUES = (1.5, 2.0, 3.0)  # logsob: the exponents p of the entropy bound
+ERGODIC_S_VALUES = (-1.0, -2.0, -4.0, -8.0)  # ergodic: receding start times s
 
 
 def _pairs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
@@ -37,17 +45,18 @@ def _pairs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
 
 def _system(model: OperatorFamily, cfg: ExperimentConfig) -> meas.EvolutionSystem:
     """Evolution system for the model: infinite-horizon when decay permits,
-    anchored at a finite start otherwise."""
+    unless the tail cutoff of the earliest time the battery asks of it leaves
+    a window that holds that time; anchored at a finite start otherwise."""
     if cfg.anchor is not None:
         return meas.gaussian_system(model, anchor=cfg.anchor)
+    earliest = min(min(cfg.s_values), REF_T - HYPER_GAP)
     if model.decay is not None and model.decay[1] > 0:
-        return meas.gaussian_system(model, tol_tail=cfg.tol_tail)
-    if "mean_scale" in model.meta:
+        if earliest < model.window[0] or cov.tail_cutoff(model, earliest)[0] >= model.window[0]:
+            return meas.gaussian_system(model)
+    elif "mean_scale" in model.meta:
         # integrable slow mode: certified cutoff far in the past
-        return meas.gaussian_system(model, s_star=max(-200.0, model.window[0] + 1.0),
-                                    tol_tail=cfg.tol_tail)
-    anchor = max(model.window[0], min(cfg.s_values) - 2.0)
-    return meas.gaussian_system(model, anchor=anchor)
+        return meas.gaussian_system(model, s_star=max(-200.0, model.window[0] + 1.0))
+    return meas.gaussian_system(model, anchor=max(model.window[0], earliest - 2.0))
 
 
 def _seeded_triples(model, cfg):
@@ -71,8 +80,8 @@ def run_evolve(model, cfg, report: RunReport, outdir: Path) -> None:
         rows.append((s, r, t, resid))
     write_csv(outdir / "evolution_chain.csv", ["s", "r", "t", "chain_residual"], rows)
     report.add("evolve.chain-law",
-               "PASS" if worst <= cfg.tol_chain else "FAIL",
-               f"max residual {worst:.3e} vs {cfg.tol_chain:.0e} on {len(rows)} triples")
+               "PASS" if worst <= TOL_CHAIN else "FAIL",
+               f"max residual {worst:.3e} vs {TOL_CHAIN:.0e} on {len(rows)} triples")
 
     if model.kind == "dense":
         gen = seed_stream(cfg.seed, "adjoint")
@@ -131,22 +140,22 @@ def run_covariance(model, cfg, report: RunReport, outdir: Path) -> None:
     for probe in range(3):
         v = gen.standard_normal(model.dim)
         v /= np.linalg.norm(v)
-        fwd = cov.check_forward_derivative(model, s, t, v, cfg.fd_step)
-        bwd = cov.check_backward_derivative(model, s, t, v, cfg.fd_step)
+        fwd = cov.check_forward_derivative(model, s, t, v)
+        bwd = cov.check_backward_derivative(model, s, t, v)
         drows.append((s, t, probe, "forward", fwd.fd_value, fwd.formula_value, fwd.abs_discrepancy))
         drows.append((s, t, probe, "backward", bwd.fd_value, bwd.formula_value, bwd.abs_discrepancy))
         bad = max(bad, fwd.abs_discrepancy, bwd.abs_discrepancy)
     write_csv(outdir / "covariance_derivatives.csv",
               ["s", "t", "probe", "side", "fd", "formula", "discrepancy"], drows)
     report.add("covariance.derivatives", "PASS" if bad <= cfg.tol_fd else "FAIL",
-               f"max discrepancy {bad:.3e} at step {cfg.fd_step:g}")
+               f"max discrepancy {bad:.3e} at step {fwd.fd_step:g}")
 
     if model.decay is not None and model.decay[1] > 0:
         t0 = float(cfg.t_values[0])
         zeta = model.decay[1]
         horizons = [c / zeta for c in (2.0, 4.0, 8.0, 16.0)]
         traces = [np.trace(cov.accumulated(model, t0 - h, t0).matrix) for h in horizons]
-        limit = np.trace(cov.steady_state(model, t0, cfg.tol_tail).matrix)
+        limit = np.trace(cov.steady_state(model, t0).matrix)
         monotone = all(b >= a - 1e-12 for a, b in zip(traces, traces[1:]))
         write_csv(outdir / "covariance_horizon.csv", ["horizon", "trace"],
                   list(zip(horizons, traces)) + [("inf", limit)])
@@ -187,7 +196,7 @@ def run_diffcheck(model, cfg, report: RunReport, outdir: Path) -> None:
         freq = gen.standard_normal(model.dim)
         poly = mehler.TrigPolynomial.plane_wave(freq)
         x = gen.standard_normal(model.dim)
-        rep = mehler.check_differentiation(model, s, t, poly, x, cfg.fd_step)
+        rep = mehler.check_differentiation(model, s, t, poly, x)
         worst = max(worst, rep.start_discrepancy, rep.end_discrepancy)
         ratios.extend([rep.start_order_ratio, rep.end_order_ratio])
         rows.append((probe, s, t, rep.start_discrepancy, rep.end_discrepancy,
@@ -224,13 +233,12 @@ def run_logsob(model, cfg, report: RunReport, outdir: Path) -> None:
     if kappa is None:
         return
     system = _system(model, cfg)
-    ref_t = cfg.ergodic_t
     rows, all_pass = [], True
     for phi in ineq.default_entropy_probes(model.dim):
-        for p in cfg.logsob_p_values:
-            rep = ineq.entropy_gap(model, ref_t, phi, p, kappa, system=system)
+        for p in LOGSOB_P_VALUES:
+            rep = ineq.entropy_gap(model, REF_T, phi, p, kappa, system=system)
             all_pass &= rep.passed
-            rows.append((ref_t, p, rep.label, rep.lhs, rep.rhs, rep.slack,
+            rows.append((REF_T, p, rep.label, rep.lhs, rep.rhs, rep.slack,
                          rep.lhs_err + rep.rhs_err, "PASS" if rep.passed else "FAIL"))
     write_csv(outdir / "logsob.csv",
               ["t", "p", "probe", "entropy", "energy_bound", "slack", "err", "verdict"], rows)
@@ -240,8 +248,8 @@ def run_logsob(model, cfg, report: RunReport, outdir: Path) -> None:
 
     agree = True
     for phi in ineq.default_entropy_probes(model.dim)[:3]:
-        quad = ineq.entropy_gap(model, ref_t, phi, 2.0, kappa, system=system)
-        mc = ineq.entropy_gap(model, ref_t, phi, 2.0, kappa, system=system,
+        quad = ineq.entropy_gap(model, REF_T, phi, 2.0, kappa, system=system)
+        mc = ineq.entropy_gap(model, REF_T, phi, 2.0, kappa, system=system,
                               method="mc", count=cfg.mc_samples, seed=cfg.seed)
         tol = 4.0 * max(mc.lhs_err + mc.rhs_err, 1e-12)
         agree &= abs(quad.lhs - mc.lhs) <= tol and abs(quad.rhs - mc.rhs) <= tol
@@ -267,12 +275,11 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
     if kappa is None:
         return
     system = _system(model, cfg)
-    t = cfg.ergodic_t
-    s = t - cfg.hyper_gap
-    q = cfg.hyper_q
-    p_values = list(cfg.hyper_p_values) + [q]
+    t = REF_T
+    s = t - HYPER_GAP
+    p_values = list(cfg.hyper_p_values) + [HYPER_Q]
     # one sample and one propagation per probe serve every exponent
-    by_probe = [ineq.hypercontractivity_check(model, s, t, q, p_values, phi, kappa,
+    by_probe = [ineq.hypercontractivity_check(model, s, t, HYPER_Q, p_values, phi, kappa,
                                               cfg.mc_samples, cfg.seed + i, system=system)
                 for i, phi in enumerate(_hyper_probes(model, cfg))]
     rows, all_pass = [], True
@@ -280,16 +287,16 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
         for i, reports in enumerate(by_probe):
             rep = reports[k]
             all_pass &= rep.passed
-            rows.append((s, t, q, p, rep.p_max, i, rep.lhs, rep.rhs,
+            rows.append((s, t, HYPER_Q, p, rep.p_max, i, rep.lhs, rep.rhs,
                          rep.lhs_err + rep.rhs_err, "PASS" if rep.passed else "FAIL"))
     write_csv(outdir / "hyper.csv",
               ["s", "t", "q", "p", "p_max", "probe", "lhs_norm", "rhs_norm", "err", "verdict"],
               rows)
     report.add("hyper.norm-inequality", "PASS" if all_pass else "FAIL",
-               f"kappa {kappa:.6g}, curve p_max {ineq.exponent_curve(q, t - s, kappa):.4g}")
+               f"kappa {kappa:.6g}, curve p_max {ineq.exponent_curve(HYPER_Q, t - s, kappa):.4g}")
 
     fam = ineq.capped_exponential_family(model.dim)
-    srows = ineq.sharpness_probe(model, s, t, q, cfg.sharpness_p_values, fam, kappa,
+    srows = ineq.sharpness_probe(model, s, t, HYPER_Q, cfg.sharpness_p_values, fam, kappa,
                                  system=system)
     write_csv(outdir / "hyper_sharpness.csv",
               ["p", "probe", "ratio", "err", "violates"],
@@ -301,7 +308,7 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
 
 
 def run_spde(model, cfg, report: RunReport, outdir: Path) -> None:
-    s = cfg.ergodic_t
+    s = REF_T
     t = s + 1.0
     x0 = np.eye(model.dim)[0]
     ens = spde.simulate(model, s, t, x0, cfg.spde_step, cfg.spde_paths, cfg.seed)
@@ -336,8 +343,7 @@ def run_ergodic(model, cfg, report: RunReport, outdir: Path) -> None:
     system = _system(model, cfg)
     e1 = np.eye(model.dim)[0]
     poly = mehler.TrigPolynomial.plane_wave(e1)
-    rep = meas.verify_long_time_limit(model, cfg.ergodic_t, e1, cfg.ergodic_s_values,
-                                      poly, system=system, tol_final=cfg.tol_ergodic)
+    rep = meas.verify_long_time_limit(model, REF_T, e1, ERGODIC_S_VALUES, poly, system=system)
     rows = list(zip(rep.s_values, rep.differences, rep.schedule_bound))
     write_csv(outdir / "ergodic.csv", ["s", "difference", "schedule_bound"], rows)
     ok = rep.monotone and rep.final_below
@@ -365,10 +371,11 @@ SUBCOMMANDS = {
 def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> RunReport:
     from . import __version__
 
-    params = dict(cfg.model_params)
-    if cfg.window is not None:
-        params["window"] = cfg.window
-    model = build_model(cfg.model_name, params or None)
+    window = {} if cfg.window is None else {"window": cfg.window}
+    try:
+        model = build_model(cfg.model_name, {**cfg.model_params, **window})
+    except BadParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     report = RunReport(cfg.to_text(), __version__)
     outdir.mkdir(parents=True, exist_ok=True)
     for sub in SUBCOMMANDS if name == "report-all" else (name,):

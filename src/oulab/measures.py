@@ -31,7 +31,7 @@ import numpy as np
 from .covariance import accumulated, steady_state
 from .linalg import SymOperator, spectral_factor
 from .mehler import TrigPolynomial, propagate_trig
-from .models import OperatorFamily
+from .models import OperatorFamily, WindowExceededError
 from .rng import chunked_normals, seed_stream
 
 
@@ -96,7 +96,7 @@ def gaussian_system(model: OperatorFamily, anchor: float = -math.inf,
 
     ``anchor=-inf`` uses the truncated infinite-horizon covariance (decay or
     explicit ``s_star`` required).  A finite anchor S uses K(t, S), exact for
-    t >= S; times before the anchor are rejected.
+    t >= S; times before the anchor raise WindowExceededError.
     """
     zero = np.zeros(model.dim)
     if anchor == -math.inf:
@@ -106,7 +106,7 @@ def gaussian_system(model: OperatorFamily, anchor: float = -math.inf,
 
     def factory(t: float) -> GaussianMeasure:
         if t < anchor:
-            raise ValueError(f"time {t} precedes the system anchor {anchor}")
+            raise WindowExceededError(f"time {t} precedes the system anchor {anchor}")
         return GaussianMeasure(zero, accumulated(model, anchor, t).op)
     return EvolutionSystem(f"gaussian(anchor={anchor:g})", factory)
 

@@ -437,8 +437,11 @@ CATALOG: dict[str, tuple[Callable, dict]] = {
 
 
 def build_model(name: str, params: dict | None = None) -> OperatorFamily:
-    """Construct a catalog model by name, overriding default parameters."""
+    """Construct a catalog model by name, overriding its defaults or ``window``."""
     if name not in CATALOG:
         raise BadParameterError(f"unknown model {name!r}; catalog: {sorted(CATALOG)}")
     builder, defaults = CATALOG[name]
+    unknown = sorted(set(params or {}) - set(defaults) - {"window"})
+    if unknown:
+        raise BadParameterError(f"unknown parameter(s) of {name}: {', '.join(unknown)}")
     return builder(**{**defaults, **(params or {})})

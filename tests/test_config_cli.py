@@ -33,6 +33,12 @@ def test_config_defaults_roundtrip():
     assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.cfg")))
+def test_shipped_config_loads_and_roundtrips(name):
+    cfg = ExperimentConfig.from_file(REPO / "configs" / name)
+    assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+
 def test_config_rejects_empty_window():
     with pytest.raises(ConfigError):
         ExperimentConfig(window=(2.0, 1.0)).validate()
@@ -40,7 +46,7 @@ def test_config_rejects_empty_window():
 
 def test_config_rejects_bad_tolerance():
     with pytest.raises(ConfigError):
-        ExperimentConfig(tol_chain=0.0).validate()
+        ExperimentConfig(tol_fd=0.0).validate()
 
 
 def test_config_rejects_garbage_numbers():
@@ -54,17 +60,40 @@ def test_cli_invalid_config_exits_two(tmp_path):
     assert cli.main(["evolve", str(path)]) == cli.EXIT_CONFIG_INVALID
 
 
+def test_cli_window_with_one_bound_exits_two(tmp_path):
+    # no fallback bound: the model's own t_min of -250 must not become -50
+    path = tmp_path / "half.cfg"
+    path.write_text("[model]\nname = nonunique-demo\n\n[window]\nt_max = 60\n")
+    assert cli.main(["evolve", str(path)]) == cli.EXIT_CONFIG_INVALID
+
+
+@pytest.mark.parametrize("model", [
+    "name = diag-constant\nn = 0\n",      # a value the builder rejects
+    "name = diag-constant\nbogus = 3\n",  # a parameter the model does not have
+    "name = no-such-model\n",             # a model the catalog does not have
+])
+def test_cli_model_error_exits_two(tmp_path, capsys, model):
+    path = tmp_path / "model.cfg"
+    path.write_text(small_config().to_text().replace("name = diag-constant\n", model, 1))
+    assert cli.main(["evolve", str(path), "--outdir", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG_INVALID
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("old, new", [
     ("[mc]\n", "[mc]\nworkers = 4\n"),           # a removed knob
+    ("[hyper]\n", "[hyper]\ngap = 0.5\n"),       # a knob now fixed in experiments
     ("s_values =", "s_value ="),                  # a misspelled key
     ("[run]\n", "[extra]\nseed = 1\n\n[run]\n"),  # an unknown section
 ])
-def test_cli_unknown_key_exits_two(tmp_path, old, new):
+def test_cli_unknown_key_exits_two(tmp_path, capsys, old, new):
     text = small_config().to_text()
     assert old in text
     path = tmp_path / "stale.cfg"
     path.write_text(text.replace(old, new, 1))
     assert cli.main(["evolve", str(path)]) == cli.EXIT_CONFIG_INVALID
+    assert "unknown" in capsys.readouterr().err
 
 
 def test_config_accepts_every_optional_key():
@@ -144,6 +173,24 @@ def test_numerical_error_is_an_error_row_and_the_other_subcommands_run(tmp_path)
     assert checks["covariance.error"]["status"] == "ERROR"
     assert checks["covariance.error"]["detail"].startswith("WindowExceededError: time -3.75")
     assert checks["evolve.chain-law"]["status"] == "PASS"
+    # the steady-state cutoff falls before -3, so the system is anchored instead
+    assert checks["invariance.gaussian-system"]["status"] == "PASS"
+    assert "anchor" in checks["invariance.gaussian-system"]["detail"]
+    assert "invariance.error" not in checks
+
+
+def test_times_before_the_window_stay_error_rows(tmp_path):
+    # the battery asks the system for s = -2, before the window starts at -1
+    cfg = ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg")
+    path = tmp_path / "late.cfg"
+    path.write_text(dataclasses.replace(cfg, window=(-1.0, 5.0), mc_samples=2000,
+                                        spde_paths=2000).to_text())
+    out = tmp_path / "out"
+    assert cli.main(["report-all", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["invariance.error"]["detail"].startswith("WindowExceededError: time -2")
+    assert any(name.startswith("spde.") for name in checks)
+    assert any(name.startswith("ergodic.") for name in checks)
 
 
 def test_contraction_curve_scan_script_writes_its_table(tmp_path):

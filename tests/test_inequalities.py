@@ -254,6 +254,6 @@ def test_run_hyper_draws_once_per_probe(monkeypatch, tmp_path):
     assert len(calls) == 2 * 10
     # rows stay p-major, probe-minor
     rows = [line.split(",") for line in (tmp_path / "hyper.csv").read_text().splitlines()[2:]]
-    p_values = list(cfg.hyper_p_values) + [cfg.hyper_q]
+    p_values = list(cfg.hyper_p_values) + [experiments.HYPER_Q]
     assert [(float(r[3]), int(r[5])) for r in rows] == [(p, i) for p in p_values
                                                         for i in range(10)]
