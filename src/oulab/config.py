@@ -63,15 +63,17 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.window is not None and self.window[0] >= self.window[1]:
             raise ConfigError(f"window is empty: {self.window}")
-        for name in ("tol_invariance", "tol_fd", "spde_step"):
+        for name in ("tol_invariance", "tol_fd", "spde_step", "triple_span"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("triple_count", "probe_count", "mc_samples",
                      "spde_paths"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not self.s_values or not self.t_values:
-            raise ConfigError("grids must be nonempty")
+        if not self.sharpness_p_values:
+            raise ConfigError("sharpness_p_values must be nonempty")
+        if not any(s < t for s in self.s_values for t in self.t_values):
+            raise ConfigError("grids need a pair s < t of s_values and t_values")
         return self
 
     # -- serialization -----------------------------------------------------

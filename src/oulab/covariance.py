@@ -9,8 +9,8 @@ at t.  Diagonal models reduce to one scalar integral per distinct mode,
 
     k_i(t, s) = integral of exp(2 integral_sigma^t a_i) b_i(sigma)^2 dsigma,
 
-with the inner drift integral c_i(t) - c_i(sigma) taken from
-``evolution.mode_cumulative``, the antiderivative that U uses too.  Dense
+with the inner drift integral c_i(t) - c_i(sigma) taken from the mode's
+exact antiderivative ``drift_antideriv``, the one U uses too.  Dense
 models read K from ``evolution.flow``: in closed form from one
 eigendecomposition of the drift when the family is autonomous (provenance
 ``"spectral"``), otherwise by solving the joint (U, K) system on unit-grid
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import FLOW_ATOL, FLOW_RTOL, flow, mode_cumulative, propagator_matrix
+from .evolution import FLOW_ATOL, FLOW_RTOL, flow, propagator_matrix
 from .integrators import quad
 from .linalg import PSD_TOL, NotPSDError, SymOperator
 from .models import OperatorFamily, WindowExceededError
@@ -80,7 +80,7 @@ def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float) -> flo
     if t == s:
         return 0.0
     mode = model.modes[idx]
-    cum = mode_cumulative(model, idx)
+    cum = mode.drift_antideriv
     at = float(cum(t))
     f = lambda sigma: (math.exp(2.0 * (at - float(cum(sigma))))
                        * float(mode.diffusion(sigma)) ** 2)

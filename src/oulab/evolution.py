@@ -13,10 +13,9 @@ U(t, r) U(r, s) = U(t, s), and K the flow decomposition
     K(t, s) = U(t, r) K(r, s) U(t, r)^T + K(t, r).
 
 Diagonal models get U as entrywise exponentials exp(c_k(t) - c_k(s)), with
-c_k the drift antiderivative of ``mode_cumulative``; K of the mode takes its
-exponent from the same c_k.  A mode without an exact antiderivative gets c_k
-from one DOP853 solve whose dense output is copied into Python floats, so a
-scalar evaluation costs a bisection and seven multiply-adds.
+c_k the exact drift antiderivative every mode carries
+(``ModeCoefficients.drift_antideriv``); K of the mode takes its exponent
+from the same c_k.
 
 ``flow`` serves U and K for dense models.  An autonomous family (A and B
 constant, A symmetric) gets both in closed form from one eigendecomposition
@@ -38,7 +37,6 @@ fitted bound majorizes every sample; they certify the sampled window only.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -64,62 +62,12 @@ class RangeIncompatibleError(ValueError):
     the range-norm is ill posed."""
 
 
-def mode_cumulative(model: OperatorFamily, idx: int):
-    """t -> an antiderivative of the drift of diagonal mode idx.
-
-    The mode's exact antiderivative when it carries one; otherwise the
-    DOP853 dense output of one solve of the drift integral from the window
-    start, built once per (model, mode) and evaluated in plain floats by
-    ``_dense_cumulative``.  U and K of the mode both take their exponents
-    from it, so the two agree to roundoff.
-    """
-    mode = model.modes[idx]
-    if mode.drift_antideriv is not None:
-        return mode.drift_antideriv
-    cache = model.memo.setdefault("drift_cumulative", {})
-    if idx not in cache:
-        _, steps = dop853(lambda u, y: [float(mode.drift(u))], *model.window, [0.0],
-                          rtol=1e-13, atol=1e-14, dense=True)
-        cache[idx] = _dense_cumulative(steps)
-    return cache[idx]
-
-
-def _dense_cumulative(steps):
-    """Scalar evaluator of the dense output of a forward one-state ``dop853``.
-
-    Each step keeps (t_old, h, y_old) and its seven interpolant coefficients
-    as Python floats; a call picks the step by left bisection, clamped to
-    the first and last step, and evaluates the interpolant's nested product
-    (coefficients from the last, factors x and 1 - x in turn), the
-    operation order of SciPy's ``OdeSolution`` of the same solve.
-    """
-    ts = [float(steps[0][0])] + [float(t) for _, t, _, _ in steps]
-    steps = [(float(t_old), float(t - t_old), float(y_old[0]),
-              tuple(float(f[0]) for f in reversed(F))) for t_old, t, y_old, F in steps]
-    last = len(steps) - 1
-
-    def cumulative(u: float) -> float:
-        t_old, h, y_old, coefs = steps[min(max(bisect.bisect_left(ts, u) - 1, 0), last)]
-        x = (u - t_old) / h
-        factors = (x, 1 - x)
-        y = 0.0
-        for i, f in enumerate(coefs):
-            y = (y + f) * factors[i & 1]
-        return float(y + y_old)
-
-    return cumulative
-
-
 def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:
     """State at t of y' = rhs(tau, y), y(s) = y0, by one DOP853 solve;
-    t < s integrates backward.  The first step is explicit: the solver's
-    heuristic would step to nan on a non-finite right-hand side instead of
-    reporting a failed solve."""
+    t < s integrates backward."""
     if s == t:
         return y0
-    y, _ = dop853(rhs, s, t, y0, FLOW_RTOL, FLOW_ATOL,
-                  first_step=min(abs(t - s), FLOW_FIRST_STEP))
-    return y
+    return dop853(rhs, s, t, y0, FLOW_RTOL, FLOW_ATOL, min(abs(t - s), FLOW_FIRST_STEP))
 
 
 def _cell_flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,8 +159,8 @@ def propagator_matrix(model: OperatorFamily, s: float, t: float) -> np.ndarray:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
     if model.kind == "diagonal":
-        cums = [mode_cumulative(model, i) for i in range(model.dim)]
-        return np.diag([math.exp(float(c(t)) - float(c(s))) for c in cums])
+        return np.diag([math.exp(float(m.drift_antideriv(t)) - float(m.drift_antideriv(s)))
+                        for m in model.modes])
     return flow(model, s, t)[0]
 
 

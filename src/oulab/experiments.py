@@ -54,7 +54,8 @@ def _system(model: OperatorFamily, cfg: ExperimentConfig) -> meas.EvolutionSyste
         if earliest < model.window[0] or cov.tail_cutoff(model, earliest)[0] >= model.window[0]:
             return meas.gaussian_system(model)
     elif "mean_scale" in model.meta:
-        # integrable slow mode: certified cutoff far in the past
+        # integrable slow mode, no decay certificate: an explicit cutoff far
+        # in the past, whose tail steady_state leaves unbounded (None)
         return meas.gaussian_system(model, s_star=max(-200.0, model.window[0] + 1.0))
     return meas.gaussian_system(model, anchor=max(model.window[0], earliest - 2.0))
 

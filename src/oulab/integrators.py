@@ -2,11 +2,10 @@
 Gauss-Kronrod quadrature.
 
 ``dop853`` is the explicit Runge-Kutta pair of order 8(5,3) of Dormand and
-Prince with its order-7 dense output (Hairer, Norsett and Wanner, *Solving
-ODEs I*, II.5-II.6), under the step control of SciPy's ``solve_ivp`` DOP853:
-the same tableau, initial-step heuristic, error norm and step factors,
-written with the same NumPy operations, so states and interpolant
-coefficients equal that solver's bit for bit.
+Prince (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5), under the step
+control of SciPy's ``solve_ivp`` DOP853: the same tableau, error norm and
+step factors, written with the same NumPy operations, so from the same
+first step its states equal that solver's bit for bit.
 
 ``quad`` bisects the part with the largest error estimate under the
 21-point Gauss-Kronrod rule of QUADPACK (Piessens et al., 1983), keeping the
@@ -45,11 +44,10 @@ ERROR_EXPONENT = -1 / 8  # error estimator of order 7
 
 C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-              0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
-              0.7777777777777778])
+              0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
 # A[i, j]: weight of stage j in stage i, as {i: {j: value}}; row 12 holds
-# the step weights B, rows 13-15 the three extra stages of the dense output
-A = np.zeros((16, 16))
+# the step weights B
+A = np.zeros((N_STAGES + 1, N_STAGES))
 for _i, _row in {
     1: {0: 0.05260015195876773},
     2: {0: 0.0197250569845379, 1: 0.0591751709536137},
@@ -73,15 +71,6 @@ for _i, _row in {
     12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
          7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
          10: 0.20136540080403034, 11: 0.04471061572777259},
-    13: {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
-         8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
-         11: 0.007567897660545699, 12: -0.008298},
-    14: {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
-         7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
-         12: -0.00034046500868740456, 13: 0.1413124436746325},
-    15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
-         7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
-         13: 2.9475147891527724, 14: -9.15095847217987},
 }.items():
     A[_i, list(_row)] = list(_row.values())
 del _i, _row
@@ -93,55 +82,15 @@ E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
 E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
-# the last four interpolant coefficients from the 16 stages (columns 1-4 are 0)
-D = np.zeros((4, 16))
-D[:, [0, *range(5, 16)]] = [
-    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
-     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
-     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
-    (10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
-     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
-     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
-    (19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
-     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
-     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
-    (-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
-     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
-     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
-]
-
-
-def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol) -> float:
-    """Hairer-Norsett-Wanner's starting step, with no step cap."""
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
 
 
 def dop853(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
-           first_step: float | None = None, dense: bool = False):
-    """Integrate y' = fun(t, y) from t0 to t_bound != t0, in either direction.
+           first_step: float) -> np.ndarray:
+    """State at t_bound of y' = fun(t, y), y(t0) = y0, integrated from t0 to
+    t_bound != t0 in either direction, starting with a step of ``first_step``.
 
-    Returns the state at t_bound and, when ``dense``, the accepted steps as
-    (t_old, t, y_old, F): F holds the seven coefficient rows of the step's
-    interpolant.  Without ``first_step`` the first step comes from the
-    starting-step heuristic.  Raises IntegratorDivergedError when a step
-    would fall below ten float spacings of t, as it does on a non-finite
-    right-hand side.
+    Raises IntegratorDivergedError when a step would fall below ten float
+    spacings of t, as it does on a non-finite right-hand side.
     """
     t, t_bound = float(t0), float(t_bound)
     y = np.asarray(y0).astype(float, copy=False)
@@ -149,11 +98,7 @@ def dop853(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
     direction = np.sign(t_bound - t)
     f = rhs(t, y)
     h_abs = first_step
-    if h_abs is None:
-        h_abs = _initial_step(rhs, t, y, t_bound, f, direction, rtol, atol)
-    stages = np.empty((16, y.size))
-    k = stages[:N_STAGES + 1]
-    steps = []
+    k = np.empty((N_STAGES + 1, y.size))
     while direction * (t - t_bound) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -183,18 +128,8 @@ def dop853(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-        if dense:
-            for s in range(N_STAGES + 1, 16):
-                stages[s] = rhs(t + C[s] * h, y + np.dot(stages[:s].T, A[s, :s]) * h)
-            F = np.empty((7, y.size))
-            delta_y = y_new - y
-            F[0] = delta_y
-            F[1] = h * f - delta_y
-            F[2] = 2 * delta_y - h * (f_new + f)
-            F[3:] = h * np.dot(D, stages)
-            steps.append((t, t_new, y, F))
         t, y, f = t_new, y_new, f_new
-    return y, steps
+    return y
 
 
 def _error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:

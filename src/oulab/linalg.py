@@ -41,7 +41,7 @@ class SymOperator:
 
     The input is checked symmetric to within ``SYM_TOL`` relative to its
     largest entry, then symmetrized exactly to kill representation roundoff.
-    Instances are immutable and safe to share across workers.
+    Instances are immutable, so caches and callers may share them.
     """
 
     entries: np.ndarray

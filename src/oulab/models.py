@@ -5,7 +5,8 @@ finite truncation of the state space, together with a query window
 [t_min, t_max] on which all coefficient bounds are checked.  Two kinds are
 supported:
 
-  diagonal   A(t) e_k = a_k(t) e_k,  B(t) e_k = b_k(t) e_k
+  diagonal   A(t) e_k = a_k(t) e_k,  B(t) e_k = b_k(t) e_k, every a_k with
+             a closed-form antiderivative
   dense      A(t), B(t) arbitrary matrix-valued callables
 
 The factories below ship the concrete families used throughout the test
@@ -32,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import quad
 from .linalg import operator_norm
 
 
@@ -96,14 +96,15 @@ def sup_on_window(f: Callable, window: tuple[float, float], step: float = SUP_GR
 class ModeCoefficients:
     """Scalar drift/diffusion coefficients of one diagonal mode.
 
-    ``drift_antideriv``, when supplied, is an exact antiderivative of the
-    drift; U and K of the mode then use it in place of a DOP853 interpolant
-    of the drift.
+    ``drift_antideriv`` is an exact antiderivative c of the drift, taking a
+    float: U of the mode is exp(c(t) - c(s)), and K of the mode takes its
+    exponent from the same c.  A drift without a closed-form integral is a
+    dense model.
     """
 
     drift: Callable
     diffusion: Callable
-    drift_antideriv: Callable | None = None
+    drift_antideriv: Callable
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ class OperatorFamily:
     # dense kind: A and B constant in t and A symmetric, so evolution.flow
     # evaluates (U, K) from one eigendecomposition of A
     autonomous: bool = False
-    # pure-function caches of (s, t) results: the flow memo, the covariance
-    # kernels and the cumulative-drift interpolants
+    # pure-function caches: the flow memo, the covariance kernels and the
+    # spectral decomposition of an autonomous family
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -189,6 +190,30 @@ def make_diagonal_constant(n: int, lam: float, b: float,
     )
 
 
+def _inverse_even_power_antideriv(n: int) -> Callable:
+    """An antiderivative of 1/(1 + t^{2n}), by partial fractions over the
+    roots e^{i theta_j}, theta_j = (2j - 1) pi / (2n), j = 1..n:
+
+        (1/2n) sum_j [2 sin theta_j atan((t - cos theta_j) / sin theta_j)
+                      - cos theta_j ln(t^2 - 2 t cos theta_j + 1)].
+
+    cos theta_j and sin theta_j are taken as the sine and cosine of
+    phi_j = pi/2 - theta_j.  phi_j is 0 for the middle root of an odd n, so
+    that root's cosine is exactly 0 and n = 1 gives atan t to the last bit.
+    """
+    roots = [(math.cos(phi), math.sin(phi))
+             for phi in ((n + 1 - 2 * j) * math.pi / (2 * n) for j in range(1, n + 1))]
+
+    def antideriv(t: float) -> float:
+        acc = 0.0
+        for sin_j, cos_j in roots:
+            acc += 2.0 * sin_j * math.atan((t - cos_j) / sin_j) \
+                - cos_j * math.log(t * t - 2.0 * t * cos_j + 1.0)
+        return acc / (2 * n)
+
+    return antideriv
+
+
 def make_diagonal_rational(n: int, c1: float, c2: float,
                            window: tuple[float, float] = (-50.0, 50.0)) -> OperatorFamily:
     """Diagonal model with rational-in-time drift and oscillating diffusion:
@@ -197,7 +222,9 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
 
     k = 1..n, with c1 > 0 and c2 > 1 so every b_k stays >= c2 - 1 > 0.
     Each a_k is strictly negative but tends to 0 at infinity, so its
-    supremum over a window is window-relative and tiny in magnitude.
+    supremum over a window is window-relative and tiny in magnitude.  Every
+    mode carries the closed-form antiderivative -(k^2 + c1) F_k, with F_k
+    from ``_inverse_even_power_antideriv``; F_1 is atan.
     Note mode 1 has integrable drift, so the propagator does NOT vanish as
     s -> -infinity and no infinite-horizon covariance exists: evolution
     systems for this model must be anchored at a finite start time.
@@ -217,13 +244,12 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
     def diff_k(k):
         return lambda t, k=k: np.sin(k * np.asarray(t, dtype=float)) + c2
 
-    modes = []
-    for k in range(1, n + 1):
-        anti = None
-        if k == 1:
-            anti = lambda t, c=c1: -(1.0 + c) * math.atan(t)
-        modes.append(ModeCoefficients(drift=drift_k(k), diffusion=diff_k(k), drift_antideriv=anti))
-    modes = tuple(modes)
+    def anti_k(k):
+        f, scale = _inverse_even_power_antideriv(k), -(k * k + c1)
+        return lambda t: scale * f(t)
+
+    modes = tuple(ModeCoefficients(drift=drift_k(k), diffusion=diff_k(k), drift_antideriv=anti_k(k))
+                  for k in range(1, n + 1))
     return OperatorFamily(
         name="diag-rational", dim=n, window=window, kind="diagonal", modes=modes,
         meta={"noise_sup": _diag_noise_sup(modes, window)},
@@ -241,12 +267,12 @@ def _as_coefficient(c) -> Callable:
     return c if callable(c) else lambda t, x: c
 
 
-def make_scalar(a: Callable, n: int,
+def make_scalar(a: Callable, n: int, drift_antideriv: Callable,
                 window: tuple[float, float] = (-50.0, 50.0),
-                drift_antideriv: Callable | None = None,
                 require_decay: bool = False) -> OperatorFamily:
     """Scalar model A(t) = a(t) I with identity noise: n identical diagonal
-    modes with drift a and diffusion 1.
+    modes with drift a, its exact antiderivative ``drift_antideriv``, and
+    diffusion 1.
 
     When a0 := sup a over the window is negative a decay certificate
     (1, -a0) is recorded; inequality experiments need that, so
@@ -350,10 +376,19 @@ def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
     )
 
 
-def _rational_quartic_tail(u: float) -> float:
-    """integral of 1/(1+w^4) dw over [0, u], for the substituted far tail."""
-    val, _ = quad(lambda w: 1.0 / (1.0 + w**4), 0.0, u, epsabs=1e-13, epsrel=1e-13)
-    return val
+SQRT2 = math.sqrt(2.0)
+
+
+def _quartic_ratio_antideriv(t: float) -> float:
+    """An antiderivative of t^2 / (1 + t^4):
+
+        (1/2 sqrt2) [atan(sqrt2 t + 1) + atan(sqrt2 t - 1)]
+            + (1/4 sqrt2) ln((t^2 - sqrt2 t + 1) / (t^2 + sqrt2 t + 1)),
+
+    which tends to -pi / (2 sqrt2) as t -> -inf.
+    """
+    return ((math.atan(SQRT2 * t + 1.0) + math.atan(SQRT2 * t - 1.0)) / (2.0 * SQRT2)
+            + math.log((t * t - SQRT2 * t + 1.0) / (t * t + SQRT2 * t + 1.0)) / (4.0 * SQRT2))
 
 
 def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) -> OperatorFamily:
@@ -364,14 +399,15 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
     propagator entry converges to a positive constant as s -> -infinity
     instead of vanishing.  Modes k >= 2 decay hard with a_k = -k^2.  The
     diffusion is b_1(t) = 1/(1 + t^2) (square integrable, keeping the
-    infinite-horizon covariance finite) and b_k = 1 for k >= 2.
+    infinite-horizon covariance finite) and b_k = 1 for k >= 2.  Every mode
+    carries its closed-form drift antiderivative c_k; c_1 is minus
+    ``_quartic_ratio_antideriv``.
 
-    The factory records m(t) = exp(integral of a_1 over (-inf, t]) as
-    ``meta["mean_scale"]``.  Since m solves the mode-1 flow, m(t) e_1 is
-    carried along by the propagator, and shifting any zero-mean evolution
-    system by m(t) e_1 produces a second, distinct system.  The far tail of
-    the integral, below tau = -1, is folded in exactly via the substitution
-    tau = -1/u.
+    The factory records m(t) = exp(c_1(t) - c_1(-inf)) = exp(integral of
+    a_1 over (-inf, t]) as ``meta["mean_scale"]``.  Since m solves the
+    mode-1 flow, m(t) e_1 is carried along by the propagator, and shifting
+    any zero-mean evolution system by m(t) e_1 produces a second, distinct
+    system.  U and m share c_1, so the shift is flow-invariant to roundoff.
     """
     if n < 2:
         raise BadParameterError("need n >= 2 to separate the two regimes")
@@ -384,7 +420,11 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
         t = np.asarray(t, dtype=float)
         return 1.0 / (1.0 + t * t)
 
-    modes = [ModeCoefficients(drift=a1, diffusion=b1)]
+    def c1(t: float) -> float:
+        return -_quartic_ratio_antideriv(t)
+
+    c1_at_minus_inf = math.pi / (2.0 * SQRT2)
+    modes = [ModeCoefficients(drift=a1, diffusion=b1, drift_antideriv=c1)]
     for k in range(2, n + 1):
         modes.append(
             ModeCoefficients(
@@ -395,16 +435,8 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
         )
     modes = tuple(modes)
 
-    head = _rational_quartic_tail(1.0)  # integral of |a1| over (-inf, -1]
-
-    def mode1_cumulative(t: float) -> float:
-        if t <= -1.0:
-            return -_rational_quartic_tail(-1.0 / t)
-        mid, _ = quad(a1, -1.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return -head + mid
-
     def mean_scale(t: float) -> float:
-        return math.exp(mode1_cumulative(t))
+        return math.exp(c1(t) - c1_at_minus_inf)
 
     return OperatorFamily(
         name="nonunique-demo", dim=n, window=window, kind="diagonal", modes=modes,

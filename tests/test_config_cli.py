@@ -10,6 +10,7 @@ import pytest
 import oulab
 from oulab import cli
 from oulab.config import ConfigError, ExperimentConfig
+from oulab.experiments import run_suite
 
 
 def small_config(**over):
@@ -94,6 +95,31 @@ def test_cli_unknown_key_exits_two(tmp_path, capsys, old, new):
     path.write_text(text.replace(old, new, 1))
     assert cli.main(["evolve", str(path)]) == cli.EXIT_CONFIG_INVALID
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("sharpness_p = 4.5, 6.0", "sharpness_p ="),  # no sharpness exponent
+    ("triple_span = 1.5", "triple_span = -1.0"),   # triples with t < s
+    ("t_values = -0.8, -0.4, 0.0, 0.4", "t_values = -5.0"),  # no pair s < t
+])
+def test_cli_unusable_grid_exits_two_without_report(tmp_path, capsys, old, new):
+    text = (REPO / "configs" / "parabolic_1d.cfg").read_text()
+    assert old in text
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, new, 1))
+    out = tmp_path / "o"
+    assert cli.main(["report-all", str(path), "--outdir", str(out)]) == cli.EXIT_CONFIG_INVALID
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.cfg")))
+def test_shipped_config_report_all_passes_with_small_samples(tmp_path, name):
+    cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / name),
+                              mc_samples=5000, spde_paths=5000)
+    report = run_suite("report-all", cfg, tmp_path)
+    assert {c["status"] for c in report.checks} <= {"PASS", "REPORT"}, \
+        [c for c in report.checks if c["status"] not in ("PASS", "REPORT")]
 
 
 def test_config_accepts_every_optional_key():

@@ -34,24 +34,6 @@ def test_rational_mode_one_arctangent(rational4):
     assert evo.propagator_matrix(rational4, 0.0, 1.0)[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("which, idx", [("rational4", 1), ("rational4", 2), ("rational4", 3),
-                                        ("nonunique3", 0)])
-def test_mode_cumulative_matches_dop853_dense_output_bitwise(request, which, idx):
-    # the solve and the float evaluator follow SciPy's DOP853 and OdeSolution
-    # operation for operation; a change on either side shows up as a mismatch
-    from scipy import integrate
-
-    model = request.getfixturevalue(which)
-    mode = model.modes[idx]
-    assert mode.drift_antideriv is None
-    ref = integrate.solve_ivp(lambda u, y: [float(mode.drift(u))], model.window, [0.0],
-                              method="DOP853", dense_output=True, rtol=1e-13, atol=1e-14).sol
-    cum = evo.mode_cumulative(model, idx)
-    rand = np.random.default_rng(20261018).uniform(*model.window, 2000)
-    points = [float(u) for u in np.concatenate([ref.ts, model.window, rand])]
-    assert [cum(u) for u in points] == [float(ref(u)[0]) for u in points]
-
-
 def test_chain_law_all_kinds(dc8, rational4, scalar4, parabolic5, nonunique3):
     gen = seed_stream(5, "chain-test")
     for model in (dc8, rational4, scalar4, parabolic5, nonunique3):

@@ -76,7 +76,8 @@ def test_scalar_constant_reduces_to_diagonal_constant(dc4):
 
 def test_scalar_decay_required_when_requested():
     with pytest.raises(BadParameterError):
-        make_scalar(lambda t: np.ones_like(np.asarray(t, float)), 2, require_decay=True)
+        make_scalar(lambda t: np.ones_like(np.asarray(t, float)), 2, drift_antideriv=lambda t: t,
+                    require_decay=True)
 
 
 def test_parabolic_stencil_matches_textbook():
@@ -209,6 +210,25 @@ def test_nonunique_mean_scale_against_quadrature_oracle(nonunique3):
     # m stays in (0, 1]
     for t in (-200.0, -5.0, 0.0, 3.0, 40.0):
         assert 0.0 < scale(t) <= 1.0
+
+
+@pytest.mark.parametrize("which", ["rational4", "nonunique3"])
+def test_drift_antiderivatives_match_quadrature(request, which):
+    # oracle: SciPy's adaptive quadrature of the drift itself, at 1e-13
+    model = request.getfixturevalue(which)
+    pairs = np.sort(np.random.default_rng(13).uniform(*model.window, (50, 2)), axis=1)
+    for mode in model.modes:
+        c = mode.drift_antideriv
+        for s, t in pairs.tolist():
+            ref, _ = integrate.quad(lambda u: float(mode.drift(u)), s, t,
+                                    epsabs=1e-13, epsrel=1e-13, limit=400)
+            assert abs(c(t) - c(s) - ref) <= 1e-13 * max(1.0, abs(ref))
+    if "mean_scale" in model.meta:
+        a1 = model.modes[0].drift
+        for t in pairs[:, 1].tolist():
+            tail, _ = integrate.quad(lambda u: float(a1(u)), -np.inf, t,
+                                     epsabs=1e-13, epsrel=1e-13, limit=400)
+            assert model.meta["mean_scale"](t) == pytest.approx(math.exp(tail), rel=1e-13)
 
 
 def test_nonunique_requires_two_modes():
