@@ -64,6 +64,8 @@ def _seeded_triples(model, cfg):
     gen = seed_stream(cfg.seed, "triples")
     lo = max(model.window[0], min(cfg.s_values) - 1.0)
     hi = min(model.window[1], max(cfg.t_values) + 1.0)
+    if hi <= lo:
+        raise WindowExceededError(f"the grids lie outside the window {model.window}")
     span = min(cfg.triple_span, hi - lo)
     for _ in range(cfg.triple_count):
         base = lo + (hi - lo - span) * gen.random()
@@ -154,7 +156,13 @@ def run_covariance(model, cfg, report: RunReport, outdir: Path) -> None:
     if model.decay is not None and model.decay[1] > 0:
         t0 = float(cfg.t_values[0])
         zeta = model.decay[1]
-        horizons = [c / zeta for c in (2.0, 4.0, 8.0, 16.0)]
+        horizons = [c / zeta for c in (2.0, 4.0, 8.0, 16.0)
+                    if t0 - c / zeta >= model.window[0]]
+        if len(horizons) < 2:
+            report.add("covariance.monotone-horizon", "REPORT",
+                       f"window {model.window} holds {len(horizons)} of the 4 "
+                       f"horizons before t = {t0:g}; monotonicity is not checked")
+            return
         traces = [np.trace(cov.accumulated(model, t0 - h, t0).matrix) for h in horizons]
         limit = np.trace(cov.steady_state(model, t0).matrix)
         monotone = all(b >= a - 1e-12 for a, b in zip(traces, traces[1:]))
@@ -279,10 +287,9 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
     t = REF_T
     s = t - HYPER_GAP
     p_values = list(cfg.hyper_p_values) + [HYPER_Q]
-    # one sample and one propagation per probe serve every exponent
-    by_probe = [ineq.hypercontractivity_check(model, s, t, HYPER_Q, p_values, phi, kappa,
-                                              cfg.mc_samples, cfg.seed + i, system=system)
-                for i, phi in enumerate(_hyper_probes(model, cfg))]
+    probes = _hyper_probes(model, cfg)
+    by_probe = [ineq.hyper_quadrature(model, s, t, HYPER_Q, p_values, phi, kappa, system=system)
+                for phi in probes]
     rows, all_pass = [], True
     for k, p in enumerate(p_values):
         for i, reports in enumerate(by_probe):
@@ -295,6 +302,21 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
               rows)
     report.add("hyper.norm-inequality", "PASS" if all_pass else "FAIL",
                f"kappa {kappa:.6g}, curve p_max {ineq.exponent_curve(HYPER_Q, t - s, kappa):.4g}")
+
+    # Monte Carlo on the first probes: one sample and one propagation per
+    # probe serve every exponent
+    worst = 0.0
+    for i, phi in enumerate(probes[:3]):
+        mc = ineq.hypercontractivity_check(model, s, t, HYPER_Q, p_values, phi, kappa,
+                                           cfg.mc_samples, cfg.seed + i, system=system)
+        for quad, sampled in zip(by_probe[i], mc):
+            tol = max(4.0 * (sampled.lhs_err + sampled.rhs_err)
+                      + quad.lhs_err + quad.rhs_err, 1e-12)
+            worst = max(worst, abs(quad.lhs - sampled.lhs) / tol,
+                        abs(quad.rhs - sampled.rhs) / tol)
+    report.add("hyper.quadrature-vs-mc", "PASS" if worst <= 1.0 else "FAIL",
+               f"quadrature and Monte Carlo norms differ by at most {worst:.3f} of "
+               "4 stderr plus the quadrature error, on 3 probes")
 
     fam = ineq.capped_exponential_family(model.dim)
     srows = ineq.sharpness_probe(model, s, t, HYPER_Q, cfg.sharpness_p_values, fam, kappa,
@@ -341,10 +363,16 @@ def run_ergodic(model, cfg, report: RunReport, outdir: Path) -> None:
                    "model has no certified decay rate; the start-time limit "
                    "need not exist and is not checked")
         return
+    s_values = [s for s in ERGODIC_S_VALUES if s >= model.window[0]]
+    if len(s_values) < 2:
+        report.add("ergodic.long-time-limit", "REPORT",
+                   f"window {model.window} holds {len(s_values)} of the "
+                   f"{len(ERGODIC_S_VALUES)} start times; the limit is not checked")
+        return
     system = _system(model, cfg)
     e1 = np.eye(model.dim)[0]
     poly = mehler.TrigPolynomial.plane_wave(e1)
-    rep = meas.verify_long_time_limit(model, REF_T, e1, ERGODIC_S_VALUES, poly, system=system)
+    rep = meas.verify_long_time_limit(model, REF_T, e1, s_values, poly, system=system)
     rows = list(zip(rep.s_values, rep.differences, rep.schedule_bound))
     write_csv(outdir / "ergodic.csv", ["s", "difference", "schedule_bound"], rows)
     ok = rep.monotone and rep.final_below

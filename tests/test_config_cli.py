@@ -187,19 +187,19 @@ def test_run_meta_times_each_subcommand_that_ran(tmp_path):
 
 
 def test_numerical_error_is_an_error_row_and_the_other_subcommands_run(tmp_path):
-    # the window ends above the covariance grid's earliest s, so run_covariance
-    # raises WindowExceededError partway through
+    # the window starts at the grid's earliest s, so the finite-difference
+    # stencil of the covariance derivatives steps out of it partway through
     cfg = ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg")
     path = tmp_path / "narrow.cfg"
-    path.write_text(dataclasses.replace(cfg, window=(-3.0, 5.0), mc_samples=2000,
+    path.write_text(dataclasses.replace(cfg, window=(-2.0, 5.0), mc_samples=2000,
                                         spde_paths=2000).to_text())
     out = tmp_path / "out"
     assert cli.main(["report-all", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
     assert checks["covariance.error"]["status"] == "ERROR"
-    assert checks["covariance.error"]["detail"].startswith("WindowExceededError: time -3.75")
+    assert checks["covariance.error"]["detail"].startswith("WindowExceededError: time -2.0001")
     assert checks["evolve.chain-law"]["status"] == "PASS"
-    # the steady-state cutoff falls before -3, so the system is anchored instead
+    # the steady-state cutoff falls before -2, so the system is anchored instead
     assert checks["invariance.gaussian-system"]["status"] == "PASS"
     assert "anchor" in checks["invariance.gaussian-system"]["detail"]
     assert "invariance.error" not in checks
@@ -217,6 +217,38 @@ def test_times_before_the_window_stay_error_rows(tmp_path):
     assert checks["invariance.error"]["detail"].startswith("WindowExceededError: time -2")
     assert any(name.startswith("spde.") for name in checks)
     assert any(name.startswith("ergodic.") for name in checks)
+
+
+def test_grids_outside_the_window_are_an_evolve_error_row(tmp_path):
+    # the window starts after every grid time, so no seeded triple fits in it
+    cfg = ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg")
+    path = tmp_path / "beyond.cfg"
+    path.write_text(dataclasses.replace(cfg, window=(10.0, 20.0)).to_text())
+    out = tmp_path / "out"
+    assert cli.main(["evolve", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["evolve.error"]["detail"].startswith("WindowExceededError:")
+
+
+def test_short_window_keeps_the_horizon_and_ergodic_checks(tmp_path):
+    # every grid pair fits in [-3, 5], but none of the monotone-horizon start
+    # times and only two of the ergodic start times do: the horizon check
+    # reports, the ergodic check runs on what fits, and neither is an ERROR row
+    cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg"),
+                              window=(-3.0, 5.0))
+    checks = {c["name"]: c for sub in ("covariance", "ergodic")
+              for c in run_suite(sub, cfg, tmp_path).checks}
+    assert "covariance.error" not in checks and "ergodic.error" not in checks
+    assert checks["covariance.monotone-horizon"]["status"] == "REPORT"
+    assert "(-3.0, 5.0)" in checks["covariance.monotone-horizon"]["detail"]
+    rows = (tmp_path / "ergodic.csv").read_text().splitlines()[2:]
+    assert [float(r.split(",")[0]) for r in rows] == [-1.0, -2.0]
+    # a window holding one ergodic start time reports instead
+    late = dataclasses.replace(cfg, window=(-1.5, 5.0))
+    report = run_suite("ergodic", late, tmp_path / "late")
+    assert [(c["name"], c["status"]) for c in report.checks] == \
+        [("ergodic.long-time-limit", "REPORT")]
+    assert "(-1.5, 5.0)" in report.checks[0]["detail"]
 
 
 def test_contraction_curve_scan_script_writes_its_table(tmp_path):

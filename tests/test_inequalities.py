@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from oulab import inequalities as ineq
 from oulab import measures as meas
 from oulab.config import ExperimentConfig
 from oulab.evolution import DecayCertificate, fit_decay
-from oulab.mehler import CylindricalFunction, TrigPolynomial
+from oulab.mehler import CylindricalFunction, TrigPolynomial, propagate_trig
 from oulab.models import build_model
 from oulab.reporting import RunReport
 
@@ -251,9 +252,67 @@ def test_run_hyper_draws_once_per_probe(monkeypatch, tmp_path):
     report = RunReport(cfg.to_text(), "test")
     experiments.run_hyper(model, cfg, report, tmp_path)
     assert sorted(set(calls)) == ["hyper-outer", "hyper-rhs"]
-    assert len(calls) == 2 * 10
+    assert len(calls) == 2 * 3  # the Monte Carlo cross-check probes
     # rows stay p-major, probe-minor
     rows = [line.split(",") for line in (tmp_path / "hyper.csv").read_text().splitlines()[2:]]
     p_values = list(cfg.hyper_p_values) + [experiments.HYPER_Q]
     assert [(float(r[3]), int(r[5])) for r in rows] == [(p, i) for p in p_values
                                                         for i in range(10)]
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+def _exact_l2(phi, mu):
+    """sqrt(sum_jk c_j conj(c_k) exp(-<S(h_j - h_k), h_j - h_k>/2)) under the
+    zero-mean N(0, S)."""
+    d = phi.freqs[:, None, :] - phi.freqs[None, :, :]
+    forms = np.einsum("jki,il,jkl->jk", d, mu.cov.entries, d)
+    return math.sqrt(float(np.sum(np.outer(phi.coeffs, phi.coeffs.conj())
+                                  * np.exp(-0.5 * forms)).real))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_hyper_quadrature_l2_norm_is_exact(path):
+    cfg = ExperimentConfig.from_file(path)
+    window = {} if cfg.window is None else {"window": cfg.window}
+    model = build_model(cfg.model_name, {**cfg.model_params, **window})
+    system = experiments._system(model, cfg)
+    t = experiments.REF_T
+    s = t - experiments.HYPER_GAP
+    for phi in experiments._hyper_probes(model, cfg):
+        for poly in (phi, propagate_trig(model, s, t, phi)):
+            for tau in (s, t):
+                mu = system(tau)
+                (norm,) = ineq._quad_p_norms(poly, mu, [2.0], ineq.GH_NODES)
+                assert norm == pytest.approx(_exact_l2(poly, mu), rel=1e-12, abs=0.0)
+
+
+def test_hyper_quadrature_direction_count(dc8, dc_kappa, dc_system):
+    t = math.log(2.0)
+    const = TrigPolynomial.constant(8, 1.5)
+    (rep,) = ineq.hyper_quadrature(dc8, 0.0, t, 2.0, [3.0], const, dc_kappa, system=dc_system)
+    assert (rep.lhs, rep.rhs, rep.lhs_err, rep.rhs_err) == (1.5, 1.5, 0.0, 0.0)
+    three = const + TrigPolynomial.cosine(np.eye(8)[0]) + TrigPolynomial.sine(np.eye(8)[1]) \
+        + TrigPolynomial.cosine(np.eye(8)[0] + np.eye(8)[2])
+    with pytest.raises(ValueError, match="at most 2 frequency directions"):
+        ineq.hyper_quadrature(dc8, 0.0, t, 2.0, [3.0], three, dc_kappa, system=dc_system)
+
+
+def test_hyper_quadrature_vs_mc_can_fail(monkeypatch, tmp_path):
+    cfg = ExperimentConfig(mc_samples=100_000, sharpness_p_values=(4.5,))
+    model = build_model(cfg.model_name, None)
+    real = ineq.hyper_quadrature
+
+    def inflated(*args, **kwargs):
+        return [dataclasses.replace(r, lhs=r.lhs * (1.0 + 1e-2)) for r in real(*args, **kwargs)]
+
+    checks = {}
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(ineq, "hyper_quadrature", inflated)
+        report = RunReport(cfg.to_text(), "test")
+        experiments.run_hyper(model, cfg, report, tmp_path)
+        checks[patch] = {c["name"]: c["status"] for c in report.checks}
+    assert checks[False]["hyper.quadrature-vs-mc"] == "PASS"
+    assert checks[True]["hyper.quadrature-vs-mc"] == "FAIL"
