@@ -32,7 +32,7 @@ import numpy as np
 
 from .evolution import FLOW_ATOL, FLOW_RTOL, flow, propagator_matrix
 from .integrators import quad
-from .linalg import PSD_TOL, NotPSDError, SymOperator
+from .linalg import SymOperator, clamp_psd
 from .models import OperatorFamily, WindowExceededError
 
 MODE_TOL = 1e-11
@@ -58,19 +58,6 @@ class CovarianceKernel:
     @property
     def matrix(self) -> np.ndarray:
         return self.op.entries
-
-
-def _ensure_psd(mat: np.ndarray) -> SymOperator:
-    """Clamp eigenvalues in [-PSD_TOL, 0) to zero; reject worse."""
-    sym = 0.5 * (mat + mat.T)
-    w = np.linalg.eigvalsh(sym)
-    lo = float(w.min())
-    if lo < -PSD_TOL:
-        raise NotPSDError(f"covariance has eigenvalue {lo:.3e}")
-    if lo < 0.0:
-        w2, v = np.linalg.eigh(sym)
-        sym = (v * np.clip(w2, 0.0, None)) @ v.T
-    return SymOperator(sym)
 
 
 # -- per-mode machinery ------------------------------------------------------
@@ -110,12 +97,12 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
             if id(mode) not in by_mode:
                 by_mode[id(mode)] = mode_accumulated(model, i, s, t)
         diag = [by_mode[id(mode)] for mode in model.modes]
-        kern = CovarianceKernel(s, t, _ensure_psd(np.diag(diag)),
+        kern = CovarianceKernel(s, t, clamp_psd(np.diag(diag)),
                                 {"method": "per-mode quad", "tol": MODE_TOL})
     else:
         method = ({"method": "spectral"} if model.autonomous
                   else {"method": "flow", "rtol": FLOW_RTOL, "atol": FLOW_ATOL})
-        kern = CovarianceKernel(s, t, _ensure_psd(flow(model, s, t)[1]), method)
+        kern = CovarianceKernel(s, t, clamp_psd(flow(model, s, t)[1]), method)
     cache[key] = kern
     return kern
 

@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import IntegratorDivergedError, dop853
-from .linalg import (CameronMartinMetric, SymOperator, operator_norm, pseudo_inverse_apply,
-                     sqrt_psd)
+from .linalg import SymOperator, operator_norm, range_inverse, sqrt_psd
 from .models import OperatorFamily
 
 FLOW_RTOL = 1e-12
@@ -182,21 +181,21 @@ def cm_operator_norm(model: OperatorFamily, s: float, t: float) -> float:
     """Norm of U(t, s) between the noise-range metrics at times s and t.
 
     Computed as the spectral norm of R_t^-1 U(t, s) R_s with R_r the PSD
-    square root of B(r) B(r)^T and R_t^-1 its pseudo-inverse.  Raises when
-    U(t, s) pushes the range of R_s outside the range of R_t by more than
-    RANGE_TOL relative; the mapping is ill posed in that case.
+    square root of B(r) B(r)^T and R_t^-1 its pseudo-inverse, applied from
+    the factors of ``range_inverse``.  Raises when U(t, s) pushes the range
+    of R_s outside the range of R_t (the eigenvectors with w+ > 0) by more
+    than RANGE_TOL relative; the mapping is ill posed in that case.
     """
     u = propagator_matrix(model, s, t)
     root_s = sqrt_psd(SymOperator(model.diffusion_matrix(s))).entries
-    metric_t = CameronMartinMetric(sqrt_psd(SymOperator(model.diffusion_matrix(t))))
+    v, inv = range_inverse(sqrt_psd(SymOperator(model.diffusion_matrix(t))))
     mapped = u @ root_s
-    dec = metric_t._decomp
-    v_range = dec.eigenvectors[:, dec.eigenvalues > metric_t._cut]
+    v_range = v[:, inv > 0.0]
     residual = mapped - v_range @ (v_range.T @ mapped)
     if float(np.abs(residual).max()) > RANGE_TOL * max(1.0, float(np.abs(mapped).max())):
         raise RangeIncompatibleError(
             "range of the start metric is not carried into the end metric")
-    return operator_norm(pseudo_inverse_apply(metric_t, u) @ root_s)
+    return operator_norm((v @ ((v.T @ u).T * inv).T) @ root_s)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,18 @@
 """Dense symmetric linear algebra substrate.
 
-Spectral decompositions, PSD square roots and factors, and the norm
-induced by a covariance-type operator R on its range,
-
-    <x, y>_R = <R^-1 x, R^-1 y>,
-
-with R^-1 the pseudo-inverse (zero on ker R), applied through the spectral
-factors of R and never formed as a matrix.  Everything is dense: the
-working dimensions are a few hundred at most, so no sparse machinery.
+``psd_eigh`` is the one eigendecomposition of a PSD operator: eigenvalues
+in descending order, roundoff negatives down to -PSD_TOL clipped to 0, and
+NotPSDError below that.  PSD square roots and factors, the clamp of
+assembled covariances, and the range inverse of a covariance-type operator
+R are built on it.  The range inverse returns R^-1, the pseudo-inverse (zero
+on ker R), as its spectral factors, so callers apply it without forming it
+as a matrix.  Everything is dense: the working dimensions are a few hundred
+at most, so no sparse machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,6 @@ class NonSymmetricError(ValueError):
 
 class NotPSDError(ValueError):
     """Matrix has an eigenvalue below the PSD tolerance."""
-
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -56,14 +50,13 @@ class SymOperator:
             raise NonSymmetricError(
                 f"asymmetry {asym:.3e} exceeds {SYM_TOL:.0e} * {scale:.3e}"
             )
-        object.__setattr__(self, "entries", _as_readonly(0.5 * (a + a.T)))
+        sym = 0.5 * (a + a.T)
+        sym.setflags(write=False)
+        object.__setattr__(self, "entries", sym)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(x, dtype=float)
 
     def quadratic_form(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -73,114 +66,60 @@ class SymOperator:
     def zero(dim: int) -> "SymOperator":
         return SymOperator(np.zeros((dim, dim)))
 
-    @staticmethod
-    def identity(dim: int) -> "SymOperator":
-        return SymOperator(np.eye(dim))
 
-    @staticmethod
-    def diagonal(values) -> "SymOperator":
-        return SymOperator(np.diag(np.asarray(values, dtype=float)))
+def psd_eigh(s: SymOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w, descending, and orthonormal eigenvector columns V of
+    a PSD operator, S = V diag(w) V^T.
 
-
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigenpairs of a symmetric operator, eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, orthonormal
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors))
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
-
-def spectral(s: SymOperator) -> SpectralDecomp:
-    """Full symmetric eigendecomposition, descending eigenvalue order."""
-    w, v = np.linalg.eigh(s.entries)
-    order = np.argsort(w)[::-1]
-    return SpectralDecomp(w[order], v[:, order])
-
-
-def sqrt_psd(s: SymOperator) -> SymOperator:
-    """Symmetric PSD square root.
-
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero: covariances assembled
+    Eigenvalues in [-PSD_TOL, 0) are clipped to zero: covariances assembled
     by quadrature carry that much roundoff.  Anything more negative is a
     genuine failure and raises NotPSDError.
     """
-    dec = spectral(s)
-    w = np.array(dec.eigenvalues)
-    if w.min(initial=0.0) < -PSD_TOL:
-        raise NotPSDError(f"minimum eigenvalue {w.min():.3e} < -{PSD_TOL:.0e}")
-    w = np.clip(w, 0.0, None)
-    v = dec.eigenvectors
+    w, v = np.linalg.eigh(s.entries)
+    order = np.argsort(w)[::-1]
+    w, v = w[order], v[:, order]
+    if w[-1] < -PSD_TOL:
+        raise NotPSDError(f"minimum eigenvalue {w[-1]:.3e} < -{PSD_TOL:.0e}")
+    return np.clip(w, 0.0, None), v
+
+
+def sqrt_psd(s: SymOperator) -> SymOperator:
+    """Symmetric PSD square root."""
+    w, v = psd_eigh(s)
     return SymOperator((v * np.sqrt(w)) @ v.T)
 
 
-@dataclass(frozen=True)
-class CameronMartinMetric:
-    """Range-space metric of a symmetric non-negative operator R.
+def spectral_factor(s: SymOperator) -> np.ndarray:
+    """Factor L with L L^T = S.  Kernel directions give zero columns, so
+    degenerate covariances sample with those modes pinned."""
+    w, v = psd_eigh(s)
+    return v * np.sqrt(w)
 
-    Eigenvalues at or below RANK_CUT times the largest one count as kernel:
-    the continuous theory works with exact kernels, a numerical threshold
-    is mandatory here.
+
+def clamp_psd(mat: np.ndarray) -> SymOperator:
+    """The symmetric part of an assembled covariance: unchanged when its
+    smallest eigenvalue is above 0, else rebuilt from the eigenvalues of
+    ``psd_eigh``, clipped at 0."""
+    sym = SymOperator(0.5 * (mat + mat.T))
+    w, v = psd_eigh(sym)
+    return sym if w[-1] > 0.0 else SymOperator((v * w) @ v.T)
+
+
+def range_inverse(r: SymOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral factors (V, w+) of the pseudo-inverse R^-1 = V diag(w+) V^T.
+
+    w+ is 1/w on eigenvalues above RANK_CUT times the largest one and 0 on
+    the rest, which count as kernel: the continuous theory works with exact
+    kernels, a numerical threshold is mandatory here.  Apply the factors in
+    turn, V (w+ * (V^T y)): the formed matrix of R^-1 would lose about
+    cond(R) * eps of the left identity R R^-1 y = y on the range.
     """
-
-    base: SymOperator
-    _decomp: SpectralDecomp = field(init=False, repr=False, compare=False)
-    _cut: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        dec = spectral(self.base)
-        top = float(dec.eigenvalues.max(initial=0.0))
-        object.__setattr__(self, "_decomp", dec)
-        object.__setattr__(self, "_cut", RANK_CUT * max(top, 0.0))
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def inverse_eigenvalues(self) -> np.ndarray:
-        """1/w on eigenvalues above the cut, 0 on the kernel."""
-        w = self._decomp.eigenvalues
-        return np.where(w > self._cut, 1.0 / np.where(w > self._cut, w, 1.0), 0.0)
-
-
-def pseudo_inverse_apply(metric: CameronMartinMetric, y: np.ndarray) -> np.ndarray:
-    """Apply R^-1 to a vector, or to each column of a matrix: the unique
-    preimage of y in (ker R)^perp.
-
-    Components of y along kernel directions map to zero, so the left identity
-    R (R^-1 y) = y - P_ker y holds by construction.  The factors are applied
-    in turn, V (w^+ * (V^T y)), with w^+ scaling the rows of V^T y: the
-    formed matrix of R^-1 would lose about cond(R) * eps of the identity.
-    """
-    y = np.asarray(y, dtype=float)
-    v = metric._decomp.eigenvectors
-    return v @ ((v.T @ y).T * metric.inverse_eigenvalues()).T
-
-
-def cm_norm(metric: CameronMartinMetric, x: np.ndarray) -> float:
-    return float(np.linalg.norm(pseudo_inverse_apply(metric, x)))
+    w, v = psd_eigh(r)
+    inv = np.zeros_like(w)
+    np.divide(1.0, w, out=inv, where=w > RANK_CUT * w[0])
+    return v, inv
 
 
 def operator_norm(a: np.ndarray) -> float:
     """Spectral norm of a dense matrix."""
     return float(np.linalg.norm(a, 2))
-
-
-def spectral_factor(s: SymOperator) -> np.ndarray:
-    """Factor L with L L^T = S, built from the spectral decomposition.
-
-    Kernel directions give zero columns, so degenerate covariances sample
-    with those modes pinned.
-    """
-    dec = spectral(s)
-    w = np.array(dec.eigenvalues)
-    if w.min(initial=0.0) < -PSD_TOL:
-        raise NotPSDError(f"minimum eigenvalue {w.min():.3e} < -{PSD_TOL:.0e}")
-    return dec.eigenvectors * np.sqrt(np.clip(w, 0.0, None))

@@ -251,6 +251,38 @@ def test_short_window_keeps_the_horizon_and_ergodic_checks(tmp_path):
     assert "(-1.5, 5.0)" in report.checks[0]["detail"]
 
 
+def test_short_window_keeps_the_adjoint_spans_inside(tmp_path):
+    # every grid pair fits in [-1.5, 1.0], but unshrunk adjoint spans from the
+    # earliest start s = -1 reach up to 1.5
+    cfg = ExperimentConfig.from_file(REPO / "configs" / "parabolic_1d.cfg")
+    path = tmp_path / "short.cfg"
+    path.write_text(dataclasses.replace(cfg, window=(-1.5, 1.0)).to_text())
+    out = tmp_path / "out"
+    assert cli.main(["evolve", str(path), "--outdir", str(out)]) == cli.EXIT_OK
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["evolve.adjoint"]["status"] == "PASS"
+    assert checks["evolve.decay-certificates"]["status"] == "PASS"
+    # a window that ends at the earliest start leaves no span at all
+    path.write_text(dataclasses.replace(cfg, window=(-1.5, -1.0)).to_text())
+    assert cli.main(["evolve", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["evolve.error"]["detail"].startswith("WindowExceededError:")
+    assert "evolve.adjoint" not in checks
+
+
+def test_horizon_check_without_the_tail_cutoff_has_no_inf_row(tmp_path):
+    # [-9, 5] holds the horizons 2 and 4 before t = -1.75, not the tail
+    # cutoff -13.956 of K(t, -inf)
+    cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg"),
+                              window=(-9.0, 5.0))
+    checks = {c["name"]: c for c in run_suite("covariance", cfg, tmp_path).checks}
+    assert "covariance.error" not in checks
+    assert checks["covariance.monotone-horizon"]["status"] == "PASS"
+    assert "no inf row" in checks["covariance.monotone-horizon"]["detail"]
+    rows = (tmp_path / "covariance_horizon.csv").read_text().splitlines()[2:]
+    assert [r.split(",")[0] for r in rows] == ["2", "4"]
+
+
 def test_contraction_curve_scan_script_writes_its_table(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(oulab.__file__).parents[1]))
     subprocess.run([sys.executable, str(REPO / "scripts" / "contraction_curve_scan.py"),

@@ -9,7 +9,8 @@ from oulab import covariance as cov
 from oulab import evolution as evo
 from oulab import experiments
 from oulab.config import ExperimentConfig
-from oulab.models import OperatorFamily, build_model, make_diagonal_constant, make_parabolic_1d
+from oulab.models import (ModeCoefficients, OperatorFamily, build_model, make_diagonal_constant,
+                          make_parabolic_1d)
 from oulab.reporting import RunReport
 from oulab.rng import seed_stream
 
@@ -233,6 +234,26 @@ def test_range_norm_with_non_scalar_noise(rational4, s, t):
     u = np.diag(evo.propagator_matrix(rational4, s, t))
     expected = float(np.max(np.abs(u) * np.abs(b(s)) / np.abs(b(t))))
     assert evo.cm_operator_norm(rational4, s, t) == pytest.approx(expected, rel=1e-12)
+
+
+def test_range_norm_drops_the_noise_kernel():
+    # the noiseless third mode decays slowest; on the kernel of R_t the range
+    # inverse is 0, not 1/0, so the norm is the max over the two noisy modes
+    coeffs = ((-1.0, 2.0), (-2.0, 0.5), (-0.1, 0.0))
+    modes = tuple(ModeCoefficients(drift=lambda t, a=a: a, diffusion=lambda t, b=b: b,
+                                   drift_antideriv=lambda t, a=a: a * t) for a, b in coeffs)
+    model = OperatorFamily(name="singular-noise", dim=3, window=(-5.0, 5.0),
+                           kind="diagonal", modes=modes)
+    assert evo.cm_operator_norm(model, 0.0, 1.5) == pytest.approx(math.exp(-1.5), rel=1e-12)
+
+
+def test_range_norm_rejects_a_drift_that_leaves_the_noise_range():
+    # noise on the first node only: the Laplacian carries it to the second
+    # node, outside the range of R_t
+    noise = np.diag([1.0, 0.0, 0.0, 0.0, 0.0])
+    model = make_parabolic_1d(5, a=1.0, a0=-1.0, window=(-2.0, 2.0), noise=lambda t: noise)
+    with pytest.raises(evo.RangeIncompatibleError):
+        evo.cm_operator_norm(model, 0.0, 0.5)
 
 
 def _run_evolve_with_range_fit(monkeypatch, tmp_path, model, exc):

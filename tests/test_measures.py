@@ -12,7 +12,7 @@ from oulab.mehler import TrigPolynomial, apply_exact
 
 
 def test_characteristic_at_zero_is_one():
-    mu = GaussianMeasure(np.array([0.3, -1.0]), SymOperator.diagonal([2.0, 0.5]))
+    mu = GaussianMeasure(np.array([0.3, -1.0]), SymOperator(np.diag([2.0, 0.5])))
     assert characteristic(mu, np.zeros(2)) == pytest.approx(1.0 + 0.0j)
 
 
@@ -26,7 +26,7 @@ def test_characteristic_steady_state_constant_model(dc8):
 def test_shifted_characteristic_is_product():
     # convolving with a point mass multiplies the characteristic function
     # by a pure phase; the mean-shift construction must agree
-    cov = SymOperator.diagonal([0.5, 0.25])
+    cov = SymOperator(np.diag([0.5, 0.25]))
     base = GaussianMeasure(np.zeros(2), cov)
     v = np.array([0.7, -0.2])
     shifted = GaussianMeasure(v, cov)
