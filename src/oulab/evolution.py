@@ -254,8 +254,18 @@ def fit_decay(model: OperatorFamily, pairs, mode: str = "operator") -> DecayCert
     exactly 0, and the snap keeps their certificates clean.
     A single-pair grid is interpolated exactly: scale 1 when the norm
     decays, otherwise rate 0.
+    A certificate is a pure function of (mode, pairs), so a fitted one is
+    kept in ``model.memo["decay"]`` and returned by later calls; a failed
+    fit is not kept.
     """
     pairs = tuple((float(s), float(t)) for s, t in pairs)
+    memo = model.memo.setdefault("decay", {})
+    if (mode, pairs) not in memo:
+        memo[mode, pairs] = _fit_decay(model, pairs, mode)
+    return memo[mode, pairs]
+
+
+def _fit_decay(model: OperatorFamily, pairs: tuple, mode: str) -> DecayCertificate:
     if not pairs:
         raise FitFailedError("empty grid")
     if any(t <= s for s, t in pairs):

@@ -13,6 +13,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import math
+import resource
 import time
 from pathlib import Path
 
@@ -366,9 +367,8 @@ def run_spde(model, cfg, report: RunReport, outdir: Path) -> None:
                "PASS" if gap <= 4.0 * stderr + 1e-12 else "FAIL",
                f"|mc - exact| = {gap:.3e} vs 4 stderr {4*stderr:.3e}")
 
-    head = min(10, ens.count)
     rows = []
-    for pid in range(head):
+    for pid in range(min(spde.HEAD, ens.count)):
         for k, tt in enumerate(ens.times):
             for i in range(model.dim):
                 rows.append((pid, tt, i, ens.states[pid, i, k]))
@@ -432,5 +432,6 @@ def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> RunReport:
         except NUMERICAL_ERRORS as exc:
             report.add(f"{sub}.error", "ERROR", f"{type(exc).__name__}: {exc}")
         report.subcommand_seconds[sub] = time.perf_counter() - start
+    report.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # from KiB
     report.write(outdir)
     return report

@@ -46,6 +46,7 @@ from .evolution import DecayCertificate
 from .measures import EvolutionSystem, GaussianMeasure, gaussian_system, sample
 from .mehler import CylindricalFunction, TrigPolynomial, propagate_trig
 from .models import OperatorFamily
+from .rng import CHUNK
 
 GH_NODES = 64
 GH_NODES_COARSE = 48
@@ -165,8 +166,7 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction,
         rhs_c = kappa * p * p * energyc
         lhs_err, rhs_err = abs(lhs - lhs_c), abs(rhs - rhs_c)
     elif method == "mc":
-        xs = sample(mu, count, seed, label="entropy-gap")
-        u = phi.coords(xs)
+        u = phi.coords(sample(mu, count, seed, label="entropy-gap"))
         w = np.full(len(u), 1.0 / len(u))
         terms = _entropy_terms(u, phi, p, q_proj)
         m, ent, energy = (float(w @ a) for a in terms)
@@ -199,6 +199,15 @@ def _p_norm_and_err(values: np.ndarray, p: float) -> tuple[float, float]:
         return 0.0, se
     norm = m ** (1.0 / p)
     return norm, (m ** (1.0 / p - 1.0) / p) * se
+
+
+def _evaluate_by_chunk(phi: TrigPolynomial, xs: np.ndarray) -> np.ndarray:
+    """phi at each row of xs, CHUNK rows per call, so the work arrays stay
+    the size of a chunk."""
+    vals = np.empty(len(xs), dtype=complex)
+    for lo in range(0, len(xs), CHUNK):
+        vals[lo:lo + CHUNK] = phi.evaluate(xs[lo:lo + CHUNK])
+    return vals
 
 
 @dataclass(frozen=True)
@@ -247,12 +256,13 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
     if system is None:
         system = gaussian_system(model)
     mu_s, mu_t = system(s), system(t)
-    xs = sample(mu_s, count, seed, label="hyper-outer")
-    vals = np.asarray(propagate_trig(model, s, t, phi).evaluate(xs))
+    # each sample lives only while its observable is evaluated
+    vals = _evaluate_by_chunk(propagate_trig(model, s, t, phi),
+                              sample(mu_s, count, seed, label="hyper-outer"))
     if np.abs(vals.imag).max(initial=0.0) > 1e-8:
         raise ValueError("observable must be real for norm checks")
-    ys = sample(mu_t, count, seed + 1, label="hyper-rhs")
-    rhs, rhs_err = _p_norm_and_err(np.asarray(phi.evaluate(ys)).real, q)
+    ends = _evaluate_by_chunk(phi, sample(mu_t, count, seed + 1, label="hyper-rhs"))
+    rhs, rhs_err = _p_norm_and_err(ends.real, q)
     p_max = exponent_curve(q, t - s, kappa)
     reports = []
     for p in p_values:

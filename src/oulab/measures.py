@@ -32,7 +32,7 @@ from .covariance import accumulated, steady_state
 from .linalg import SymOperator, spectral_factor
 from .mehler import TrigPolynomial, propagate_trig
 from .models import OperatorFamily, WindowExceededError
-from .rng import chunked_normals, seed_stream
+from .rng import CHUNK, chunked_normals, seed_stream
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,17 @@ def characteristic(mu: GaussianMeasure, h: np.ndarray) -> complex:
 
 def sample(mu: GaussianMeasure, count: int, seed: int, label: str = "sample") -> np.ndarray:
     """(count, dim) i.i.d. draws; deterministic in (seed, label) and
-    independent of any chunking of the work."""
+    independent of any chunking of the work.
+
+    The standard normals of ``chunked_normals`` are mapped to mean + F z in
+    place, CHUNK rows at a time, so a sample costs one (count, dim) array;
+    the first CHUNK rows are the same, bit for bit, for every count."""
     if count < 1:
         raise ValueError("count must be >= 1")
     z = chunked_normals(seed, label, count, mu.dim)
-    return mu.mean + z @ mu._factor.T
+    for lo in range(0, count, CHUNK):
+        z[lo:lo + CHUNK] = mu.mean + z[lo:lo + CHUNK] @ mu._factor.T
+    return z
 
 
 def mean_functional(mu: GaussianMeasure, phi: TrigPolynomial) -> complex:

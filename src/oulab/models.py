@@ -121,8 +121,8 @@ class OperatorFamily:
     # dense kind: A and B constant in t and A symmetric, so evolution.flow
     # evaluates (U, K) from one eigendecomposition of A
     autonomous: bool = False
-    # pure-function caches: the flow memo, the covariance kernels and the
-    # spectral decomposition of an autonomous family
+    # pure-function caches: the flow memo, the covariance kernels, the
+    # spectral decomposition of an autonomous family and the decay certificates
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -60,7 +60,7 @@ class RunReport:
     REPORT (evidence rows that never gate the exit code).  A subcommand
     stopped by a numerical error adds one ``<sub>.error`` row with status
     ERROR in place of the checks it did not reach.  Wall times of the
-    subcommands that ran go to run_meta.json only.
+    subcommands that ran and the peak resident set go to run_meta.json only.
     """
 
     config_text: str
@@ -68,6 +68,7 @@ class RunReport:
     checks: list = field(default_factory=list)
     started: float = field(default_factory=time.time)
     subcommand_seconds: dict = field(default_factory=dict)
+    peak_rss_mb: float | None = None  # the process's peak resident set so far
 
     def add(self, name: str, status: str, detail: str = "") -> None:
         if status not in ("PASS", "FAIL", "REPORT", "ERROR"):
@@ -92,4 +93,5 @@ class RunReport:
             "started_unix": self.started,
             "elapsed_seconds": time.time() - self.started,
             "subcommand_seconds": self.subcommand_seconds,
+            "peak_rss_mb": self.peak_rss_mb,
         })

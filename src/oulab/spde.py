@@ -11,6 +11,11 @@ and the chain samples the transition law over [s, t] with no
 discretization bias, for any step and any model kind.  The noise factor is
 the symmetric PSD square root: it is diagonal for diagonal models and it
 admits the singular K of a noiseless model.
+
+The ensemble keeps what its checks read: the end state of every path, for
+the terminal law, and the snapshots of the first HEAD paths, which
+``run_spde`` writes.  Memory is one (count, dim) array plus a chunk's
+work, whatever the number of snapshots.
 """
 
 from __future__ import annotations
@@ -27,26 +32,27 @@ from .models import OperatorFamily
 from .rng import CHUNK, seed_stream
 
 Z_LIMIT = 5.0  # largest z-score law_check accepts
+HEAD = 10  # paths whose snapshots the ensemble keeps
 
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated paths stored at snapshot times.
+    """Simulated paths: every end state, and the snapshots of the first few.
 
-    ``states`` has shape (count, dim, n_snapshots) with states[..., 0] the
-    initial condition; ``times`` are the matching snapshot times.
+    ``terminal`` has shape (count, dim) and holds the state of every path at
+    the end time.  ``states`` has shape (min(HEAD, count), dim, n_snapshots)
+    and holds the first HEAD paths at the snapshot ``times``, with
+    states[..., 0] the initial condition and states[..., -1] their rows of
+    ``terminal``.
     """
 
     times: np.ndarray
     states: np.ndarray
+    terminal: np.ndarray
 
     @property
     def count(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[:, :, -1]
+        return self.terminal.shape[0]
 
 
 def _step_grid(s: float, t: float, step: float) -> np.ndarray:
@@ -78,23 +84,24 @@ def simulate(model: OperatorFamily, s: float, t: float, x0: np.ndarray,
     props = [propagator_matrix(model, lo, hi).T for lo, hi in steps]
     roots = [sqrt_psd(accumulated(model, lo, hi).op).entries for lo, hi in steps]
 
-    states = np.empty((count, model.dim, len(snap_idx)))
+    terminal = np.empty((count, model.dim))
+    states = np.empty((min(HEAD, count), model.dim, len(snap_idx)))
     for c, lo_path in enumerate(range(0, count, CHUNK)):
         hi_path = min(lo_path + CHUNK, count)
         nc = hi_path - lo_path
+        head = states[lo_path:hi_path]  # the chunk's kept paths, often none
         gen = seed_stream(seed, "paths", c)
         z = np.tile(x0, (nc, 1))
-        cursor = 0
-        if snap_idx[0] == 0:
-            states[lo_path:hi_path, :, 0] = z
-            cursor = 1
+        head[:, :, 0] = x0  # snap_idx[0] == 0
+        cursor = 1
         for j in range(n_steps):
             xi = gen.standard_normal((nc, model.dim))
             z = z @ props[j] + xi @ roots[j]
             if cursor < len(snap_idx) and snap_idx[cursor] == j + 1:
-                states[lo_path:hi_path, :, cursor] = z
+                head[:, :, cursor] = z[:len(head)]
                 cursor += 1
-    return PathEnsemble(taus[snap_idx], states)
+        terminal[lo_path:hi_path] = z
+    return PathEnsemble(taus[snap_idx], states, terminal)
 
 
 @dataclass(frozen=True)

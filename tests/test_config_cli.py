@@ -186,6 +186,15 @@ def test_run_meta_times_each_subcommand_that_ran(tmp_path):
     assert list(meta["subcommand_seconds"]) == ["covariance"]
 
 
+def test_run_meta_records_the_peak_resident_set(tmp_path):
+    path = tmp_path / "dc.cfg"
+    path.write_text(small_config().to_text())
+    cli.main(["covariance", str(path), "--outdir", str(tmp_path)])
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert 1.0 < meta["peak_rss_mb"] < 1e5
+    assert "peak_rss_mb" not in (tmp_path / "report.json").read_text()
+
+
 def test_numerical_error_is_an_error_row_and_the_other_subcommands_run(tmp_path):
     # the window starts at the grid's earliest s, so the finite-difference
     # stencil of the covariance derivatives steps out of it partway through

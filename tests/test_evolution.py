@@ -220,6 +220,40 @@ def test_fit_decay_rejects_degenerate_pairs(dc8):
         evo.fit_decay(dc8, [(0.0, 0.0)], mode="operator")
 
 
+def _counting_norms(monkeypatch):
+    calls = []
+    real = evo.measured_norm
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(evo, "measured_norm", counted)
+    return calls
+
+
+def test_fit_decay_keeps_a_fitted_certificate(monkeypatch):
+    model = make_diagonal_constant(3, -1.0, 1.0)
+    pairs = [(0.0, 1.0), (0.0, 2.0), (1.0, 2.5)]
+    first = evo.fit_decay(model, pairs, mode="cameron-martin")
+    calls = _counting_norms(monkeypatch)
+    assert evo.fit_decay(model, [list(p) for p in pairs], mode="cameron-martin") is first
+    assert calls == []
+    assert evo.fit_decay(model, pairs, mode="operator").mode == "operator"
+    assert len(calls) == len(pairs)  # another mode is another certificate
+
+
+def test_fit_decay_keeps_no_failed_fit(monkeypatch):
+    silent = make_diagonal_constant(2, -1.0, 0.0)
+    pairs = [(0.0, 1.0), (0.0, 2.0)]
+    with pytest.raises(evo.FitFailedError):
+        evo.fit_decay(silent, pairs, mode="cameron-martin")
+    calls = _counting_norms(monkeypatch)
+    with pytest.raises(evo.FitFailedError):
+        evo.fit_decay(silent, pairs, mode="cameron-martin")
+    assert len(calls) == len(pairs)
+
+
 def test_range_norm_matches_operator_norm_for_identity_noise(parabolic5):
     # B = I makes the range metric the ambient one
     s, t = 0.0, 0.5

@@ -9,6 +9,7 @@ from oulab.covariance import accumulated, steady_state
 from oulab.linalg import SymOperator
 from oulab.measures import GaussianMeasure, characteristic, mean_functional, sample
 from oulab.mehler import TrigPolynomial, apply_exact
+from oulab.rng import CHUNK
 
 
 def test_characteristic_at_zero_is_one():
@@ -156,3 +157,11 @@ def test_constant_observable_exact_at_any_start(dc8):
     for s in (-1.0, -4.0):
         assert apply_exact(dc8, s, 0.0, one, np.eye(8)[0]) == pytest.approx(
             mean_functional(gamma, one), abs=1e-15)
+
+
+def test_sample_leading_chunk_does_not_depend_on_count(dc8):
+    gamma = meas.gaussian_system(dc8)(0.0)
+    shifted = GaussianMeasure(np.linspace(-1.0, 1.0, 8), gamma.cov)
+    for mu in (gamma, shifted):
+        whole = sample(mu, 2 * CHUNK, seed=5)
+        np.testing.assert_array_equal(whole[:CHUNK], sample(mu, CHUNK, seed=5))

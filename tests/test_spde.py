@@ -98,3 +98,16 @@ def test_scheme_law_matches_continuous_for_exact_integrator(dc8):
     ens = spde.simulate(dc8, 0.0, 1.0, x0, step=0.25, count=20_000, seed=14)
     law = spde.law_check(ens, dc8, 0.0, 1.0, x0)
     assert law.passed  # few, coarse steps: still unbiased
+
+
+def test_terminal_does_not_depend_on_snapshots(dc8):
+    x0 = np.eye(8)[0]
+    count = CHUNK + 25  # a full chunk and a partial one
+    ens = {k: spde.simulate(dc8, 0.0, 1.0, x0, step=0.05, count=count, seed=8, snapshots=k)
+           for k in (2, 5, 21)}
+    for k, e in ens.items():
+        assert e.count == count and e.terminal.shape == (count, 8)
+        assert e.states.shape == (spde.HEAD, 8, k)
+        np.testing.assert_array_equal(e.terminal, ens[2].terminal)
+        np.testing.assert_array_equal(e.states[:, :, -1], e.terminal[:spde.HEAD])
+        np.testing.assert_array_equal(e.states[:, :, 0], np.tile(x0, (spde.HEAD, 1)))
