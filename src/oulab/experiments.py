@@ -238,17 +238,13 @@ def run_diffcheck(model, cfg, report: RunReport, outdir: Path) -> None:
                f"median halving ratio {med:.2f}")
 
 
-def _kappa(model, cfg) -> tuple[float, dict]:
-    cert = evo.fit_decay(model, _pairs(cfg), mode="cameron-martin")
-    return ineq.log_sobolev_constant(cert), cert.as_dict()
-
-
-def _kappa_or_report(model, cfg, report, check_name):
-    """Inadmissible certificates (rate <= 0 on the window) are a legitimate
-    outcome for models without decay; the check then reports instead of
-    asserting."""
+def _kappa_or_report(model, cfg, report, check_name) -> tuple[float | None, dict | None]:
+    """kappa and the range-norm certificate it comes from.  Inadmissible
+    certificates (rate <= 0 on the window) are a legitimate outcome for
+    models without decay; the check then reports instead of asserting."""
     try:
-        return _kappa(model, cfg)
+        cert = evo.fit_decay(model, _pairs(cfg), mode="cameron-martin")
+        return ineq.log_sobolev_constant(cert), cert.as_dict()
     except (ineq.BadCertificateError, evo.FitFailedError) as exc:
         report.add(check_name, "REPORT",
                    f"no admissible range-norm certificate on this window ({exc}); "

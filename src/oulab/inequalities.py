@@ -33,6 +33,13 @@ adjoint images.  Monte Carlo with delta-method errors serves any number of
 directions; ``entropy_gap(method="mc")`` and ``hypercontractivity_check``
 are the sampled cross-checks of the quadrature verdicts.  Norm ratios beyond
 the curve use nested 1-D Gauss-Hermite rules with SHARPNESS_NODES nodes.
+
+Tensor node sets come from one grid, ``_gh_grid``, over k = 0, 1 or 2
+directions (k = 0 is a point mass), and the nested 1-D rules from its
+helper ``_normal_nodes``.  Both give nodes of a centred law N(0, cov); each
+caller shifts them by the measure's mean along its directions, so measures
+with a mean (``point_shifted_system``) are integrated where their mass
+sits.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import DecayCertificate
+from .covariance import accumulated
+from .evolution import DecayCertificate, propagator_matrix
 from .measures import EvolutionSystem, GaussianMeasure, gaussian_system, sample
 from .mehler import CylindricalFunction, TrigPolynomial, propagate_trig
 from .models import OperatorFamily
@@ -86,14 +94,21 @@ def exponent_curve(q: float, gap: float, kappa: float) -> float:
 
 # -- Gauss-Hermite machinery ---------------------------------------------------
 
+def _normal_nodes(x: np.ndarray, var: float) -> np.ndarray:
+    """Physicists' Hermite nodes x mapped to N(0, var); all at 0 when
+    var <= 0."""
+    return math.sqrt(2.0 * var) * x if var > 0.0 else np.zeros_like(x)
+
+
 def _gh_grid(cov: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (rows) and normalized weights for E under N(0, cov), cov k x k
-    with k <= 2."""
+    with k <= 2; k = 0 is the point mass at the origin."""
     k = cov.shape[0]
+    if k == 0:
+        return np.zeros((1, 0)), np.ones(1)
     x, w = np.polynomial.hermite.hermgauss(nodes)
     if k == 1:
-        pts = (math.sqrt(2.0 * cov[0, 0]) * x)[:, None]
-        return pts, w / math.sqrt(math.pi)
+        return _normal_nodes(x, cov[0, 0])[:, None], w / math.sqrt(math.pi)
     xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
     ws = np.multiply.outer(w, w).reshape(-1) / math.pi
     chol = np.linalg.cholesky(cov + 1e-300 * np.eye(k))
@@ -154,10 +169,12 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction,
     if method == "quadrature":
         if phi.n_dirs > 2:
             raise ValueError("quadrature path handles at most 2 active directions")
-        u, w = _gh_grid(marginal, GH_NODES)
-        m, ent, energy = (float(w @ a) for a in _entropy_terms(u, phi, p, q_proj))
-        uc, wc = _gh_grid(marginal, GH_NODES_COARSE)
-        mc, entc, energyc = (float(wc @ a) for a in _entropy_terms(uc, phi, p, q_proj))
+        shift = phi.coords(mu.mean)
+        sums = []
+        for nodes in (GH_NODES, GH_NODES_COARSE):
+            u, w = _gh_grid(marginal, nodes)
+            sums.append([float(w @ a) for a in _entropy_terms(u + shift, phi, p, q_proj)])
+        (m, ent, energy), (mc, entc, energyc) = sums
         if m <= 0.0:
             raise NonPositiveMeanError(f"E|phi|^p = {m}")
         lhs = ent - m * math.log(m)
@@ -286,12 +303,8 @@ def _quad_p_norms(phi: TrigPolynomial, mu: GaussianMeasure, p_values,
     if basis.shape[1] > 2:
         raise ValueError(f"quadrature norms need at most 2 frequency directions, "
                          f"got {basis.shape[1]}")
-    if basis.shape[1] == 0:  # a constant: one point carries the whole law
-        pts, w = mu.mean[None, :], np.ones(1)
-    else:
-        u, w = _gh_grid(basis.T @ mu.cov.entries @ basis, nodes)
-        pts = mu.mean + u @ basis.T
-    vals = np.asarray(phi.evaluate(pts))
+    u, w = _gh_grid(basis.T @ mu.cov.entries @ basis, nodes)
+    vals = np.asarray(phi.evaluate(mu.mean + u @ basis.T))
     if np.abs(vals.imag).max() > 1e-8:
         raise ValueError("observable must be real for norm checks")
     p = np.asarray(p_values, dtype=float)
@@ -330,22 +343,21 @@ def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p: float,
               nodes: int) -> float:
     """Norm ratio for a single-direction observable, by nested 1-D
     Gauss-Hermite: the propagated observable is again a function of one
-    coordinate, so both norms reduce to scalar Gaussian integrals."""
+    coordinate, so both norms reduce to scalar Gaussian integrals.  The outer
+    nodes sit at the law of <g, x> under nu_s, g = U(t, s)^T h, and the end
+    nodes at the law of <h, x> under nu_t, means included."""
     h = phi.directions[0]
-    from .covariance import accumulated
-    from .evolution import propagator_matrix
-
-    u_mat = propagator_matrix(model, s, t)
-    g = u_mat.T @ h
+    g = propagator_matrix(model, s, t).T @ h
     v_inner = float(h @ accumulated(model, s, t).matrix @ h)
-    v_outer = float(g @ system(s).cov.entries @ g)
-    v_end = float(h @ system(t).cov.entries @ h)
+    mu_s, mu_t = system(s), system(t)
+    v_outer = float(g @ mu_s.cov.entries @ g)
+    v_end = float(h @ mu_t.cov.entries @ h)
 
     x1, w1 = np.polynomial.hermite.hermgauss(nodes)
     w1 = w1 / math.sqrt(math.pi)
-    inner_pts = math.sqrt(2.0 * v_inner) * x1 if v_inner > 0 else np.zeros_like(x1)
-    outer_pts = math.sqrt(2.0 * v_outer) * x1 if v_outer > 0 else np.zeros_like(x1)
-    end_pts = math.sqrt(2.0 * v_end) * x1 if v_end > 0 else np.zeros_like(x1)
+    inner_pts = _normal_nodes(x1, v_inner)
+    outer_pts = _normal_nodes(x1, v_outer) + g @ mu_s.mean
+    end_pts = _normal_nodes(x1, v_end) + h @ mu_t.mean
 
     prof = lambda arr: np.asarray(phi.profile(arr[:, None]), dtype=float)
     propagated = np.array([float(w1 @ prof(wpt + inner_pts)) for wpt in outer_pts])

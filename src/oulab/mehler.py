@@ -42,8 +42,8 @@ class TrigPolynomial:
     """Finite combination sum_j c_j e^{i <x, h_j>} stored as term data.
 
     ``coeffs`` is a complex vector, ``freqs`` the matching (terms, dim)
-    frequency matrix.  The class is closed under products (frequencies add)
-    and under the exact transition action (see ``propagate_trig``).
+    frequency matrix.  The class is closed under sums, under scaling by a
+    number and under the exact transition action (see ``propagate_trig``).
     """
 
     coeffs: np.ndarray
@@ -100,10 +100,6 @@ class TrigPolynomial:
         return self.evaluate(x)
 
     def __mul__(self, other):
-        if isinstance(other, TrigPolynomial):
-            c = np.multiply.outer(self.coeffs, other.coeffs).ravel()
-            f = (self.freqs[:, None, :] + other.freqs[None, :, :]).reshape(-1, self.dim)
-            return TrigPolynomial(c, f)
         return TrigPolynomial(self.coeffs * complex(other), self.freqs)
 
     __rmul__ = __mul__

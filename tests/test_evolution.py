@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,20 @@ def test_fit_decay_single_pair_interpolates(dc8):
     cert = evo.fit_decay(dc8, [(0.0, 1.0)], mode="operator")
     assert cert.residual == 0.0
     assert cert.bound(0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("pairs", [[(0.0, 1.0), (1.0, 2.0)], [(0.1, 0.4), (0.2, 0.5)]])
+def test_fit_decay_one_distinct_gap(pairs):
+    # one gap fixes no slope (the second grid's gaps differ by rounding):
+    # a line fit warned and returned rate 0.5 where the exact rate is 1
+    model = make_diagonal_constant(2, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = evo.fit_decay(model, pairs, mode="operator")
+    assert cert.rate == pytest.approx(1.0, rel=1e-12)
+    assert cert.scale == pytest.approx(1.0, rel=1e-12)
+    for s, t in pairs:
+        assert evo.measured_norm(model, s, t, "operator") <= cert.bound(s, t)
 
 
 def test_certificate_majorizes_every_sample(rational4):

@@ -130,6 +130,17 @@ def test_entropy_quadrature_matches_mc(dc8, dc_kappa, dc_system):
     assert abs(quad.rhs - mc.rhs) <= 4.0 * max(mc.rhs_err, 1e-12)
 
 
+def test_entropy_quadrature_matches_mc_under_a_mean(dc8, dc_kappa, dc_system):
+    # the quadrature nodes must follow the measure's mean, as the samples do
+    shifted = meas.point_shifted_system(dc_system, lambda t: 1.5 * np.eye(8)[0])
+    phi = _cos_probe(8)
+    quad = ineq.entropy_gap(dc8, 0.0, phi, 2.0, dc_kappa, system=shifted)
+    mc = ineq.entropy_gap(dc8, 0.0, phi, 2.0, dc_kappa, system=shifted,
+                          method="mc", count=100_000, seed=31)
+    assert abs(quad.lhs - mc.lhs) <= 4.0 * (quad.lhs_err + mc.lhs_err)
+    assert abs(quad.rhs - mc.rhs) <= 4.0 * (quad.rhs_err + mc.rhs_err)
+
+
 def test_entropy_rejects_bad_exponent(dc8, dc_kappa, dc_system):
     with pytest.raises(ValueError):
         ineq.entropy_gap(dc8, 0.0, _cos_probe(8), 1.0, dc_kappa, system=dc_system)
@@ -219,6 +230,19 @@ def test_sharpness_beyond_true_threshold(dc8, dc_kappa, dc_system):
     assert all(not r.violates for r in below)
     assert any(r.violates for r in beyond)
     assert max(r.ratio for r in beyond) > 1.4
+
+
+def test_sharpness_exponential_under_a_mean_is_lognormal(dc8, dc_kappa, dc_system):
+    # exp(u_1) under N(c e_1, 1/2): the propagated observable is
+    # exp(e^{-tau} u_1 + v_in / 2), so both norms are lognormal moments
+    c, tau, p, q = 1.0, math.log(2.0), 3.0, 2.0
+    shifted = meas.point_shifted_system(dc_system, lambda t: c * np.eye(8)[0])
+    phi = CylindricalFunction(profile=lambda u: np.exp(u[..., 0]),
+                              directions=np.eye(8)[:1], label="exp")
+    (row,) = ineq.sharpness_probe(dc8, 0.0, tau, q, (p,), [phi], dc_kappa, system=shifted)
+    v_in, v_out, v_end = (1.0 - math.exp(-2.0 * tau)) / 2.0, math.exp(-2.0 * tau) / 2.0, 0.5
+    expected = math.exp(c * (math.exp(-tau) - 1.0) + v_in / 2.0 + (p * v_out - q * v_end) / 2.0)
+    assert row.ratio == pytest.approx(expected, rel=1e-12)
 
 
 # norm checks take trig polynomials only, so "trig" is the one observable kind

@@ -61,14 +61,6 @@ def test_composition_matches_single_step(dc8, rational4):
         np.testing.assert_allclose(direct.freqs, stepped.freqs, atol=1e-10)
 
 
-def test_product_closure():
-    p1 = TrigPolynomial.cosine(np.array([1.0, 0.0]))
-    p2 = TrigPolynomial.sine(np.array([0.0, 2.0]))
-    prod = p1 * p2
-    x = np.array([0.3, -0.7])
-    assert prod.evaluate(x) == pytest.approx(p1.evaluate(x) * p2.evaluate(x), abs=1e-14)
-
-
 def test_evaluate_folds_opposite_and_repeated_frequencies():
     gen = seed_stream(21, "fold")
     h = gen.normal(size=(3, 4))
