@@ -21,5 +21,4 @@ from .models import (  # noqa: F401
     make_diagonal_rational,
     make_nonunique_demo,
     make_parabolic_1d,
-    make_scalar,
 )

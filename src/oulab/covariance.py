@@ -115,7 +115,10 @@ def tail_cutoff(model: OperatorFamily, t: float, tol_tail: float = 1e-10) -> tup
 
         neglected trace <= dim * M^2 K^2 * exp(-2 zeta (t - s*)) / (2 zeta),
 
-    pushed below ``tol_tail``, with t - s* at least 1.
+    pushed below ``tol_tail``, with t - s* at least 1.  The tail runs over
+    (-inf, s*], so both bounds must hold before the window too: the catalog
+    diagonal families state them in closed form over the whole line, a
+    parabolic family with callable coefficients samples them in the window.
     """
     if model.decay is None or model.decay[1] <= 0.0:
         raise NoDecayError("model has no positive decay rate; supply an explicit s_star")

@@ -411,6 +411,16 @@ SUBCOMMANDS = {
 }
 
 
+def _peak_rss_mb() -> float:
+    """This process's own peak resident set in MB, ``VmHWM``; the fallback
+    ``ru_maxrss`` keeps the peak of a spawning process across fork and exec."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(row.split()[1]) for row in status if row.startswith("VmHWM:")) / 1024.0
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # from KiB
+
+
 def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> RunReport:
     from . import __version__
 
@@ -428,6 +438,6 @@ def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> RunReport:
         except NUMERICAL_ERRORS as exc:
             report.add(f"{sub}.error", "ERROR", f"{type(exc).__name__}: {exc}")
         report.subcommand_seconds[sub] = time.perf_counter() - start
-    report.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # from KiB
+    report.peak_rss_mb = _peak_rss_mb()
     report.write(outdir)
     return report

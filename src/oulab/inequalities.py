@@ -51,6 +51,7 @@ import numpy as np
 
 from .covariance import accumulated
 from .evolution import DecayCertificate, propagator_matrix
+from .linalg import RANK_CUT, SymOperator, psd_eigh
 from .measures import EvolutionSystem, GaussianMeasure, gaussian_system, sample
 from .mehler import CylindricalFunction, TrigPolynomial, propagate_trig
 from .models import OperatorFamily
@@ -102,17 +103,25 @@ def _normal_nodes(x: np.ndarray, var: float) -> np.ndarray:
 
 def _gh_grid(cov: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (rows) and normalized weights for E under N(0, cov), cov k x k
-    with k <= 2; k = 0 is the point mass at the origin."""
+    with k <= 2; k = 0 is the point mass at the origin.  A 2 x 2 cov of rank
+    2 (as ``range_inverse`` counts it) gets the tensor grid through its
+    Cholesky factor, of rank 1 the 1-D rule along its range, of rank 0 the
+    point mass."""
     k = cov.shape[0]
     if k == 0:
         return np.zeros((1, 0)), np.ones(1)
     x, w = np.polynomial.hermite.hermgauss(nodes)
     if k == 1:
         return _normal_nodes(x, cov[0, 0])[:, None], w / math.sqrt(math.pi)
+    lam, vec = psd_eigh(SymOperator(cov))
+    rank = int(np.count_nonzero(lam > RANK_CUT * lam[0]))
+    if rank == 0:
+        return np.zeros((1, k)), np.ones(1)
+    if rank == 1:
+        return np.outer(_normal_nodes(x, lam[0]), vec[:, 0]), w / math.sqrt(math.pi)
     xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
     ws = np.multiply.outer(w, w).reshape(-1) / math.pi
-    chol = np.linalg.cholesky(cov + 1e-300 * np.eye(k))
-    return math.sqrt(2.0) * xs @ chol.T, ws
+    return math.sqrt(2.0) * xs @ np.linalg.cholesky(cov).T, ws
 
 
 def _entropy_terms(u: np.ndarray, phi: CylindricalFunction, p: float,

@@ -2,7 +2,7 @@
 
 A model is the pair of maps t -> A(t) (drift) and t -> B(t) (noise) on a
 finite truncation of the state space, together with a query window
-[t_min, t_max] on which all coefficient bounds are checked.  Two kinds are
+[t_min, t_max] that every time query must fall in.  Two kinds are
 supported:
 
   diagonal   A(t) e_k = a_k(t) e_k,  B(t) e_k = b_k(t) e_k, every a_k with
@@ -17,12 +17,14 @@ finite-difference discretization of a divergence-form parabolic operator
 with Dirichlet boundary, and a two-mode family engineered so that more than
 one evolution system of measures exists.
 
-``meta`` carries the model data the checks read: ``noise_sup``, the window
-supremum of |B(t)| behind the steady-state tail cutoff, and, for the
-non-uniqueness family, ``mean_scale``, the flow-invariant mean shift.
+``meta`` carries the model data the checks read: ``noise_sup``, a bound on
+|B(t)| behind the steady-state tail cutoff, and, for the non-uniqueness
+family, ``mean_scale``, the flow-invariant mean shift.
 
-All boundedness checks are window-relative: numerics cannot verify suprema
-over the whole real line.
+The diagonal catalog families state ``noise_sup`` and the decay certificate
+in closed form, bounds over the whole real line and so over every window.
+A parabolic family takes both from its one matrix when its coefficients are
+numbers, and from 101 samples across the window when they are callables.
 """
 
 from __future__ import annotations
@@ -42,54 +44,6 @@ class BadParameterError(ValueError):
 
 class WindowExceededError(ValueError):
     """A query time falls outside the model's window."""
-
-
-SUP_GRID_STEP = 1e-3
-SUP_GRID_MAX_POINTS = 1_000_000
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def sup_on_window(f: Callable, window: tuple[float, float], step: float = SUP_GRID_STEP) -> float:
-    """sup of f over the whole window: a grid scan with spacing at most
-    ``step`` from window[0] to window[1], refined by golden section.
-
-    Raises BadParameterError when the grid would exceed SUP_GRID_MAX_POINTS.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    count = math.ceil((hi - lo) / step) + 1
-    if count > SUP_GRID_MAX_POINTS:
-        raise BadParameterError(
-            f"window {window} needs {count} grid points at step {step}; "
-            f"the cap is {SUP_GRID_MAX_POINTS}")
-    grid = np.linspace(lo, hi, count)
-    with np.errstate(over="ignore"):
-        vals = np.asarray(f(grid), dtype=float)
-    i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    if a == b:
-        return float(vals[i])
-    _, best = _golden_max(lambda t: float(f(t)), float(a), float(b))
-    return max(best, float(vals[i]))
 
 
 @dataclass(frozen=True)
@@ -117,7 +71,7 @@ class OperatorFamily:
     noise_fn: Callable | None = None  # t -> (dim, dim), dense kind
     drift_fn: Callable | None = None  # t -> (dim, dim), dense kind
     decay: tuple[float, float] | None = None  # (M, zeta): ||U(t,s)|| <= M e^{-zeta (t-s)}
-    meta: dict = field(default_factory=dict)  # "noise_sup", "mean_scale"
+    meta: dict = field(default_factory=dict)  # "noise_sup" (a bound on |B(t)|), "mean_scale"
     # dense kind: A and B constant in t and A symmetric, so evolution.flow
     # evaluates (U, K) from one eigendecomposition of A
     autonomous: bool = False
@@ -160,33 +114,26 @@ class OperatorFamily:
         return b @ b.T
 
 
-def _diag_noise_sup(modes, window) -> float:
-    """Window supremum of |B(t)|: the max of the per-mode suprema of |b_k|."""
-    return max(sup_on_window(lambda u, m=m: np.abs(m.diffusion(u)), window) for m in modes)
-
-
 def make_diagonal_constant(n: int, lam: float, b: float,
                            window: tuple[float, float] = (-50.0, 50.0)) -> OperatorFamily:
     """Constant diagonal model: a_k = lam < 0, b_k = b.
 
     The propagator is exp(lam (t-s)) I, so the decay certificate (M, zeta) =
-    (1, -lam) is exact, not fitted.
+    (1, -lam) is exact, not fitted, and |B(t)| = |b|.
     """
     if lam >= 0:
         raise BadParameterError(f"need lam < 0, got {lam}")
     if n < 1:
         raise BadParameterError("n must be >= 1")
-    lam = float(lam)
-    b = float(b)
+    lam, b = float(lam), float(b)
     mode = ModeCoefficients(
         drift=lambda t: lam * np.ones_like(np.asarray(t, dtype=float)),
         diffusion=lambda t: b * np.ones_like(np.asarray(t, dtype=float)),
         drift_antideriv=lambda t: lam * t,
     )
-    modes = (mode,) * n
     return OperatorFamily(
-        name="diag-constant", dim=n, window=window, kind="diagonal", modes=modes,
-        decay=(1.0, -lam), meta={"noise_sup": _diag_noise_sup(modes, window)},
+        name="diag-constant", dim=n, window=window, kind="diagonal", modes=(mode,) * n,
+        decay=(1.0, -lam), meta={"noise_sup": abs(b)},
     )
 
 
@@ -220,9 +167,9 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
 
         a_k(t) = -(k^2 + c1) / (t^{2k} + 1),   b_k(t) = sin(k t) + c2,
 
-    k = 1..n, with c1 > 0 and c2 > 1 so every b_k stays >= c2 - 1 > 0.
-    Each a_k is strictly negative but tends to 0 at infinity, so its
-    supremum over a window is window-relative and tiny in magnitude.  Every
+    k = 1..n, with c1 > 0 and c2 > 1, so 0 < c2 - 1 <= b_k <= 1 + c2.
+    Each a_k is strictly negative but tends to 0 at infinity, so the model
+    carries no decay certificate.  Every
     mode carries the closed-form antiderivative -(k^2 + c1) F_k, with F_k
     from ``_inverse_even_power_antideriv``; F_1 is atan.
     Note mode 1 has integrable drift, so the propagator does NOT vanish as
@@ -252,7 +199,7 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
                   for k in range(1, n + 1))
     return OperatorFamily(
         name="diag-rational", dim=n, window=window, kind="diagonal", modes=modes,
-        meta={"noise_sup": _diag_noise_sup(modes, window)},
+        meta={"noise_sup": 1.0 + float(c2)},
     )
 
 
@@ -265,35 +212,6 @@ def _constant_matrix(b: np.ndarray) -> Callable:
 def _as_coefficient(c) -> Callable:
     """A coefficient (t, x) -> value; a plain number is constant in t and x."""
     return c if callable(c) else lambda t, x: c
-
-
-def make_scalar(a: Callable, n: int, drift_antideriv: Callable,
-                window: tuple[float, float] = (-50.0, 50.0),
-                require_decay: bool = False) -> OperatorFamily:
-    """Scalar model A(t) = a(t) I with identity noise: n identical diagonal
-    modes with drift a, its exact antiderivative ``drift_antideriv``, and
-    diffusion 1.
-
-    When a0 := sup a over the window is negative a decay certificate
-    (1, -a0) is recorded; inequality experiments need that, so
-    ``require_decay=True`` turns a0 >= 0 into an error.  A scalar drift
-    with any other noise is a dense model.
-    """
-    if n < 1:
-        raise BadParameterError("n must be >= 1")
-    a0 = sup_on_window(lambda t: np.asarray(a(t), dtype=float), window)
-    if require_decay and a0 >= 0:
-        raise BadParameterError(f"sup of drift coefficient is {a0} >= 0")
-    mode = ModeCoefficients(
-        drift=a,
-        diffusion=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        drift_antideriv=drift_antideriv,
-    )
-    decay = (1.0, -a0) if a0 < 0 else None
-    return OperatorFamily(
-        name="scalar", dim=n, window=window, kind="diagonal", modes=(mode,) * n,
-        decay=decay, meta={"noise_sup": 1.0},
-    )
 
 
 def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
@@ -399,9 +317,9 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
     propagator entry converges to a positive constant as s -> -infinity
     instead of vanishing.  Modes k >= 2 decay hard with a_k = -k^2.  The
     diffusion is b_1(t) = 1/(1 + t^2) (square integrable, keeping the
-    infinite-horizon covariance finite) and b_k = 1 for k >= 2.  Every mode
-    carries its closed-form drift antiderivative c_k; c_1 is minus
-    ``_quartic_ratio_antideriv``.
+    infinite-horizon covariance finite) and b_k = 1 for k >= 2, so
+    |B(t)| <= 1.  Every mode carries its closed-form drift antiderivative
+    c_k; c_1 is minus ``_quartic_ratio_antideriv``.
 
     The factory records m(t) = exp(c_1(t) - c_1(-inf)) = exp(integral of
     a_1 over (-inf, t]) as ``meta["mean_scale"]``.  Since m solves the
@@ -424,23 +342,20 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
         return -_quartic_ratio_antideriv(t)
 
     c1_at_minus_inf = math.pi / (2.0 * SQRT2)
-    modes = [ModeCoefficients(drift=a1, diffusion=b1, drift_antideriv=c1)]
-    for k in range(2, n + 1):
-        modes.append(
-            ModeCoefficients(
-                drift=lambda t, k=k: -float(k * k) * np.ones_like(np.asarray(t, dtype=float)),
-                diffusion=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                drift_antideriv=lambda t, k=k: -float(k * k) * t,
-            )
+    modes = (ModeCoefficients(drift=a1, diffusion=b1, drift_antideriv=c1),) + tuple(
+        ModeCoefficients(
+            drift=lambda t, k=k: -float(k * k) * np.ones_like(np.asarray(t, dtype=float)),
+            diffusion=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+            drift_antideriv=lambda t, k=k: -float(k * k) * t,
         )
-    modes = tuple(modes)
+        for k in range(2, n + 1))
 
     def mean_scale(t: float) -> float:
         return math.exp(c1(t) - c1_at_minus_inf)
 
     return OperatorFamily(
         name="nonunique-demo", dim=n, window=window, kind="diagonal", modes=modes,
-        meta={"noise_sup": _diag_noise_sup(modes, window), "mean_scale": mean_scale},
+        meta={"noise_sup": 1.0, "mean_scale": mean_scale},
     )
 
 
@@ -448,9 +363,20 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
 
 def _build_scalar_osc(n: int = 4, offset: float = -1.0, amp: float = -0.5,
                       window: tuple[float, float] = (-50.0, 50.0)) -> OperatorFamily:
-    a = lambda t: offset + amp * np.sin(np.asarray(t, dtype=float))
-    anti = lambda t: offset * t - amp * math.cos(t)
-    return make_scalar(a, n, window=window, drift_antideriv=anti, require_decay=True)
+    """A(t) = (offset + amp sin t) I, B = I as n identical diagonal modes; the
+    drift is at most offset + |amp| < 0, which gives the decay certificate."""
+    top = offset + abs(amp)
+    if not top < 0:
+        raise BadParameterError(f"need offset + |amp| < 0, got {top}")
+    mode = ModeCoefficients(
+        drift=lambda t: offset + amp * np.sin(np.asarray(t, dtype=float)),
+        diffusion=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        drift_antideriv=lambda t: offset * t - amp * math.cos(t),
+    )
+    return OperatorFamily(
+        name="scalar", dim=n, window=window, kind="diagonal", modes=(mode,) * n,
+        decay=(1.0, -top), meta={"noise_sup": 1.0},
+    )
 
 
 def _build_parabolic(m: int = 5, nu: float = 1.0, omega: float = 1.0,

@@ -68,7 +68,7 @@ class RunReport:
     checks: list = field(default_factory=list)
     started: float = field(default_factory=time.time)
     subcommand_seconds: dict = field(default_factory=dict)
-    peak_rss_mb: float | None = None  # the process's peak resident set so far
+    peak_rss_mb: float | None = None  # this process's own peak resident set so far
 
     def add(self, name: str, status: str, detail: str = "") -> None:
         if status not in ("PASS", "FAIL", "REPORT", "ERROR"):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oulab
@@ -79,6 +80,16 @@ def test_cli_model_error_exits_two(tmp_path, capsys, model):
     assert cli.main(["evolve", str(path), "--outdir", str(tmp_path / "o")]) \
         == cli.EXIT_CONFIG_INVALID
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_scalar_osc_without_decay_exits_two(tmp_path, capsys):
+    path = tmp_path / "scalar.cfg"
+    model = "name = scalar-osc\namp = 0.5\nn = 2\noffset = -0.5\n"
+    path.write_text(small_config().to_text().replace("name = diag-constant\n", model, 1))
+    assert cli.main(["report-all", str(path), "--outdir", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG_INVALID
+    assert "offset + |amp|" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -193,6 +204,18 @@ def test_run_meta_records_the_peak_resident_set(tmp_path):
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert 1.0 < meta["peak_rss_mb"] < 1e5
     assert "peak_rss_mb" not in (tmp_path / "report.json").read_text()
+
+
+def test_run_meta_peak_is_not_the_spawning_process_peak(tmp_path):
+    ballast = np.ones(100 * 2**20 // 8)  # 100 MB, every page touched
+    path = tmp_path / "dc.cfg"
+    path.write_text(small_config().to_text())
+    env = dict(os.environ, PYTHONPATH=str(Path(oulab.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "oulab.cli", "evolve", str(path),
+                    "--outdir", str(tmp_path / "o")], capture_output=True, check=True, env=env)
+    assert ballast.sum() == ballast.size
+    meta = json.loads((tmp_path / "o" / "run_meta.json").read_text())
+    assert 1.0 < meta["peak_rss_mb"] < 100.0
 
 
 def test_numerical_error_is_an_error_row_and_the_other_subcommands_run(tmp_path):

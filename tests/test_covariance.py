@@ -5,7 +5,7 @@ import pytest
 
 from oulab import covariance as cov
 from oulab import evolution as evo
-from oulab.models import build_model, make_diagonal_constant, make_scalar
+from oulab.models import build_model, make_diagonal_constant
 from oulab.rng import seed_stream
 
 # closed form for the constant model with rate -1, unit diffusion:
@@ -38,14 +38,6 @@ def test_steady_state_constant_model(dc8):
     assert np.trace(ss.matrix) == pytest.approx(4.0, abs=1e-9)
     assert ss.meta["s_star"] < 1.0
     assert ss.meta["tail_trace_bound"] <= 1e-10
-
-
-def test_steady_state_scalar_matches_constant(dc4):
-    scalar = make_scalar(lambda t: -1.0 * np.ones_like(np.asarray(t, float)), 4,
-                         drift_antideriv=lambda t: -t)
-    ss = cov.steady_state(scalar, 0.0, tol_tail=1e-9)
-    np.testing.assert_allclose(ss.matrix, cov.steady_state(dc4, 0.0, 1e-9).matrix,
-                               atol=1e-8)
 
 
 def _dense_scaled_noise(meta):

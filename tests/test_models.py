@@ -15,8 +15,6 @@ from oulab.models import (
     make_diagonal_rational,
     make_nonunique_demo,
     make_parabolic_1d,
-    make_scalar,
-    sup_on_window,
 )
 
 
@@ -27,8 +25,8 @@ def test_rational_coefficients_at_zero(rational4):
 
 
 def test_rational_noise_sup_is_one_plus_c2(rational4):
-    # sup |sin(k t) + c2| = 1 + c2, attained on the window
-    assert rational4.meta["noise_sup"] == pytest.approx(3.0, abs=1e-6)
+    # |sin(k t) + c2| <= 1 + c2, attained at t = pi/2
+    assert rational4.meta["noise_sup"] == 3.0
 
 
 def test_rational_rejects_bad_parameters():
@@ -60,24 +58,13 @@ def test_zero_diffusion_gives_zero_covariance():
 def test_scalar_supremum_analytic():
     model = build_model("scalar-osc", {})
     # sup of -1 - 0.5 sin t is -0.5
-    assert model.decay[1] == pytest.approx(0.5, abs=1e-9)
+    assert model.decay == (1.0, 0.5)
 
 
-def test_scalar_constant_reduces_to_diagonal_constant(dc4):
-    from oulab.covariance import accumulated
-
-    scalar = make_scalar(lambda t: -1.0 * np.ones_like(np.asarray(t, float)), 4,
-                         drift_antideriv=lambda t: -t)
-    np.testing.assert_allclose(propagator_matrix(scalar, 0.0, 1.0),
-                               propagator_matrix(dc4, 0.0, 1.0), atol=1e-12)
-    np.testing.assert_allclose(accumulated(scalar, 0.0, 1.0).matrix,
-                               accumulated(dc4, 0.0, 1.0).matrix, atol=1e-9)
-
-
-def test_scalar_decay_required_when_requested():
+def test_scalar_osc_rejects_a_drift_without_decay():
+    # sup of -0.5 + 0.5 sin t is 0
     with pytest.raises(BadParameterError):
-        make_scalar(lambda t: np.ones_like(np.asarray(t, float)), 2, drift_antideriv=lambda t: t,
-                    require_decay=True)
+        build_model("scalar-osc", {"offset": -0.5, "amp": 0.5})
 
 
 def test_parabolic_stencil_matches_textbook():
@@ -177,16 +164,6 @@ def test_parabolic_number_coefficients_mark_an_autonomous_family():
     assert a is exact.drift_matrix(-1.7) and a.tobytes() == cells.drift_matrix(0.3).tobytes()
     with pytest.raises(ValueError):
         a[0, 0] = 0.0
-
-
-def test_sup_on_window_covers_the_whole_window():
-    assert sup_on_window(lambda t: t, (-100.0, 60.0)) == 60.0
-    assert sup_on_window(lambda t: -t, (-100.0, 60.0)) == 100.0
-
-
-def test_sup_on_window_caps_the_grid():
-    with pytest.raises(BadParameterError, match="grid points"):
-        sup_on_window(lambda t: t, (0.0, 2000.0))
 
 
 def test_nonunique_noise_sup_over_its_window(nonunique3):
