@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
@@ -50,8 +51,7 @@ class ExperimentConfig:
     triple_span: float = 3.0
     probe_count: int = 20
     anchor: float | None = None  # None: anchor the system at -inf via decay
-    mc_samples: int = 100_000
-    spde_paths: int = 100_000
+    mc_samples: int = 100_000  # draws of every Monte Carlo check, paths of spde
     spde_step: float = 0.01
     tol_invariance: float = 1e-8
     tol_fd: float = 1e-6
@@ -61,15 +61,22 @@ class ExperimentConfig:
     outdir: str = "out"
 
     def validate(self) -> "ExperimentConfig":
+        # first: every comparison below is False on NaN
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in items if isinstance(v, float)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.window is not None and self.window[0] >= self.window[1]:
             raise ConfigError(f"window is empty: {self.window}")
         for name in ("tol_invariance", "tol_fd", "spde_step", "triple_span"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("triple_count", "probe_count", "mc_samples",
-                     "spde_paths"):
+        for name in ("triple_count", "probe_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.mc_samples < 2:  # a standard error needs two draws
+            raise ConfigError("mc_samples must be >= 2")
         if not self.sharpness_p_values:
             raise ConfigError("sharpness_p_values must be nonempty")
         if not any(s < t for s in self.s_values for t in self.t_values):
@@ -154,7 +161,6 @@ LAYOUT = (
     ("probes", "count", "probe_count", int),
     ("probes", "anchor", "anchor", float),
     ("mc", "samples", "mc_samples", int),
-    ("mc", "spde_paths", "spde_paths", int),
     ("mc", "spde_step", "spde_step", float),
     ("tolerances", "invariance", "tol_invariance", float),
     ("tolerances", "fd", "tol_fd", float),

@@ -12,25 +12,24 @@ at t.  Diagonal models reduce to one scalar integral per distinct mode,
 with the inner drift integral c_i(t) - c_i(sigma) taken from the mode's
 exact antiderivative ``drift_antideriv``, the one U uses too.  Dense
 models read K from ``evolution.flow``: in closed form from one
-eigendecomposition of the drift when the family is autonomous (provenance
-``"spectral"``), otherwise by solving the joint (U, K) system on unit-grid
-cells and composing longer spans with the flow decomposition (``"flow"``,
-with the solver tolerances).
+eigendecomposition of the drift when the family is autonomous, otherwise by
+solving the joint (U, K) system on unit-grid cells and composing longer
+spans with the flow decomposition.  Every covariance is a ``SymOperator``.
 
 The infinite-horizon limit K(t, -inf) is realized by truncating at a start
 time s* whose neglected tail is controlled either by the model's decay
-certificate or by an explicit caller-supplied cutoff; the truncation is
-always recorded, never silent.
+certificate or by an explicit caller-supplied cutoff; ``tail_cutoff``
+returns the certified s* and the bound on the neglected trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import FLOW_ATOL, FLOW_RTOL, flow, propagator_matrix
+from .evolution import flow, propagator_matrix
 from .integrators import quad
 from .linalg import SymOperator, clamp_psd
 from .models import OperatorFamily, WindowExceededError
@@ -40,24 +39,6 @@ MODE_TOL = 1e-11
 
 class NoDecayError(RuntimeError):
     """No usable decay rate and no explicit tail cutoff was supplied."""
-
-
-@dataclass(frozen=True)
-class CovarianceKernel:
-    """An accumulated covariance with its numerical provenance.
-
-    ``s`` is -inf for truncated infinite-horizon kernels; the actual cutoff
-    and the bound used to pick it live in ``meta``.
-    """
-
-    s: float
-    t: float
-    op: SymOperator
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.entries
 
 
 # -- per-mode machinery ------------------------------------------------------
@@ -75,12 +56,12 @@ def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float) -> flo
     return val
 
 
-def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
+def accumulated(model: OperatorFamily, s: float, t: float) -> SymOperator:
     """The covariance K(t, s) accumulated by the noise between s and t.
 
-    Results are memoized per model: the kernel is a pure function of
-    (s, t) and call sites (finite differences, norm checks, repeated
-    propagations) hit the same pairs many times over.
+    Results are memoized per model: K is a pure function of (s, t), and
+    call sites (finite differences, norm checks, repeated propagations) hit
+    the same pairs many times over.
     """
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
@@ -90,21 +71,17 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> CovarianceKernel:
     if key in cache:
         return cache[key]
     if t == s:
-        kern = CovarianceKernel(s, t, SymOperator.zero(model.dim), {"method": "exact-zero"})
+        k = SymOperator.zero(model.dim)
     elif model.kind == "diagonal":
         by_mode = {}  # one integral per distinct mode object, reused by its repeats
         for i, mode in enumerate(model.modes):
             if id(mode) not in by_mode:
                 by_mode[id(mode)] = mode_accumulated(model, i, s, t)
-        diag = [by_mode[id(mode)] for mode in model.modes]
-        kern = CovarianceKernel(s, t, clamp_psd(np.diag(diag)),
-                                {"method": "per-mode quad", "tol": MODE_TOL})
+        k = clamp_psd(np.diag([by_mode[id(mode)] for mode in model.modes]))
     else:
-        method = ({"method": "spectral"} if model.autonomous
-                  else {"method": "flow", "rtol": FLOW_RTOL, "atol": FLOW_ATOL})
-        kern = CovarianceKernel(s, t, clamp_psd(flow(model, s, t)[1]), method)
-    cache[key] = kern
-    return kern
+        k = clamp_psd(flow(model, s, t)[1])
+    cache[key] = k
+    return k
 
 
 def tail_cutoff(model: OperatorFamily, t: float, tol_tail: float = 1e-10) -> tuple[float, float]:
@@ -133,24 +110,22 @@ def tail_cutoff(model: OperatorFamily, t: float, tol_tail: float = 1e-10) -> tup
 
 
 def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10,
-                 s_star: float | None = None) -> CovarianceKernel:
-    """Infinite-horizon covariance K(t, -inf), truncated at a certified s*.
+                 s_star: float | None = None) -> SymOperator:
+    """Infinite-horizon covariance K(t, -inf), truncated at s*: the memoized
+    K(t, s*) itself.
 
-    Without an explicit ``s_star`` the cutoff is ``tail_cutoff``; with one
-    the caller owns the tail estimate, and ``tail_trace_bound`` is None.
+    Without an explicit ``s_star`` the cutoff is the first value of
+    ``tail_cutoff``, whose second bounds the neglected trace; with one the
+    caller owns the tail estimate.
     """
     model.require_window(t)
-    tail_bound = None
     if s_star is None:
-        s_star, tail_bound = tail_cutoff(model, t, tol_tail)
+        s_star = tail_cutoff(model, t, tol_tail)[0]
     if s_star < model.window[0]:
         raise WindowExceededError(
             f"tail cutoff {s_star:.3f} falls before window start {model.window[0]}; "
             "widen the window or pass an explicit s_star")
-    kern = accumulated(model, s_star, t)
-    meta = dict(kern.meta)
-    meta.update({"s_star": s_star, "tail_trace_bound": tail_bound, "tol_tail": tol_tail})
-    return CovarianceKernel(-math.inf, t, kern.op, meta)
+    return accumulated(model, s_star, t)
 
 
 # -- derivative identities ----------------------------------------------------
@@ -165,7 +140,7 @@ class DerivativeReport:
 
 
 def _quad_form(model: OperatorFamily, s: float, t: float, v: np.ndarray) -> float:
-    return accumulated(model, s, t).op.quadratic_form(v)
+    return accumulated(model, s, t).quadratic_form(v)
 
 
 def check_forward_derivative(model: OperatorFamily, s: float, t: float,
@@ -182,7 +157,7 @@ def check_forward_derivative(model: OperatorFamily, s: float, t: float,
     fd = (_quad_form(model, s, t + fd_step, h) - _quad_form(model, s, t - fd_step, h)) / (2 * fd_step)
     q_t = model.diffusion_matrix(t)
     ah = model.drift_adjoint(t) @ h
-    formula = float(h @ q_t @ h) + 2.0 * float(h @ accumulated(model, s, t).matrix @ ah)
+    formula = float(h @ q_t @ h) + 2.0 * float(h @ accumulated(model, s, t).entries @ ah)
     diff = abs(fd - formula)
     return DerivativeReport(fd, formula, fd_step, diff, diff / max(1.0, abs(formula)))
 

@@ -40,6 +40,12 @@ LOGSOB_P_VALUES = (1.5, 2.0, 3.0)  # logsob: the exponents p of the entropy boun
 ERGODIC_S_VALUES = (-1.0, -2.0, -4.0, -8.0)  # ergodic: receding start times s
 
 
+def _worst(values) -> float:
+    """The largest of nonnegative residuals, 0 for none and NaN if any is NaN
+    (Python's ``max`` drops a NaN that is not its first argument)."""
+    return float(np.max(list(values), initial=0.0))
+
+
 def _pairs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     return [(s, t) for s in cfg.s_values for t in cfg.t_values if s < t]
 
@@ -89,24 +95,21 @@ def _adjoint_spans(model, cfg):
 
 
 def run_evolve(model, cfg, report: RunReport, outdir: Path) -> None:
-    rows, worst = [], 0.0
+    rows = []
     for s, r, t in _seeded_triples(model, cfg):
         direct = evo.propagator_matrix(model, s, t)
         chained = evo.propagator_matrix(model, r, t) @ evo.propagator_matrix(model, s, r)
-        resid = operator_norm(direct - chained)
-        worst = max(worst, resid)
-        rows.append((s, r, t, resid))
+        rows.append((s, r, t, operator_norm(direct - chained)))
+    worst = _worst(row[3] for row in rows)
     write_csv(outdir / "evolution_chain.csv", ["s", "r", "t", "chain_residual"], rows)
     report.add("evolve.chain-law",
                "PASS" if worst <= TOL_CHAIN else "FAIL",
                f"max residual {worst:.3e} vs {TOL_CHAIN:.0e} on {len(rows)} triples")
 
     if model.kind == "dense":
-        bad = 0.0
-        for s, t in _adjoint_spans(model, cfg):
-            gap = operator_norm(evo.propagator_matrix(model, s, t).T
-                                - evo.adjoint_by_integration(model, s, t))
-            bad = max(bad, gap)
+        bad = _worst(operator_norm(evo.propagator_matrix(model, s, t).T
+                                   - evo.adjoint_by_integration(model, s, t))
+                     for s, t in _adjoint_spans(model, cfg))
         report.add("evolve.adjoint", "PASS" if bad <= 1e-8 else "FAIL",
                    f"max deviation {bad:.3e} between transpose and dual solve")
 
@@ -132,26 +135,28 @@ def run_covariance(model, cfg, report: RunReport, outdir: Path) -> None:
     pairs = _pairs(cfg)
     rows = []
     for s, t in pairs:
-        k = cov.accumulated(model, s, t).matrix
+        k = cov.accumulated(model, s, t).entries
         for i in range(model.dim):
             for j in range(i, model.dim):
                 rows.append((s, t, i, j, k[i, j]))
     write_csv(outdir / "covariance.csv", ["s", "t", "i", "j", "value"], rows)
 
-    worst = 0.0
+    resids = []
     for s, r, t in list(_seeded_triples(model, cfg))[:10]:
         if not (s < r < t):
             continue
         u = evo.propagator_matrix(model, r, t)
-        whole = cov.accumulated(model, s, t).matrix
-        split = u @ cov.accumulated(model, s, r).matrix @ u.T + cov.accumulated(model, r, t).matrix
-        worst = max(worst, float(np.abs(whole - split).max()))
+        whole = cov.accumulated(model, s, t).entries
+        split = (u @ cov.accumulated(model, s, r).entries @ u.T
+                 + cov.accumulated(model, r, t).entries)
+        resids.append(np.abs(whole - split).max())
+    worst = _worst(resids)
     report.add("covariance.flow-decomposition", "PASS" if worst <= 1e-8 else "FAIL",
                f"max residual {worst:.3e}")
 
     gen = seed_stream(cfg.seed, "cov-derivative")
     s, t = pairs[0]
-    drows, bad = [], 0.0
+    drows = []
     for probe in range(3):
         v = gen.standard_normal(model.dim)
         v /= np.linalg.norm(v)
@@ -159,7 +164,7 @@ def run_covariance(model, cfg, report: RunReport, outdir: Path) -> None:
         bwd = cov.check_backward_derivative(model, s, t, v)
         drows.append((s, t, probe, "forward", fwd.fd_value, fwd.formula_value, fwd.abs_discrepancy))
         drows.append((s, t, probe, "backward", bwd.fd_value, bwd.formula_value, bwd.abs_discrepancy))
-        bad = max(bad, fwd.abs_discrepancy, bwd.abs_discrepancy)
+    bad = _worst(row[6] for row in drows)
     write_csv(outdir / "covariance_derivatives.csv",
               ["s", "t", "probe", "side", "fd", "formula", "discrepancy"], drows)
     report.add("covariance.derivatives", "PASS" if bad <= cfg.tol_fd else "FAIL",
@@ -175,11 +180,11 @@ def run_covariance(model, cfg, report: RunReport, outdir: Path) -> None:
                        f"window {model.window} holds {len(horizons)} of the 4 "
                        f"horizons before t = {t0:g}; monotonicity is not checked")
             return
-        traces = [np.trace(cov.accumulated(model, t0 - h, t0).matrix) for h in horizons]
+        traces = [np.trace(cov.accumulated(model, t0 - h, t0).entries) for h in horizons]
         rows = list(zip(horizons, traces))
         s_star = cov.tail_cutoff(model, t0)[0]
         if s_star >= model.window[0]:
-            limit = np.trace(cov.steady_state(model, t0).matrix)
+            limit = np.trace(cov.steady_state(model, t0).entries)
             rows.append(("inf", limit))
             detail = f"trace climbs to {limit:.6g}"
         else:
@@ -218,19 +223,19 @@ def run_invariance(model, cfg, report: RunReport, outdir: Path) -> None:
 def run_diffcheck(model, cfg, report: RunReport, outdir: Path) -> None:
     gen = seed_stream(cfg.seed, "diffcheck")
     pairs = _pairs(cfg)[:2]
-    rows, worst, ratios = [], 0.0, []
+    rows, ratios = [], []
     for probe in range(20):
         s, t = pairs[probe % len(pairs)]
         freq = gen.standard_normal(model.dim)
         poly = mehler.TrigPolynomial.plane_wave(freq)
         x = gen.standard_normal(model.dim)
         rep = mehler.check_differentiation(model, s, t, poly, x)
-        worst = max(worst, rep.start_discrepancy, rep.end_discrepancy)
         ratios.extend([rep.start_order_ratio, rep.end_order_ratio])
         rows.append((probe, s, t, rep.start_discrepancy, rep.end_discrepancy,
                      rep.start_order_ratio, rep.end_order_ratio))
     write_csv(outdir / "diffcheck.csv",
               ["probe", "s", "t", "start_disc", "end_disc", "start_ratio", "end_ratio"], rows)
+    worst = _worst(d for row in rows for d in row[3:5])
     report.add("diffcheck.formulas", "PASS" if worst <= cfg.tol_fd else "FAIL",
                f"max discrepancy {worst:.3e} on 20 trig probes")
     med = float(np.median(ratios))
@@ -320,15 +325,15 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
 
     # Monte Carlo on the first probes: one sample and one propagation per
     # probe serve every exponent
-    worst = 0.0
+    gaps = []
     for i, phi in enumerate(probes[:3]):
         mc = ineq.hypercontractivity_check(model, s, t, HYPER_Q, p_values, phi, kappa,
                                            cfg.mc_samples, cfg.seed + i, system=system)
         for quad, sampled in zip(by_probe[i], mc):
             tol = max(4.0 * (sampled.lhs_err + sampled.rhs_err)
                       + quad.lhs_err + quad.rhs_err, 1e-12)
-            worst = max(worst, abs(quad.lhs - sampled.lhs) / tol,
-                        abs(quad.rhs - sampled.rhs) / tol)
+            gaps += [abs(quad.lhs - sampled.lhs) / tol, abs(quad.rhs - sampled.rhs) / tol]
+    worst = _worst(gaps)
     report.add("hyper.quadrature-vs-mc", "PASS" if worst <= 1.0 else "FAIL",
                f"quadrature and Monte Carlo norms differ by at most {worst:.3f} of "
                "4 stderr plus the quadrature error, on 3 probes")
@@ -349,7 +354,7 @@ def run_spde(model, cfg, report: RunReport, outdir: Path) -> None:
     s = REF_T
     t = s + 1.0
     x0 = np.eye(model.dim)[0]
-    ens = spde.simulate(model, s, t, x0, cfg.spde_step, cfg.spde_paths, cfg.seed)
+    ens = spde.simulate(model, s, t, x0, cfg.spde_step, cfg.mc_samples, cfg.seed)
     law = spde.law_check(ens, model, s, t, x0)
     report.add("spde.terminal-law", "PASS" if law.passed else "FAIL",
                f"max z mean {law.mean_z_max:.2f}, cov {law.cov_z_max:.2f}")

@@ -357,7 +357,7 @@ def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p: float,
     nodes at the law of <h, x> under nu_t, means included."""
     h = phi.directions[0]
     g = propagator_matrix(model, s, t).T @ h
-    v_inner = float(h @ accumulated(model, s, t).matrix @ h)
+    v_inner = float(h @ accumulated(model, s, t).entries @ h)
     mu_s, mu_t = system(s), system(t)
     v_outer = float(g @ mu_s.cov.entries @ g)
     v_end = float(h @ mu_t.cov.entries @ h)

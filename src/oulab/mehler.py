@@ -199,7 +199,7 @@ def propagate_trig(model: OperatorFamily, s: float, t: float,
     if t == s:
         return phi
     u = propagator_matrix(model, s, t)
-    k = accumulated(model, s, t).matrix
+    k = accumulated(model, s, t).entries
     damp = np.exp(-0.5 * np.einsum("ij,jk,ik->i", phi.freqs, k, phi.freqs))
     return TrigPolynomial(phi.coeffs * damp, phi.freqs @ u)
 
@@ -218,7 +218,7 @@ def apply_mc(model: OperatorFamily, s: float, t: float, phi, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     mean = propagator_matrix(model, s, t) @ x
-    factor = spectral_factor(accumulated(model, s, t).op)
+    factor = spectral_factor(accumulated(model, s, t))
     z = chunked_normals(seed, label, count, model.dim)
     ys = mean + z @ factor.T
     vals = np.asarray(phi(ys))
@@ -251,7 +251,7 @@ def transition_of_generator(model: OperatorFamily, s: float, t: float,
     """
     x = np.asarray(x, dtype=float)
     u = propagator_matrix(model, s, t)
-    k = accumulated(model, s, t).matrix
+    k = accumulated(model, s, t).entries
     a_star = model.drift_adjoint(t)
     q_t = model.diffusion_matrix(t)
     total = 0.0 + 0.0j

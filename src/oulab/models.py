@@ -402,4 +402,8 @@ def build_model(name: str, params: dict | None = None) -> OperatorFamily:
     unknown = sorted(set(params or {}) - set(defaults) - {"window"})
     if unknown:
         raise BadParameterError(f"unknown parameter(s) of {name}: {', '.join(unknown)}")
+    for key, value in (params or {}).items():
+        # NaN fails every comparison, so it slips past checks like ``if lam >= 0``
+        if not all(math.isfinite(v) for v in (value if key == "window" else (value,))):
+            raise BadParameterError(f"{key} of {name} must be finite, got {value}")
     return builder(**{**defaults, **(params or {})})

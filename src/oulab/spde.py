@@ -82,7 +82,7 @@ def simulate(model: OperatorFamily, s: float, t: float, x0: np.ndarray,
     # row-vector form: z U^T + xi K^{1/2}, with K^{1/2} symmetric
     steps = list(zip(taus[:-1], taus[1:]))
     props = [propagator_matrix(model, lo, hi).T for lo, hi in steps]
-    roots = [sqrt_psd(accumulated(model, lo, hi).op).entries for lo, hi in steps]
+    roots = [sqrt_psd(accumulated(model, lo, hi)).entries for lo, hi in steps]
 
     terminal = np.empty((count, model.dim))
     states = np.empty((min(HEAD, count), model.dim, len(snap_idx)))
@@ -121,7 +121,7 @@ def law_check(ensemble: PathEnsemble, model: OperatorFamily, s: float, t: float,
     term = ensemble.terminal
     n = term.shape[0]
     m_cont = propagator_matrix(model, s, t) @ x0
-    s_cont = accumulated(model, s, t).matrix
+    s_cont = accumulated(model, s, t).entries
 
     # degenerate directions get an absolute roundoff floor instead of a
     # vanishing standard error

@@ -50,9 +50,9 @@ def test_criterion_1_closed_form_kernel(catalog):
     ss = cov.steady_state(dc, 1.0, tol_tail=1e-10)
     elapsed = time.perf_counter() - start
     assert DC_K10 == pytest.approx(0.43233235838169365, abs=1e-16)
-    err_mode = abs(k.matrix[0, 0] - DC_K10)
-    err_trace = abs(np.trace(k.matrix) - DC_TRACE)
-    err_ss = np.abs(ss.matrix - 0.5 * np.eye(8)).max()
+    err_mode = abs(k.entries[0, 0] - DC_K10)
+    err_trace = abs(np.trace(k.entries) - DC_TRACE)
+    err_ss = np.abs(ss.entries - 0.5 * np.eye(8)).max()
     ok = err_mode <= 1e-10 and err_trace <= 1e-9 and err_ss <= 1e-10 and elapsed < 1.0
     _line(1, "closed-form kernel", ok,
           f"mode err {err_mode:.2e}, trace err {err_trace:.2e}, "
@@ -241,7 +241,7 @@ def test_criterion_8_ergodic_limit(catalog):
 
 
 def test_criterion_9_determinism(tmp_path):
-    cfg = ExperimentConfig(mc_samples=20_000, spde_paths=20_000, probe_count=12)
+    cfg = ExperimentConfig(mc_samples=20_000, probe_count=12)
     runs = {}
     path = tmp_path / "run.cfg"
     path.write_text(cfg.to_text())

@@ -9,15 +9,18 @@ import numpy as np
 import pytest
 
 import oulab
-from oulab import cli
+from oulab import cli, evolution, experiments, inequalities, measures, mehler
+from oulab import covariance as cov
 from oulab.config import ConfigError, ExperimentConfig
 from oulab.experiments import run_suite
+
+NAN = float("nan")
 
 
 def small_config(**over):
     base = ExperimentConfig(
         s_values=(-1.0, 0.0), t_values=(0.5, 1.0), triple_count=10,
-        probe_count=8, mc_samples=4000, spde_paths=2000, spde_step=0.02,
+        probe_count=8, mc_samples=4000, spde_step=0.02,
     )
     return dataclasses.replace(base, **over)
 
@@ -73,6 +76,7 @@ def test_cli_window_with_one_bound_exits_two(tmp_path):
     "name = diag-constant\nn = 0\n",      # a value the builder rejects
     "name = diag-constant\nbogus = 3\n",  # a parameter the model does not have
     "name = no-such-model\n",             # a model the catalog does not have
+    "name = diag-constant\nlam = nan\n",  # NaN passes the builder's lam < 0 check
 ])
 def test_cli_model_error_exits_two(tmp_path, capsys, model):
     path = tmp_path / "model.cfg"
@@ -98,6 +102,7 @@ def test_cli_scalar_osc_without_decay_exits_two(tmp_path, capsys):
     ("[hyper]\n", "[hyper]\ngap = 0.5\n"),       # a knob now fixed in experiments
     ("s_values =", "s_value ="),                  # a misspelled key
     ("[run]\n", "[extra]\nseed = 1\n\n[run]\n"),  # an unknown section
+    ("[mc]\n", "[mc]\nspde_paths = 2000\n"),   # merged into samples
 ])
 def test_cli_unknown_key_exits_two(tmp_path, capsys, old, new):
     text = small_config().to_text()
@@ -112,6 +117,11 @@ def test_cli_unknown_key_exits_two(tmp_path, capsys, old, new):
     ("sharpness_p = 4.5, 6.0", "sharpness_p ="),  # no sharpness exponent
     ("triple_span = 1.5", "triple_span = -1.0"),   # triples with t < s
     ("t_values = -0.8, -0.4, 0.0, 0.4", "t_values = -5.0"),  # no pair s < t
+    # NaN fails every comparison, so each range check would let it through
+    ("[grids]\n", "[window]\nt_min = nan\nt_max = 10.0\n\n[grids]\n"),
+    ("s_values = -1.0,", "s_values = nan,"),
+    ("fd = 0.0001", "fd = inf"),
+    ("samples = 20000", "samples = 1"),  # no standard error from one draw
 ])
 def test_cli_unusable_grid_exits_two_without_report(tmp_path, capsys, old, new):
     text = (REPO / "configs" / "parabolic_1d.cfg").read_text()
@@ -127,7 +137,7 @@ def test_cli_unusable_grid_exits_two_without_report(tmp_path, capsys, old, new):
 @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.cfg")))
 def test_shipped_config_report_all_passes_with_small_samples(tmp_path, name):
     cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / name),
-                              mc_samples=5000, spde_paths=5000)
+                              mc_samples=5000)
     report = run_suite("report-all", cfg, tmp_path)
     assert {c["status"] for c in report.checks} <= {"PASS", "REPORT"}, \
         [c for c in report.checks if c["status"] not in ("PASS", "REPORT")]
@@ -223,8 +233,7 @@ def test_numerical_error_is_an_error_row_and_the_other_subcommands_run(tmp_path)
     # stencil of the covariance derivatives steps out of it partway through
     cfg = ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg")
     path = tmp_path / "narrow.cfg"
-    path.write_text(dataclasses.replace(cfg, window=(-2.0, 5.0), mc_samples=2000,
-                                        spde_paths=2000).to_text())
+    path.write_text(dataclasses.replace(cfg, window=(-2.0, 5.0), mc_samples=2000).to_text())
     out = tmp_path / "out"
     assert cli.main(["report-all", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
@@ -241,8 +250,7 @@ def test_times_before_the_window_stay_error_rows(tmp_path):
     # the battery asks the system for s = -2, before the window starts at -1
     cfg = ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg")
     path = tmp_path / "late.cfg"
-    path.write_text(dataclasses.replace(cfg, window=(-1.0, 5.0), mc_samples=2000,
-                                        spde_paths=2000).to_text())
+    path.write_text(dataclasses.replace(cfg, window=(-1.0, 5.0), mc_samples=2000).to_text())
     out = tmp_path / "out"
     assert cli.main(["report-all", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
@@ -336,3 +344,71 @@ def test_cli_lists_failed_checks_beside_errors(tmp_path, monkeypatch, capsys):
     assert cli.main(["report-all", str(path), "--outdir", str(tmp_path)]) == cli.EXIT_NUMERICAL_ERROR
     err = capsys.readouterr().err
     assert "FAILED: hyper.curve" in err and "ERROR: covariance.error" in err
+
+
+def _spoil_call(monkeypatch, owner, attr, at, spoil):
+    """Replace the result of call number ``at`` (from 0) of owner.attr by
+    spoil(result)."""
+    original, calls = getattr(owner, attr), []
+
+    def spoiled(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(None)
+        return spoil(out) if len(calls) == at + 1 else out
+
+    monkeypatch.setattr(owner, attr, spoiled)
+
+
+def _first_lhs_nan(reports):
+    return [dataclasses.replace(reports[0], lhs=NAN)] + list(reports[1:])
+
+
+# (check, subcommand, model, owner, attribute, call, spoil): one NaN residual
+# planted in a check that reduces its residuals to one worst value
+NAN_PLANTS = [
+    ("evolve.chain-law", "evolve", "diag-constant",
+     experiments, "operator_norm", 0, lambda out: NAN),
+    ("evolve.adjoint", "evolve", "parabolic-1d",  # after the 10 chain-law triples
+     experiments, "operator_norm", 10, lambda out: NAN),
+    ("covariance.flow-decomposition", "covariance", "diag-constant",
+     evolution, "propagator_matrix", 0, lambda out: out * NAN),
+    ("covariance.derivatives", "covariance", "diag-constant",
+     cov, "check_forward_derivative", 1,
+     lambda out: dataclasses.replace(out, abs_discrepancy=NAN)),
+    ("diffcheck.formulas", "diffcheck", "diag-constant",
+     mehler, "check_differentiation", 1,
+     lambda out: dataclasses.replace(out, start_discrepancy=NAN)),
+    ("hyper.quadrature-vs-mc", "hyper", "diag-constant",
+     inequalities, "hypercontractivity_check", 1, _first_lhs_nan),
+]
+
+
+@pytest.mark.parametrize("check, sub, model, owner, attr, at, spoil", NAN_PLANTS,
+                         ids=[plant[0] for plant in NAN_PLANTS])
+def test_a_nan_residual_fails_its_check(tmp_path, monkeypatch, check, sub, model,
+                                        owner, attr, at, spoil):
+    _spoil_call(monkeypatch, owner, attr, at, spoil)
+    report = run_suite(sub, small_config(model_name=model), tmp_path)
+    assert {c["name"]: c["status"] for c in report.checks}[check] == "FAIL"
+
+
+def test_a_nan_discrepancy_fails_both_invariance_rows(tmp_path, monkeypatch):
+    # the first characteristic value of each verify_invariance run is NaN
+    verify, characteristic, fresh = measures.verify_invariance, measures.characteristic, []
+
+    def marked(*args, **kwargs):
+        fresh.append(None)
+        return verify(*args, **kwargs)
+
+    def spoiled(mu, h):
+        if fresh:
+            fresh.clear()
+            return complex(NAN, NAN)
+        return characteristic(mu, h)
+
+    monkeypatch.setattr(measures, "verify_invariance", marked)
+    monkeypatch.setattr(measures, "characteristic", spoiled)
+    report = run_suite("invariance", small_config(model_name="nonunique-demo"), tmp_path)
+    statuses = {c["name"]: c["status"] for c in report.checks}
+    assert statuses == {"invariance.gaussian-system": "FAIL",
+                        "invariance.shifted-system": "FAIL"}

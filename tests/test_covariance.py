@@ -15,29 +15,38 @@ DC_K10 = (1.0 - math.exp(-2.0)) / 2.0
 
 def test_zero_at_equal_times(dc8, parabolic5):
     for model in (dc8, parabolic5):
-        assert np.all(cov.accumulated(model, 0.3, 0.3).matrix == 0.0)
+        assert np.all(cov.accumulated(model, 0.3, 0.3).entries == 0.0)
 
 
 def test_constant_model_closed_form(dc8):
     assert DC_K10 == pytest.approx(0.43233235838169365, abs=1e-16)
     k = cov.accumulated(dc8, 0.0, 1.0)
-    assert k.matrix[0, 0] == pytest.approx(DC_K10, abs=1e-10)
-    assert np.trace(k.matrix) == pytest.approx(8.0 * DC_K10, abs=1e-9)
+    assert k.entries[0, 0] == pytest.approx(DC_K10, abs=1e-10)
+    assert np.trace(k.entries) == pytest.approx(8.0 * DC_K10, abs=1e-9)
 
 
 def test_constant_model_square_root_of_kernel(dc8):
     from oulab.linalg import sqrt_psd
 
-    root = sqrt_psd(cov.accumulated(dc8, 0.0, 1.0).op)
+    root = sqrt_psd(cov.accumulated(dc8, 0.0, 1.0))
     assert root.entries[0, 0] == pytest.approx(math.sqrt(DC_K10), abs=1e-10)
 
 
 def test_steady_state_constant_model(dc8):
     ss = cov.steady_state(dc8, 1.0, tol_tail=1e-10)
-    np.testing.assert_allclose(ss.matrix, 0.5 * np.eye(8), atol=1e-10)
-    assert np.trace(ss.matrix) == pytest.approx(4.0, abs=1e-9)
-    assert ss.meta["s_star"] < 1.0
-    assert ss.meta["tail_trace_bound"] <= 1e-10
+    np.testing.assert_allclose(ss.entries, 0.5 * np.eye(8), atol=1e-10)
+    assert np.trace(ss.entries) == pytest.approx(4.0, abs=1e-9)
+    s_star, tail_bound = cov.tail_cutoff(dc8, 1.0, 1e-10)
+    assert s_star < 1.0
+    assert tail_bound <= 1e-10
+
+
+@pytest.mark.parametrize("which", ["dc8", "scalar4", "parabolic5"])
+def test_steady_state_is_the_kernel_at_the_tail_cutoff(request, which):
+    model = request.getfixturevalue(which)
+    for t, tol in ((0.0, 1e-10), (1.0, 1e-12)):
+        s_star = cov.tail_cutoff(model, t, tol)[0]
+        assert cov.steady_state(model, t, tol) is cov.accumulated(model, s_star, t)
 
 
 def _dense_scaled_noise(meta):
@@ -60,10 +69,11 @@ def test_steady_state_tail_bound_covers_neglected_trace():
     model = _dense_scaled_noise({"noise_sup": 10.0})
     t = 0.0
     ss = cov.steady_state(model, t, tol_tail=1e-10)
+    s_star, tail_bound = cov.tail_cutoff(model, t, 1e-10)
     # neglected trace: n b^2 / (2 |a|) e^{-2 (t - s*)}, exact for this model
-    neglected = 3 * 100.0 / 2.0 * math.exp(-2.0 * (t - ss.meta["s_star"]))
-    assert ss.meta["tail_trace_bound"] >= neglected * (1.0 - 1e-12)
-    np.testing.assert_allclose(ss.matrix, 50.0 * np.eye(3), atol=1e-8)
+    neglected = 3 * 100.0 / 2.0 * math.exp(-2.0 * (t - s_star))
+    assert tail_bound >= neglected * (1.0 - 1e-12)
+    np.testing.assert_allclose(ss.entries, 50.0 * np.eye(3), atol=1e-8)
 
 
 @pytest.mark.parametrize("which", ["dc8", "scalar4"])
@@ -80,13 +90,13 @@ def test_repeated_modes_are_integrated_once(request, monkeypatch, which):
     monkeypatch.setattr(cov, "mode_accumulated", counted)
     kern = cov.accumulated(model, -0.8125, 0.4375)  # a pair no other test uses
     assert len(calls) == 1
-    np.testing.assert_array_equal(np.diag(kern.matrix), np.full(model.dim, kern.matrix[0, 0]))
+    np.testing.assert_array_equal(np.diag(kern.entries), np.full(model.dim, kern.entries[0, 0]))
 
 
 def test_monotone_horizon_convergence(dc8):
     t = 0.0
     horizons = [1.0, 2.0, 4.0, 8.0, 12.0]
-    traces = [np.trace(cov.accumulated(dc8, t - h, t).matrix) for h in horizons]
+    traces = [np.trace(cov.accumulated(dc8, t - h, t).entries) for h in horizons]
     assert all(b >= a - 1e-12 for a, b in zip(traces, traces[1:]))
     # increments fall below the certified exponential tail
     m, zeta = dc8.decay
@@ -102,11 +112,11 @@ def test_steady_state_requires_decay_or_cutoff(rational4, nonunique3):
         cov.steady_state(rational4, 0.0)
     # explicit cutoff route works for the integrable slow mode
     ss = cov.steady_state(nonunique3, 0.0, s_star=-200.0)
-    assert ss.meta["s_star"] == -200.0
-    assert np.all(np.isfinite(ss.matrix))
+    assert ss is cov.accumulated(nonunique3, -200.0, 0.0)
+    assert np.all(np.isfinite(ss.entries))
     # fast modes have the closed-form limit 1/(2 k^2)
-    assert ss.matrix[1, 1] == pytest.approx(1.0 / 8.0, abs=1e-9)
-    assert ss.matrix[2, 2] == pytest.approx(1.0 / 18.0, abs=1e-9)
+    assert ss.entries[1, 1] == pytest.approx(1.0 / 8.0, abs=1e-9)
+    assert ss.entries[2, 2] == pytest.approx(1.0 / 18.0, abs=1e-9)
 
 
 def test_flow_decomposition(dc8, rational4, parabolic5):
@@ -116,8 +126,9 @@ def test_flow_decomposition(dc8, rational4, parabolic5):
         d1, d2 = np.sort(gen.random(2)) * 1.5
         s, r, t = base, base + d1 + 1e-3, base + d2 + 2e-3
         u = evo.propagator_matrix(model, r, t)
-        whole = cov.accumulated(model, s, t).matrix
-        split = u @ cov.accumulated(model, s, r).matrix @ u.T + cov.accumulated(model, r, t).matrix
+        whole = cov.accumulated(model, s, t).entries
+        split = (u @ cov.accumulated(model, s, r).entries @ u.T
+                 + cov.accumulated(model, r, t).entries)
         assert np.abs(whole - split).max() <= 1e-8
 
 
@@ -130,9 +141,9 @@ def test_flow_decomposition_with_one_drift_integral(nonunique3):
     for _ in range(60):
         s, r, t = np.sort(gen.uniform(-3.0, 3.0, 3))
         u = evo.propagator_matrix(nonunique3, r, t)
-        whole = cov.accumulated(nonunique3, s, t).matrix
-        split = (u @ cov.accumulated(nonunique3, s, r).matrix @ u.T
-                 + cov.accumulated(nonunique3, r, t).matrix)
+        whole = cov.accumulated(nonunique3, s, t).entries
+        split = (u @ cov.accumulated(nonunique3, s, r).entries @ u.T
+                 + cov.accumulated(nonunique3, r, t).entries)
         worst = max(worst, np.abs(whole - split).max() / np.abs(whole).max())
     assert worst <= 1e-13
 
@@ -140,22 +151,22 @@ def test_flow_decomposition_with_one_drift_integral(nonunique3):
 def test_stationarity_identity(dc8):
     s, t = -0.5, 1.0
     u = evo.propagator_matrix(dc8, s, t)
-    lhs = u @ cov.steady_state(dc8, s, 1e-12).matrix @ u.T + cov.accumulated(dc8, s, t).matrix
-    rhs = cov.steady_state(dc8, t, 1e-12).matrix
+    lhs = u @ cov.steady_state(dc8, s, 1e-12).entries @ u.T + cov.accumulated(dc8, s, t).entries
+    rhs = cov.steady_state(dc8, t, 1e-12).entries
     assert np.abs(lhs - rhs).max() <= 1e-10
 
 
 def test_psd_monotone_in_start_time(rational4):
     t = 1.0
-    k_late = cov.accumulated(rational4, 0.0, t).matrix
-    k_early = cov.accumulated(rational4, -2.0, t).matrix
+    k_late = cov.accumulated(rational4, 0.0, t).entries
+    k_early = cov.accumulated(rational4, -2.0, t).entries
     eigs = np.linalg.eigvalsh(k_early - k_late)
     assert eigs.min() >= -1e-10
 
 
-def test_dense_quadrature_against_closed_form():
+def test_dense_quadrature_against_closed_form(monkeypatch):
     # wrap the constant model as an opaque dense family: same numbers must
-    # come out of the joint (U, K) flow
+    # come out of the joint (U, K) flow, solved on unit cells
     from oulab.models import OperatorFamily
 
     dense = OperatorFamily(
@@ -163,32 +174,45 @@ def test_dense_quadrature_against_closed_form():
         drift_fn=lambda t: -np.eye(3), noise_fn=lambda t: np.eye(3),
         meta={"noise_sup": 1.0},
     )
+    cells = []
+    original = evo._cell_flow
+
+    def counted(model, s, t):
+        cells.append((s, t))
+        return original(model, s, t)
+
+    monkeypatch.setattr(evo, "_cell_flow", counted)
     k = cov.accumulated(dense, 0.0, 1.0)
-    np.testing.assert_allclose(k.matrix, DC_K10 * np.eye(3), atol=1e-9)
-    assert k.meta == {"method": "flow", "rtol": evo.FLOW_RTOL, "atol": evo.FLOW_ATOL}
+    np.testing.assert_allclose(k.entries, DC_K10 * np.eye(3), atol=1e-9)
+    assert cells == [(0.0, 1.0)]
 
 
 @pytest.mark.parametrize("s, t", [(-0.2, 0.2), (-1.0, 0.4), (-8.0, 0.0)])
-def test_dense_flow_against_lyapunov(parabolic5, s, t):
+def test_dense_flow_against_lyapunov(monkeypatch, s, t):
     # constant drift: K(t, s) = X - e^{A h} X e^{A^T h} with A X + X A^T = -I
     from scipy.linalg import expm, solve_continuous_lyapunov
 
-    a = parabolic5.drift_matrix(0.0)
+    def no_cells(*args):
+        raise AssertionError("an autonomous family must not reach the DOP853 cell flow")
+
+    # a fresh model: nothing is memoized, so every kernel below is computed
+    model = build_model("parabolic-1d", {})
+    monkeypatch.setattr(evo, "_cell_flow", no_cells)
+    a = model.drift_matrix(0.0)
     x = solve_continuous_lyapunov(a, -np.eye(5))
     u = expm(a * (t - s))
-    k = cov.accumulated(parabolic5, s, t)
-    assert np.abs(k.matrix - (x - u @ x @ u.T)).max() <= 1e-12
-    # closed form from one eigendecomposition: no integrator tolerances
-    assert k.meta == {"method": "spectral"}
-    assert cov.steady_state(parabolic5, t).meta["method"] == "spectral"
+    k = cov.accumulated(model, s, t)
+    assert np.abs(k.entries - (x - u @ x @ u.T)).max() <= 1e-12
+    # closed form from one eigendecomposition, the steady state included
+    cov.steady_state(model, t)
 
 
 def test_flow_is_independent_of_call_order():
     first, second = build_model("parabolic-1d", {}), build_model("parabolic-1d", {})
-    long_first = cov.accumulated(first, -8.0, 0.0).matrix
-    short_after = cov.accumulated(first, -4.0, 0.0).matrix
-    short_first = cov.accumulated(second, -4.0, 0.0).matrix
-    long_after = cov.accumulated(second, -8.0, 0.0).matrix
+    long_first = cov.accumulated(first, -8.0, 0.0).entries
+    short_after = cov.accumulated(first, -4.0, 0.0).entries
+    short_first = cov.accumulated(second, -4.0, 0.0).entries
+    long_after = cov.accumulated(second, -8.0, 0.0).entries
     assert np.array_equal(long_first, long_after)
     assert np.array_equal(short_after, short_first)
 
@@ -196,8 +220,8 @@ def test_flow_is_independent_of_call_order():
 def test_flow_composition_pins_the_steady_state_floor(parabolic5):
     # K(0, -8) differs from K(0, -4) by a term of order ||U(0, -4)||^2, far
     # below roundoff; separate solves would differ by solver noise instead
-    k8 = cov.accumulated(parabolic5, -8.0, 0.0).matrix
-    k4 = cov.accumulated(parabolic5, -4.0, 0.0).matrix
+    k8 = cov.accumulated(parabolic5, -8.0, 0.0).entries
+    k4 = cov.accumulated(parabolic5, -4.0, 0.0).entries
     assert np.abs(k8 - k4).max() <= 1e-15
 
 

@@ -64,7 +64,7 @@ def test_flow_laws_across_grid_cells(scalar4, rational4, parabolic5, parabolic5_
     def u_k(model, lo, hi):
         if model.kind == "dense":
             return evo.flow(model, lo, hi)
-        return evo.propagator_matrix(model, lo, hi), cov.accumulated(model, lo, hi).matrix
+        return evo.propagator_matrix(model, lo, hi), cov.accumulated(model, lo, hi).entries
 
     for model in (parabolic5, parabolic5_varying, scalar4, rational4, nonunique3):
         u_ts, k_ts = u_k(model, s, t)

@@ -143,8 +143,8 @@ def test_long_time_limit_zero_start_formula(dc8):
     poly = TrigPolynomial.plane_wave(np.eye(8)[0])
     t, s = 0.0, -3.0
     val = apply_exact(dc8, s, t, poly, np.zeros(8))
-    k_fin = accumulated(dc8, s, t).matrix[0, 0]
-    k_inf = steady_state(dc8, t, 1e-13).matrix[0, 0]
+    k_fin = accumulated(dc8, s, t).entries[0, 0]
+    k_inf = steady_state(dc8, t, 1e-13).entries[0, 0]
     expected = abs(math.exp(-0.5 * k_fin) - math.exp(-0.5 * k_inf))
     gamma = meas.gaussian_system(dc8, tol_tail=1e-13)(t)
     diff = abs(val - mean_functional(gamma, poly))

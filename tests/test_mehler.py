@@ -45,7 +45,7 @@ def test_propagated_frequencies_follow_adjoint(rational4):
     u = propagator_matrix(rational4, s, t)
     np.testing.assert_allclose(out.freqs, freqs @ u, atol=1e-12)
     damp = np.exp(-0.5 * np.einsum("ij,jk,ik->i", freqs,
-                                   accumulated(rational4, s, t).matrix, freqs))
+                                   accumulated(rational4, s, t).entries, freqs))
     np.testing.assert_allclose(out.coeffs, poly.coeffs * damp, atol=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_apply_mc_matches_exact_cosine(dc8):
 def test_apply_mc_second_moment_identity(dc8):
     x = np.ones(8)
     s, t = 0.0, 1.0
-    expected = np.trace(accumulated(dc8, s, t).matrix) + \
+    expected = np.trace(accumulated(dc8, s, t).entries) + \
         float(np.linalg.norm(propagator_matrix(dc8, s, t) @ x) ** 2)
     est = apply_mc(dc8, s, t, lambda ys: (ys**2).sum(axis=1), x, count=200_000, seed=9)
     assert abs(est.value.real - expected) <= 4.0 * est.stderr

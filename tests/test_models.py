@@ -52,7 +52,7 @@ def test_zero_diffusion_gives_zero_covariance():
     from oulab.covariance import accumulated
 
     model = make_diagonal_constant(1, -2.0, 0.0)
-    assert accumulated(model, -1.0, 2.0).matrix[0, 0] == 0.0
+    assert accumulated(model, -1.0, 2.0).entries[0, 0] == 0.0
 
 
 def test_scalar_supremum_analytic():
@@ -235,3 +235,15 @@ def test_catalog_construction_is_deterministic():
 def test_catalog_rejects_unknown_model():
     with pytest.raises(BadParameterError):
         build_model("no-such-model")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("diag-constant", {"lam": math.nan}),  # NaN passes lam < 0
+    ("diag-constant", {"b": math.inf}),
+    ("scalar-osc", {"offset": math.nan}),
+    ("parabolic-1d", {"nu": math.inf}),
+    ("nonunique-demo", {"window": (math.nan, 50.0)}),  # NaN passes the empty-window check
+])
+def test_catalog_rejects_non_finite_parameters(name, params):
+    with pytest.raises(BadParameterError, match="finite"):
+        build_model(name, params)

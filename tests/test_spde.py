@@ -68,7 +68,7 @@ def test_diagonal_paths_are_the_elementwise_recursion(rational4, dc8, scalar4):
         for lo, hi in zip(taus[:-1], taus[1:]):
             xi = gen.standard_normal((count, model.dim))
             z = (z * np.diag(propagator_matrix(model, lo, hi))
-                 + xi * np.sqrt(np.diag(accumulated(model, lo, hi).matrix)))
+                 + xi * np.sqrt(np.diag(accumulated(model, lo, hi).entries)))
         np.testing.assert_array_equal(ens.terminal, z)
 
 

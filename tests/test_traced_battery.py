@@ -30,7 +30,7 @@ def test_traced_battery_reaches_every_span(tmp_path):
     # the benchmark's tracer wraps oulab functions by name and binds their
     # arguments; a rename or a dropped argument breaks it
     cfg = ExperimentConfig(s_values=(-1.0, 0.0), t_values=(0.5, 1.0), triple_count=10,
-                           probe_count=8, mc_samples=4000, spde_paths=2000, spde_step=0.02)
+                           probe_count=8, mc_samples=4000, spde_step=0.02)
     layers = _traced_layers(tmp_path, cfg)
     # diagonal models never take the independent adjoint solve
     idle = [name for name, agg in layers.items()
@@ -42,7 +42,7 @@ def test_traced_battery_reaches_the_dense_spans(tmp_path):
     # the same on a dense model, whose battery takes the adjoint solve and
     # has no diagonal modes
     cfg = dataclasses.replace(ExperimentConfig.from_file(ROOT / "configs" / "parabolic_1d.cfg"),
-                              mc_samples=2000, spde_paths=2000, spde_step=0.02)
+                              mc_samples=2000, spde_step=0.02)
     layers = _traced_layers(tmp_path, cfg)
     idle = [name for name, agg in layers.items() if agg["calls"] == 0]
     assert idle == ["covariance.mode_accumulated"]
