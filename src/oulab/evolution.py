@@ -33,12 +33,11 @@ at times s and t, and fits one least-squares line
     log N(s, t) = log scale - rate * (t - s).
 
 The scale is then raised so the bound sits above every sample; certificates
-certify the sampled window only.  The certificate keeps the power alpha of
-the paper's bound scale * e^{-rate (t-s)} / (t-s)^alpha, and every fit sets
-it to 0: in a finite truncation with continuous, invertible noise,
+certify the sampled window only.  The paper's bound has a further factor
+(t - s)^-alpha, which a truncation lacks: with continuous, invertible noise,
 U(t, s) -> I and R_t -> R_s as t -> s, so the range norm stays near 1 close
-to the diagonal and has no (t - s)^-alpha factor to find.  A fitted alpha
-would only follow the time-varying rates.
+to the diagonal.  A fitted alpha would only follow the time-varying rates,
+so certificates have alpha = 0 and no field for it.
 """
 
 from __future__ import annotations
@@ -206,32 +205,28 @@ def cm_operator_norm(model: OperatorFamily, s: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class DecayCertificate:
-    """Fitted bound  norm(s, t) <= scale * e^{-rate (t-s)} / (t-s)^power.
+    """Fitted bound  norm(s, t) <= scale * e^{-rate (t-s)}.
 
-    ``mode`` is "operator" or "cameron-martin".  ``fit_decay`` sets ``power``
-    to 0 in both modes; the field keeps the algebraic factor of the paper's
-    bound, which ``inequalities.log_sobolev_constant`` reads.  The
-    certificate is sound on its sampled pairs: after fitting, ``scale`` is
-    inflated so the bound majorizes every measured norm up to ``slack``.
+    ``mode`` is "operator" or "cameron-martin".  The certificate is sound on
+    its sampled pairs: after fitting, ``scale`` is inflated so the bound
+    majorizes every measured norm up to ``slack``.
     """
 
     mode: str
     scale: float
     rate: float
-    power: float
     residual: float
     pairs: tuple[tuple[float, float], ...]
     slack: float = 1e-9
 
     def bound(self, s: float, t: float) -> float:
-        gap = t - s
-        return self.scale * math.exp(-self.rate * gap) / gap**self.power
+        return self.scale * math.exp(-self.rate * (t - s))
 
     def as_dict(self) -> dict:
         if self.mode == "operator":
             names = {"M": self.scale, "zeta": self.rate}
         else:
-            names = {"C": self.scale, "eta": self.rate, "alpha": self.power}
+            names = {"C": self.scale, "eta": self.rate}
         return {
             "mode": self.mode,
             **names,
@@ -252,13 +247,12 @@ def measured_norm(model: OperatorFamily, s: float, t: float, mode: str) -> float
 def fit_decay(model: OperatorFamily, pairs, mode: str = "operator") -> DecayCertificate:
     """Least-squares decay line over (s, t) pairs, upgraded to a sound bound.
 
-    Fits log N = log scale - rate * (t - s) with power 0, then raises the
-    scale until the bound covers every measured norm.  Pairs with t <= s are
-    refused: at t = s the norm is that of the identity whatever the model,
-    so it says nothing about the rate, and the paper's bound with power
-    alpha > 0 is infinite there.  When all gaps agree to 1e-9 relative, a
-    line has no slope to fit, and the largest norm is interpolated at the
-    largest gap: scale 1 when it decays, otherwise rate 0.
+    Fits log N = log scale - rate * (t - s), then raises the scale until the
+    bound covers every measured norm.  Pairs with t <= s are refused: at
+    t = s the norm is that of the identity whatever the model, so it says
+    nothing about the rate.  When all gaps agree to 1e-9 relative, a line
+    has no slope to fit, and the largest norm is interpolated at the largest
+    gap: scale 1 when it decays, otherwise rate 0.
     A certificate is a pure function of (mode, pairs), so a fitted one is
     kept in ``model.memo["decay"]`` and returned by later calls; a failed
     fit is not kept.
@@ -287,7 +281,7 @@ def _fit_decay(model: OperatorFamily, pairs: tuple, mode: str) -> DecayCertifica
             scale, rate = 1.0, -ln / g
         else:
             scale, rate = math.exp(ln), 0.0
-        return DecayCertificate(mode, scale, rate, 0.0, float(np.std(logn)), pairs)
+        return DecayCertificate(mode, scale, rate, float(np.std(logn)), pairs)
 
     coef = np.polyfit(gaps, logn, 1)
     rate, logc = -float(coef[0]), float(coef[1])
@@ -295,4 +289,4 @@ def _fit_decay(model: OperatorFamily, pairs: tuple, mode: str) -> DecayCertifica
     residual = float(np.sqrt(np.mean((fitted - logn) ** 2)))
     # upgrade: shift the scale so the bound sits above every sample
     logc += max(0.0, float(np.max(logn - fitted)))
-    return DecayCertificate(mode, math.exp(logc), rate, 0.0, residual, pairs)
+    return DecayCertificate(mode, math.exp(logc), rate, residual, pairs)

@@ -1,11 +1,13 @@
 """Entropy inequality and norm-contraction checks.
 
-From a range-metric decay certificate (scale C, rate eta, power alpha) the
-inequality constant is
+From a range-metric decay certificate (scale C, rate eta) the inequality
+constant is
 
-    kappa = C * (2 eta)^(2 alpha - 1) * Gamma(1 - 2 alpha),
+    kappa = C / (2 eta),
 
-finite for alpha in [0, 1/2).  Two families of checks use it:
+the paper's C (2 eta)^(2 alpha - 1) Gamma(1 - 2 alpha) at alpha = 0, the
+power every certificate of a finite truncation has (see ``evolution``).
+Two families of checks use it:
 
   * entropy gap: for smooth positive cylindrical observables phi (profile
     and gradient) and exponents p in (1, inf),
@@ -65,7 +67,7 @@ RAMP_CAP = 6.0
 
 
 class BadCertificateError(ValueError):
-    """Certificate outside the admissible (rate, power) region."""
+    """Certificate of the wrong mode or without a positive rate."""
 
 
 class NonPositiveMeanError(RuntimeError):
@@ -76,12 +78,9 @@ def log_sobolev_constant(cert: DecayCertificate) -> float:
     """kappa from a cameron-martin decay certificate."""
     if cert.mode != "cameron-martin":
         raise BadCertificateError("kappa needs a cameron-martin certificate")
-    c, eta, alpha = cert.scale, cert.rate, cert.power
-    if eta <= 0.0:
-        raise BadCertificateError(f"rate must be positive, got {eta}")
-    if not 0.0 <= alpha < 0.5:
-        raise BadCertificateError(f"power must lie in [0, 1/2), got {alpha}")
-    return c * (2.0 * eta) ** (2.0 * alpha - 1.0) * math.gamma(1.0 - 2.0 * alpha)
+    if cert.rate <= 0.0:
+        raise BadCertificateError(f"rate must be positive, got {cert.rate}")
+    return cert.scale / (2.0 * cert.rate)
 
 
 def exponent_curve(q: float, gap: float, kappa: float) -> float:
@@ -142,7 +141,6 @@ def _entropy_terms(u: np.ndarray, phi: CylindricalFunction, p: float,
 
 @dataclass(frozen=True)
 class LogSobolevReport:
-    t: float
     p: float
     label: str
     lhs: float
@@ -150,8 +148,6 @@ class LogSobolevReport:
     slack: float
     lhs_err: float
     rhs_err: float
-    kappa: float
-    method: str
     passed: bool
 
 
@@ -210,8 +206,7 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction,
 
     slack = rhs - lhs
     passed = slack >= -3.0 * (lhs_err + rhs_err)
-    return LogSobolevReport(t, p, phi.label, lhs, rhs, slack, lhs_err, rhs_err,
-                            kappa, method, passed)
+    return LogSobolevReport(p, phi.label, lhs, rhs, slack, lhs_err, rhs_err, passed)
 
 
 # -- norm contraction -----------------------------------------------------------
@@ -238,24 +233,20 @@ def _evaluate_by_chunk(phi: TrigPolynomial, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HyperReport:
-    s: float
-    t: float
-    q: float
     p: float
     p_max: float
     lhs: float
     rhs: float
     lhs_err: float
     rhs_err: float
-    kappa: float
     passed: bool
 
 
-def _hyper_report(s, t, q, p, p_max, lhs, rhs, lhs_err, rhs_err, kappa) -> HyperReport:
+def _hyper_report(p, p_max, lhs, rhs, lhs_err, rhs_err) -> HyperReport:
     """PASS requires p on or under the exponent curve and the norm inequality
     to hold within three combined errors."""
     passed = (p <= p_max + 1e-12) and (lhs <= rhs + 3.0 * (lhs_err + rhs_err))
-    return HyperReport(s, t, q, p, p_max, lhs, rhs, lhs_err, rhs_err, kappa, passed)
+    return HyperReport(p, p_max, lhs, rhs, lhs_err, rhs_err, passed)
 
 
 def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
@@ -293,7 +284,7 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
     reports = []
     for p in p_values:
         lhs, lhs_err = _p_norm_and_err(vals.real, p)
-        reports.append(_hyper_report(s, t, q, p, p_max, lhs, rhs, lhs_err, rhs_err, kappa))
+        reports.append(_hyper_report(p, p_max, lhs, rhs, lhs_err, rhs_err))
     return reports[0] if single else reports
 
 
@@ -333,8 +324,8 @@ def hyper_quadrature(model: OperatorFamily, s: float, t: float, q: float, p_valu
     (rhs,), (rhs_c,) = (_quad_p_norms(phi, system(t), [q], n)
                         for n in (GH_NODES, GH_NODES_COARSE))
     p_max = exponent_curve(q, t - s, kappa)
-    return [_hyper_report(s, t, q, float(p), p_max, float(a), float(rhs),
-                          float(abs(a - a_c)), float(abs(rhs - rhs_c)), kappa)
+    return [_hyper_report(float(p), p_max, float(a), float(rhs),
+                          float(abs(a - a_c)), float(abs(rhs - rhs_c)))
             for p, a, a_c in zip(p_values, lhs, lhs_c)]
 
 

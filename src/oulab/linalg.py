@@ -35,6 +35,7 @@ class SymOperator:
 
     The input is checked symmetric to within ``SYM_TOL`` relative to its
     largest entry, then symmetrized exactly to kill representation roundoff.
+    NaN and infinite entries fail the check.
     Instances are immutable, so caches and callers may share them.
     """
 
@@ -44,6 +45,9 @@ class SymOperator:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        # NaN fails every comparison, so it would pass the check below
+        if not np.isfinite(a).all():
+            raise NonSymmetricError("the symmetry check needs finite entries")
         scale = max(1.0, float(np.abs(a).max()))
         asym = float(np.abs(a - a.T).max())
         if asym > SYM_TOL * scale:

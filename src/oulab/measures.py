@@ -205,8 +205,6 @@ class LongTimeLimitReport:
 
     s_values: tuple
     differences: tuple
-    limit_value: complex
-    schedule_bound: tuple
     monotone: bool
     final_below: bool
     tol_final: float
@@ -217,21 +215,15 @@ def verify_long_time_limit(model: OperatorFamily, t: float, x0: np.ndarray,
                            system: EvolutionSystem | None = None,
                            tol_final: float = 1e-3) -> LongTimeLimitReport:
     """Convergence of the propagated observable to its system mean as the
-    start time recedes.  Requires a positive decay rate; the differences are
-    also compared against the schedule const * e^{-zeta (t - s)}.
-    """
+    start time recedes.  Requires a positive decay rate."""
     from .mehler import apply_exact
 
     if system is None:
         system = gaussian_system(model)
     if model.decay is None or model.decay[1] <= 0:
         raise ValueError("long-time limit check needs a positive decay rate")
-    zeta = model.decay[1]
     limit = mean_functional(system(t), phi)
     s_values = tuple(float(s) for s in s_values)
     diffs = tuple(abs(apply_exact(model, s, t, phi, x0) - limit) for s in s_values)
-    const = 2.0 * max(d * math.exp(zeta * (t - s)) for s, d in zip(s_values, diffs))
-    schedule = tuple(const * math.exp(-zeta * (t - s)) for s in s_values)
     monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(diffs, diffs[1:]))
-    return LongTimeLimitReport(
-        s_values, diffs, limit, schedule, monotone, diffs[-1] <= tol_final, tol_final)
+    return LongTimeLimitReport(s_values, diffs, monotone, diffs[-1] <= tol_final, tol_final)

@@ -9,8 +9,7 @@ exponential e^{i<., h>} that average is a closed form,
 so finite combinations of exponentials propagate exactly: coefficients pick
 up the Gaussian damping factor and frequencies flow along the adjoint
 propagator.  Everything else about the operator family is checked against
-this closed form: Monte Carlo application, the pointwise generator on trig
-polynomials
+this closed form: the pointwise generator on trig polynomials
 
     (L(r) phi)(x) = 1/2 Tr(Q(r) Hess phi(x)) + <x, A(r)^T grad phi(x)>,
 
@@ -22,7 +21,6 @@ gradient, all that the entropy and norm-ratio checks evaluate.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,9 +28,7 @@ import numpy as np
 
 from .covariance import accumulated
 from .evolution import propagator_matrix
-from .linalg import spectral_factor
 from .models import OperatorFamily
-from .rng import chunked_normals
 
 CANONICAL_DECIMALS = 12  # frequencies equal to this many decimals merge
 
@@ -179,14 +175,6 @@ class CylindricalFunction:
         return self.profile(self.coords(x))
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    value: complex
-    stderr: float
-    count: int
-    seed: int
-
-
 # -- exact action -------------------------------------------------------------
 
 def propagate_trig(model: OperatorFamily, s: float, t: float,
@@ -207,24 +195,6 @@ def propagate_trig(model: OperatorFamily, s: float, t: float,
 def apply_exact(model: OperatorFamily, s: float, t: float,
                 phi: TrigPolynomial, x: np.ndarray) -> complex:
     return propagate_trig(model, s, t, phi).evaluate(x)
-
-
-def apply_mc(model: OperatorFamily, s: float, t: float, phi, x: np.ndarray,
-             count: int, seed: int, label: str = "apply-mc") -> MCEstimate:
-    """Monte Carlo transition average of a callable observable.
-
-    Draws from N(U(t,s) x, K(t,s)) through the spectral factor; the stderr
-    combines real and imaginary sample variances.
-    """
-    x = np.asarray(x, dtype=float)
-    mean = propagator_matrix(model, s, t) @ x
-    factor = spectral_factor(accumulated(model, s, t))
-    z = chunked_normals(seed, label, count, model.dim)
-    ys = mean + z @ factor.T
-    vals = np.asarray(phi(ys))
-    avg = complex(vals.mean())
-    var = float(np.var(vals.real)) + float(np.var(vals.imag))
-    return MCEstimate(avg, math.sqrt(var / count), count, seed)
 
 
 # -- generator ----------------------------------------------------------------

@@ -406,4 +406,11 @@ def build_model(name: str, params: dict | None = None) -> OperatorFamily:
         # NaN fails every comparison, so it slips past checks like ``if lam >= 0``
         if not all(math.isfinite(v) for v in (value if key == "window" else (value,))):
             raise BadParameterError(f"{key} of {name} must be finite, got {value}")
-    return builder(**{**defaults, **(params or {})})
+    merged = {**defaults, **(params or {})}
+    for key, default in defaults.items():
+        # a config number like 2.0 parses as a float; a count must be integral
+        if isinstance(default, int):
+            if merged[key] != int(merged[key]):
+                raise BadParameterError(f"{key} of {name} must be an integer, got {merged[key]}")
+            merged[key] = int(merged[key])
+    return builder(**merged)

@@ -77,6 +77,8 @@ def test_cli_window_with_one_bound_exits_two(tmp_path):
     "name = diag-constant\nbogus = 3\n",  # a parameter the model does not have
     "name = no-such-model\n",             # a model the catalog does not have
     "name = diag-constant\nlam = nan\n",  # NaN passes the builder's lam < 0 check
+    "name = diag-constant\nn = 2.5\n",    # a count must be integral
+    "name = parabolic-1d\nm = 2.5\n",
 ])
 def test_cli_model_error_exits_two(tmp_path, capsys, model):
     path = tmp_path / "model.cfg"
@@ -390,6 +392,20 @@ def test_a_nan_residual_fails_its_check(tmp_path, monkeypatch, check, sub, model
     _spoil_call(monkeypatch, owner, attr, at, spoil)
     report = run_suite(sub, small_config(model_name=model), tmp_path)
     assert {c["name"]: c["status"] for c in report.checks}[check] == "FAIL"
+
+
+def test_a_nan_covariance_is_an_error_row(tmp_path, monkeypatch, capsys):
+    # the first mode integral of the first covariance comes out NaN
+    _spoil_call(monkeypatch, cov, "mode_accumulated", 0, lambda out: NAN)
+    path = tmp_path / "dc.cfg"
+    path.write_text(small_config().to_text())
+    out = tmp_path / "o"
+    assert cli.main(["report-all", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["covariance.error"]["status"] == "ERROR"
+    assert checks["covariance.error"]["detail"].startswith("NonSymmetricError: the symmetry check needs finite")
+    assert "ERROR: covariance.error" in capsys.readouterr().err
+    assert sum(c["status"] == "ERROR" for c in checks.values()) == 1
 
 
 def test_a_nan_discrepancy_fails_both_invariance_rows(tmp_path, monkeypatch):

@@ -65,6 +65,16 @@ def test_rejects_asymmetric():
         SymOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+def test_rejects_non_finite_entries(bad, where):
+    # NaN fails every comparison, so no tolerance test alone rejects it
+    a = np.eye(2)
+    a[where] = bad
+    with pytest.raises(NonSymmetricError):
+        SymOperator(a)
+
+
 def test_sqrt_diagonal():
     root = sqrt_psd(diagonal([4.0, 9.0]))
     np.testing.assert_allclose(root.entries, np.diag([2.0, 3.0]), atol=1e-12)

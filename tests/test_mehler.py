@@ -8,10 +8,10 @@ import hypothesis.strategies as st
 from oulab import mehler
 from oulab.covariance import accumulated
 from oulab.evolution import propagator_matrix
+from oulab.measures import GaussianMeasure, sample
 from oulab.mehler import (
     TrigPolynomial,
     apply_exact,
-    apply_mc,
     check_differentiation,
     generator_apply,
     propagate_trig,
@@ -20,6 +20,17 @@ from oulab.mehler import (
 from oulab.rng import seed_stream
 
 DC_HALF_K = (1.0 - math.exp(-2.0)) / 4.0  # half the mode kernel at gap 1
+
+
+def apply_mc(model, s, t, phi, x, count, seed):
+    """Monte Carlo transition average of a callable observable, an
+    independent reference for the closed forms: the mean of phi over draws
+    from N(U(t, s) x, K(t, s)) and its standard error, real and imaginary
+    sample variances combined."""
+    law = GaussianMeasure(propagator_matrix(model, s, t) @ np.asarray(x, dtype=float),
+                          accumulated(model, s, t))
+    vals = np.asarray(phi(sample(law, count, seed, label="apply-mc")))
+    return complex(vals.mean()), math.sqrt((np.var(vals.real) + np.var(vals.imag)) / count)
 
 
 def test_equal_times_is_identity(dc8):
@@ -79,18 +90,18 @@ def test_evaluate_folds_opposite_and_repeated_frequencies():
 
 
 def test_apply_mc_constant_observable(dc8):
-    est = apply_mc(dc8, 0.0, 1.0, lambda ys: np.full(len(ys), 3.25), np.zeros(8),
-                   count=500, seed=3)
-    assert est.value == pytest.approx(3.25)
-    assert est.stderr == 0.0
+    value, stderr = apply_mc(dc8, 0.0, 1.0, lambda ys: np.full(len(ys), 3.25), np.zeros(8),
+                             count=500, seed=3)
+    assert value == pytest.approx(3.25)
+    assert stderr == 0.0
 
 
 def test_apply_mc_matches_exact_cosine(dc8):
     poly = TrigPolynomial.cosine(np.eye(8)[0])
     exact = apply_exact(dc8, 0.0, 1.0, poly, np.zeros(8)).real
-    est = apply_mc(dc8, 0.0, 1.0, lambda ys: np.cos(ys[:, 0]), np.zeros(8),
-                   count=100_000, seed=5)
-    assert abs(est.value.real - exact) <= 4.0 * est.stderr
+    value, stderr = apply_mc(dc8, 0.0, 1.0, lambda ys: np.cos(ys[:, 0]), np.zeros(8),
+                             count=100_000, seed=5)
+    assert abs(value.real - exact) <= 4.0 * stderr
 
 
 def test_apply_mc_second_moment_identity(dc8):
@@ -98,8 +109,9 @@ def test_apply_mc_second_moment_identity(dc8):
     s, t = 0.0, 1.0
     expected = np.trace(accumulated(dc8, s, t).entries) + \
         float(np.linalg.norm(propagator_matrix(dc8, s, t) @ x) ** 2)
-    est = apply_mc(dc8, s, t, lambda ys: (ys**2).sum(axis=1), x, count=200_000, seed=9)
-    assert abs(est.value.real - expected) <= 4.0 * est.stderr
+    value, stderr = apply_mc(dc8, s, t, lambda ys: (ys**2).sum(axis=1), x,
+                             count=200_000, seed=9)
+    assert abs(value.real - expected) <= 4.0 * stderr
 
 
 def test_mc_exactness_sweep(dc4):
@@ -109,8 +121,8 @@ def test_mc_exactness_sweep(dc4):
         poly = TrigPolynomial.plane_wave(freq)
         x = gen.standard_normal(4)
         exact = apply_exact(dc4, 0.0, 1.0, poly, x)
-        est = apply_mc(dc4, 0.0, 1.0, poly.evaluate, x, count=4000, seed=k)
-        assert abs(est.value - exact) <= 4.0 * est.stderr + 1e-12
+        value, stderr = apply_mc(dc4, 0.0, 1.0, poly.evaluate, x, count=4000, seed=k)
+        assert abs(value - exact) <= 4.0 * stderr + 1e-12
 
 
 # a statistical bound on drawn inputs fails at some rate; derandomize pins
@@ -126,8 +138,8 @@ def test_propagate_trig_against_mc_for_every_model(dc8, rational4, scalar4, para
                 + 0.5 * TrigPolynomial.sine(gen.standard_normal(model.dim)))
         x = gen.standard_normal(model.dim)
         exact = apply_exact(model, s, t, poly, x)
-        est = apply_mc(model, s, t, poly.evaluate, x, count=20_000, seed=seed)
-        assert abs(est.value - exact) <= 5.0 * est.stderr + 1e-12, model.name
+        value, stderr = apply_mc(model, s, t, poly.evaluate, x, count=20_000, seed=seed)
+        assert abs(value - exact) <= 5.0 * stderr + 1e-12, model.name
 
 
 def test_generator_on_plane_wave(dc8):
@@ -153,8 +165,8 @@ def test_transition_of_generator_against_mc(dc4):
     def l_phi(ys):
         return (1j * (ys @ a_h) - 0.5 * q_hh) * np.exp(1j * (ys @ h))
 
-    est = apply_mc(dc4, s, t, l_phi, np.ones(4), count=200_000, seed=21)
-    assert abs(est.value - closed) <= 4.0 * est.stderr
+    value, stderr = apply_mc(dc4, s, t, l_phi, np.ones(4), count=200_000, seed=21)
+    assert abs(value - closed) <= 4.0 * stderr
 
 
 def test_differentiation_formulas_constant_model(dc8):

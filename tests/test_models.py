@@ -152,6 +152,14 @@ def test_parabolic_validation():
             make_parabolic_1d(4, a=a, a0=a0)
 
 
+@pytest.mark.parametrize("name, key", [("diag-constant", "n"), ("parabolic-1d", "m")])
+def test_counts_must_be_integral(name, key):
+    # a config's "3.0" parses as a float and builds the model with the int 3
+    assert build_model(name, {key: 3.0}).dim == 3
+    with pytest.raises(BadParameterError, match="must be an integer"):
+        build_model(name, {key: 2.5})
+
+
 def test_parabolic_number_coefficients_mark_an_autonomous_family():
     exact = make_parabolic_1d(5, a=1.0, a0=-1.0)
     cells = make_parabolic_1d(5, a=lambda t, x: 1.0, a0=lambda t, x: -1.0)
