@@ -50,7 +50,6 @@ class ExperimentConfig:
     triple_count: int = 50
     triple_span: float = 3.0
     probe_count: int = 20
-    anchor: float | None = None  # None: anchor the system at -inf via decay
     mc_samples: int = 100_000  # draws of every Monte Carlo check, paths of spde
     spde_step: float = 0.01
     tol_invariance: float = 1e-8
@@ -93,8 +92,6 @@ class ExperimentConfig:
             cp["window"] = {"t_min": repr(self.window[0]), "t_max": repr(self.window[1])}
         for section, key, name, kind in LAYOUT:
             value = getattr(self, name)
-            if value is None:
-                continue
             if kind is _num_list:
                 text = ", ".join(repr(v) for v in value)
             else:
@@ -151,15 +148,13 @@ class ExperimentConfig:
 
 
 # (section, key, field, kind): the layout of every section but [model] and
-# [window], in the order to_text writes it.  ``kind`` parses the text; a
-# field that is None (``anchor`` by default) is not written.
+# [window], in the order to_text writes it.  ``kind`` parses the text.
 LAYOUT = (
     ("grids", "s_values", "s_values", _num_list),
     ("grids", "t_values", "t_values", _num_list),
     ("grids", "triple_count", "triple_count", int),
     ("grids", "triple_span", "triple_span", float),
     ("probes", "count", "probe_count", int),
-    ("probes", "anchor", "anchor", float),
     ("mc", "samples", "mc_samples", int),
     ("mc", "spde_step", "spde_step", float),
     ("tolerances", "invariance", "tol_invariance", float),

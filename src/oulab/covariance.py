@@ -16,10 +16,10 @@ eigendecomposition of the drift when the family is autonomous, otherwise by
 solving the joint (U, K) system on unit-grid cells and composing longer
 spans with the flow decomposition.  Every covariance is a ``SymOperator``.
 
-The infinite-horizon limit K(t, -inf) is realized by truncating at a start
-time s* whose neglected tail is controlled either by the model's decay
-certificate or by an explicit caller-supplied cutoff; ``tail_cutoff``
-returns the certified s* and the bound on the neglected trace.
+The infinite-horizon limit K(t, -inf) is realized by truncating at the start
+time s* of ``tail_cutoff``, whose neglected trace the model's decay
+certificate bounds; a model without one has no steady state here, and its
+evolution systems start from a finite anchor (``measures.gaussian_system``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ MODE_TOL = 1e-11
 
 
 class NoDecayError(RuntimeError):
-    """No usable decay rate and no explicit tail cutoff was supplied."""
+    """No usable decay rate or noise bound to certify the tail."""
 
 
 # -- per-mode machinery ------------------------------------------------------
@@ -98,33 +98,28 @@ def tail_cutoff(model: OperatorFamily, t: float, tol_tail: float = 1e-10) -> tup
     parabolic family with callable coefficients samples them in the window.
     """
     if model.decay is None or model.decay[1] <= 0.0:
-        raise NoDecayError("model has no positive decay rate; supply an explicit s_star")
+        raise NoDecayError("model has no positive decay rate; anchor the system at a finite start")
     big_m, zeta = model.decay
     if "noise_sup" not in model.meta:
-        raise NoDecayError(
-            "model meta has no noise_sup to bound the tail; supply an explicit s_star")
+        raise NoDecayError("model meta has no noise_sup to bound the tail; "
+                           "anchor the system at a finite start")
     k_sup = float(model.meta["noise_sup"])
     lead = model.dim * big_m**2 * k_sup**2 / (2.0 * zeta)
     gap = max(math.log(max(lead, tol_tail) / tol_tail) / (2.0 * zeta), 1.0)
     return t - gap, lead * math.exp(-2.0 * zeta * gap)
 
 
-def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10,
-                 s_star: float | None = None) -> SymOperator:
-    """Infinite-horizon covariance K(t, -inf), truncated at s*: the memoized
-    K(t, s*) itself.
-
-    Without an explicit ``s_star`` the cutoff is the first value of
-    ``tail_cutoff``, whose second bounds the neglected trace; with one the
-    caller owns the tail estimate.
+def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10) -> SymOperator:
+    """Infinite-horizon covariance K(t, -inf), truncated at the cutoff s* of
+    ``tail_cutoff``: the memoized K(t, s*) itself, with neglected trace at
+    most ``tol_tail``.
     """
     model.require_window(t)
-    if s_star is None:
-        s_star = tail_cutoff(model, t, tol_tail)[0]
+    s_star = tail_cutoff(model, t, tol_tail)[0]
     if s_star < model.window[0]:
         raise WindowExceededError(
             f"tail cutoff {s_star:.3f} falls before window start {model.window[0]}; "
-            "widen the window or pass an explicit s_star")
+            "widen the window or anchor the system at a finite start")
     return accumulated(model, s_star, t)
 
 

@@ -7,13 +7,16 @@ this is the single identity
 
     nu_t^(h) = exp(-<K(t,s) h, h>/2) * nu_s^(U(t,s)^T h),
 
-checked here on finite probe sets.  Gaussian systems come in two flavours:
+checked here on finite probe sets.  A Gaussian system is one of two kinds,
+and no caller supplies a cutoff of its own:
 
-  * anchored at -inf: nu_t = N(0, K(t, -inf)) via the certified tail
-    truncation of ``covariance.steady_state`` (needs decay);
+  * certified: nu_t = N(0, K(t, -inf)), the infinite-horizon covariance
+    truncated at the cutoff of ``covariance.tail_cutoff``, whose neglected
+    trace the model's decay certificate bounds;
   * anchored at a finite time S: nu_t = N(0, K(t, S)), an exact evolution
     system on [S, infinity) regardless of decay.  This is the natural
-    realization for models whose infinite-horizon covariance diverges.
+    realization for models whose infinite-horizon covariance diverges or
+    has no certified tail.
 
 Shifting a system by a point mass along a flow-invariant curve produces a
 second, distinct system, which is how non-uniqueness is demonstrated.
@@ -29,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .covariance import accumulated, steady_state
+from .evolution import propagator_matrix
 from .linalg import SymOperator, spectral_factor
-from .mehler import TrigPolynomial, propagate_trig
+from .mehler import TrigPolynomial, apply_exact, propagate_trig
 from .models import OperatorFamily, WindowExceededError
 from .rng import CHUNK, chunked_normals, seed_stream
 
@@ -96,18 +100,19 @@ class EvolutionSystem:
 
 
 def gaussian_system(model: OperatorFamily, anchor: float = -math.inf,
-                    tol_tail: float = 1e-10,
-                    s_star: float | None = None) -> EvolutionSystem:
+                    tol_tail: float = 1e-10) -> EvolutionSystem:
     """Zero-mean Gaussian evolution system for the model.
 
-    ``anchor=-inf`` uses the truncated infinite-horizon covariance (decay or
-    explicit ``s_star`` required).  A finite anchor S uses K(t, S), exact for
-    t >= S; times before the anchor raise WindowExceededError.
+    ``anchor=-inf`` gives the certified system: the infinite-horizon
+    covariance truncated at ``tail_cutoff``, which needs a decay certificate
+    and bounds the neglected trace by ``tol_tail``.  A finite anchor S gives
+    K(t, S), exact for t >= S; times before the anchor raise
+    WindowExceededError.
     """
     zero = np.zeros(model.dim)
     if anchor == -math.inf:
         def factory(t: float) -> GaussianMeasure:
-            return GaussianMeasure(zero, steady_state(model, t, tol_tail, s_star=s_star))
+            return GaussianMeasure(zero, steady_state(model, t, tol_tail))
         return EvolutionSystem("gaussian(-inf)", factory)
 
     def factory(t: float) -> GaussianMeasure:
@@ -130,15 +135,16 @@ def point_shifted_system(base: EvolutionSystem, shift: Callable[[float], np.ndar
     return EvolutionSystem(label or f"{base.label}+shift", factory)
 
 
-def default_probes(dim: int, seed: int, random_count: int = 16) -> list[np.ndarray]:
-    """Basis vectors, adjacent-pair sums, and seeded random directions."""
+def default_probes(dim: int, seed: int, count: int = 20) -> list[np.ndarray]:
+    """The first ``count`` of: basis vectors, adjacent-pair sums, and seeded
+    random directions; only the random directions kept are drawn."""
     probes = [np.eye(dim)[i] for i in range(dim)]
     probes += [np.eye(dim)[i] + np.eye(dim)[(i + 1) % dim] for i in range(min(dim, 4))]
     gen = seed_stream(seed, "probes")
-    for _ in range(random_count):
+    for _ in range(count - len(probes)):
         v = gen.standard_normal(dim)
         probes.append(v / np.linalg.norm(v))
-    return probes
+    return probes[:count]
 
 
 @dataclass(frozen=True)
@@ -171,8 +177,6 @@ def verify_invariance(system: EvolutionSystem, model: OperatorFamily,
     A handful of multi-term trig polynomials cross-check the dual form
     through the exact propagation of terms.
     """
-    from .evolution import propagator_matrix
-
     rows = []
     for s, t in pairs:
         mu_s, mu_t = system(s), system(t)
@@ -216,8 +220,6 @@ def verify_long_time_limit(model: OperatorFamily, t: float, x0: np.ndarray,
                            tol_final: float = 1e-3) -> LongTimeLimitReport:
     """Convergence of the propagated observable to its system mean as the
     start time recedes.  Requires a positive decay rate."""
-    from .mehler import apply_exact
-
     if system is None:
         system = gaussian_system(model)
     if model.decay is None or model.decay[1] <= 0:

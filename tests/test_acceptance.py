@@ -100,7 +100,7 @@ def test_criterion_3_invariance(catalog):
                                      rational, _grid_10x10(), probes4, tol=1e-6)
 
     nonuni = catalog["nonunique-demo"]
-    base = meas.gaussian_system(nonuni, s_star=-200.0)
+    base = meas.gaussian_system(nonuni, anchor=-200.0)
     scale = nonuni.meta["mean_scale"]
     e1 = np.eye(3)[0]
     shifted = meas.point_shifted_system(base, lambda t: scale(t) * e1)

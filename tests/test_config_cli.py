@@ -13,6 +13,7 @@ from oulab import cli, evolution, experiments, inequalities, measures, mehler
 from oulab import covariance as cov
 from oulab.config import ConfigError, ExperimentConfig
 from oulab.experiments import run_suite
+from oulab.models import build_model
 
 NAN = float("nan")
 
@@ -105,6 +106,7 @@ def test_cli_scalar_osc_without_decay_exits_two(tmp_path, capsys):
     ("s_values =", "s_value ="),                  # a misspelled key
     ("[run]\n", "[extra]\nseed = 1\n\n[run]\n"),  # an unknown section
     ("[mc]\n", "[mc]\nspde_paths = 2000\n"),   # merged into samples
+    ("[probes]\n", "[probes]\nanchor = -6.0\n"),  # derived by experiments._system
 ])
 def test_cli_unknown_key_exits_two(tmp_path, capsys, old, new):
     text = small_config().to_text()
@@ -145,8 +147,25 @@ def test_shipped_config_report_all_passes_with_small_samples(tmp_path, name):
         [c for c in report.checks if c["status"] not in ("PASS", "REPORT")]
 
 
+@pytest.mark.parametrize("name, label", [
+    ("diag_constant.cfg", "gaussian(-inf)"),
+    ("scalar_osc.cfg", "gaussian(-inf)"),
+    ("parabolic_1d.cfg", "gaussian(-inf)"),
+    ("diag_rational.cfg", "gaussian(anchor=-4)"),
+    ("nonunique_demo.cfg", "gaussian(anchor=-200)"),
+])
+def test_shipped_system_is_certified_or_anchored(name, label):
+    cfg = ExperimentConfig.from_file(REPO / "configs" / name)
+    window = {} if cfg.window is None else {"window": cfg.window}
+    model = build_model(cfg.model_name, {**cfg.model_params, **window})
+    system = experiments._system(model, cfg)
+    assert system.label == label
+    if model.name == "nonunique-demo":
+        assert system(0.0).cov is cov.accumulated(model, -200.0, 0.0)
+
+
 def test_config_accepts_every_optional_key():
-    cfg = small_config(model_params={"n": 3}, window=(-20.0, 20.0), anchor=-5.0)
+    cfg = small_config(model_params={"n": 3}, window=(-20.0, 20.0))
     assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
 

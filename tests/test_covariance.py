@@ -5,6 +5,7 @@ import pytest
 
 from oulab import covariance as cov
 from oulab import evolution as evo
+from oulab import measures as meas
 from oulab.models import build_model, make_diagonal_constant
 from oulab.rng import seed_stream
 
@@ -108,10 +109,11 @@ def test_monotone_horizon_convergence(dc8):
 
 
 def test_steady_state_requires_decay_or_cutoff(rational4, nonunique3):
-    with pytest.raises(cov.NoDecayError):
-        cov.steady_state(rational4, 0.0)
-    # explicit cutoff route works for the integrable slow mode
-    ss = cov.steady_state(nonunique3, 0.0, s_star=-200.0)
+    for model in (rational4, nonunique3):
+        with pytest.raises(cov.NoDecayError):
+            cov.steady_state(model, 0.0)
+    # the integrable slow mode gets a system anchored far in the past
+    ss = meas.gaussian_system(nonunique3, anchor=-200.0)(0.0).cov
     assert ss is cov.accumulated(nonunique3, -200.0, 0.0)
     assert np.all(np.isfinite(ss.entries))
     # fast modes have the closed-form limit 1/(2 k^2)

@@ -269,6 +269,34 @@ def test_run_hyper_draws_once_per_probe(monkeypatch, tmp_path):
                                                         for i in range(10)]
 
 
+def test_entropy_probe_sequence_matches_single_probes(dc8, dc_kappa, dc_system):
+    probes = ineq.default_entropy_probes(8)[7:10]  # one and two directions
+    kwargs = dict(system=dc_system, method="mc", count=5_000, seed=9)
+    batched = ineq.entropy_gap(dc8, 0.0, probes, 2.0, dc_kappa, **kwargs)
+    single = [ineq.entropy_gap(dc8, 0.0, phi, 2.0, dc_kappa, **kwargs) for phi in probes]
+    assert isinstance(batched, list) and len(batched) == len(probes)
+    assert [dataclasses.astuple(r) for r in batched] == \
+        [dataclasses.astuple(r) for r in single]
+
+
+def test_run_logsob_draws_one_sample(monkeypatch, tmp_path):
+    cfg = ExperimentConfig(mc_samples=500, s_values=(-1.0, 0.0), t_values=(0.5, 1.0))
+    model = build_model(cfg.model_name, None)
+    calls = []
+    real_sample = meas.sample
+
+    def counting_sample(*args, **kwargs):
+        calls.append(kwargs.get("label"))
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(meas, "sample", counting_sample)
+    monkeypatch.setattr(ineq, "sample", counting_sample)
+    report = RunReport(cfg.to_text(), "test")
+    experiments.run_logsob(model, cfg, report, tmp_path)
+    assert calls == ["entropy-gap"]  # one draw serves the three Monte Carlo probes
+    assert [c["status"] for c in report.checks] == ["PASS", "PASS"]
+
+
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 

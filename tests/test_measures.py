@@ -88,6 +88,16 @@ def test_invariance_anchored_rational(rational4):
     assert rep.passed, rep.max_discrepancy
 
 
+def test_default_probes_returns_the_count_asked_for():
+    assert len(meas.default_probes(8, seed=3)) == 20
+    for dim in (1, 3, 8):
+        full = meas.default_probes(dim, seed=3, count=30)
+        for count in (1, 5, 12, 20):
+            probes = meas.default_probes(dim, seed=3, count=count)
+            assert len(probes) == count
+            np.testing.assert_array_equal(probes, full[:count])
+
+
 def test_invariance_rejects_pre_anchor_times(rational4):
     system = meas.gaussian_system(rational4, anchor=0.0)
     with pytest.raises(ValueError):
@@ -95,7 +105,7 @@ def test_invariance_rejects_pre_anchor_times(rational4):
 
 
 def test_nonunique_two_systems_pass(nonunique3):
-    base = meas.gaussian_system(nonunique3, s_star=-200.0)
+    base = meas.gaussian_system(nonunique3, anchor=-200.0)
     scale = nonunique3.meta["mean_scale"]
     e1 = np.eye(3)[0]
     shifted = meas.point_shifted_system(base, lambda t: scale(t) * e1)
