@@ -260,26 +260,24 @@ def run_logsob(model, cfg, report: RunReport, outdir: Path) -> None:
     if kappa is None:
         return
     system = _system(model, cfg)
-    rows, all_pass = [], True
-    for phi in ineq.default_entropy_probes(model.dim):
-        for p in LOGSOB_P_VALUES:
-            rep = ineq.entropy_gap(model, REF_T, phi, p, kappa, system=system)
-            all_pass &= rep.passed
-            rows.append((REF_T, p, rep.label, rep.lhs, rep.rhs, rep.slack,
-                         rep.lhs_err + rep.rhs_err, "PASS" if rep.passed else "FAIL"))
+    probes = ineq.default_entropy_probes(model.dim)
+    by_probe = [[ineq.entropy_gap(model, REF_T, phi, p, kappa, system=system)
+                 for p in LOGSOB_P_VALUES] for phi in probes]
+    rows = [(REF_T, rep.p, rep.label, rep.lhs, rep.rhs, rep.slack, rep.lhs_err + rep.rhs_err,
+             "PASS" if rep.passed else "FAIL") for reports in by_probe for rep in reports]
     write_csv(outdir / "logsob.csv",
               ["t", "p", "probe", "entropy", "energy_bound", "slack", "err", "verdict"], rows)
     write_json(outdir / "logsob_constant.json", {"kappa": kappa, "certificate": cert})
+    all_pass = all(rep.passed for reports in by_probe for rep in reports)
     report.add("logsob.entropy-bound", "PASS" if all_pass else "FAIL",
                f"kappa {kappa:.6g}; {len(rows)} probe/exponent cells")
 
-    # one Monte Carlo sample serves the first three probes
-    probes = ineq.default_entropy_probes(model.dim)[:3]
-    sampled = ineq.entropy_gap(model, REF_T, probes, 2.0, kappa, system=system,
-                               method="mc", count=cfg.mc_samples, seed=cfg.seed)
+    # Monte Carlo at p = 2 on the first three probes, against the loop's reports
     agree = True
-    for phi, mc in zip(probes, sampled):
-        quad = ineq.entropy_gap(model, REF_T, phi, 2.0, kappa, system=system)
+    for phi, reports in zip(probes[:3], by_probe):
+        quad = reports[LOGSOB_P_VALUES.index(2.0)]
+        mc = ineq.entropy_gap(model, REF_T, phi, 2.0, kappa, system=system,
+                              method="mc", count=cfg.mc_samples, seed=cfg.seed)
         tol = 4.0 * max(mc.lhs_err + mc.rhs_err, 1e-12)
         agree &= abs(quad.lhs - mc.lhs) <= tol and abs(quad.rhs - mc.rhs) <= tol
     report.add("logsob.quadrature-vs-mc", "PASS" if agree else "FAIL",

@@ -33,8 +33,12 @@ both norms of the contraction check (``hyper_quadrature``): a trig
 polynomial over two frequency directions propagates to one over their two
 adjoint images.  Monte Carlo with delta-method errors serves any number of
 directions; ``entropy_gap(method="mc")`` and ``hypercontractivity_check``
-are the sampled cross-checks of the quadrature verdicts.  Norm ratios beyond
-the curve use nested 1-D Gauss-Hermite rules with SHARPNESS_NODES nodes.
+are the sampled cross-checks of the quadrature verdicts.  Both draw the
+law N(H m, H Q H^T) of the observable's k coordinates <h_i, x> under
+N(m, Q) (``measures.marginal``), k normals a row whatever the dimension;
+the entropy and sharpness quadratures take their nodes from it too.  Norm
+ratios beyond the curve use nested 1-D Gauss-Hermite rules with
+SHARPNESS_NODES nodes.
 
 Tensor node sets come from one grid, ``_gh_grid``, over k = 0, 1 or 2
 directions (k = 0 is a point mass), and the nested 1-D rules from its
@@ -54,10 +58,9 @@ import numpy as np
 from .covariance import accumulated
 from .evolution import DecayCertificate, propagator_matrix
 from .linalg import RANK_CUT, SymOperator, psd_eigh
-from .measures import EvolutionSystem, GaussianMeasure, gaussian_system, sample
+from .measures import EvolutionSystem, GaussianMeasure, gaussian_system, marginal, sample
 from .mehler import CylindricalFunction, TrigPolynomial, propagate_trig
 from .models import OperatorFamily
-from .rng import CHUNK
 
 GH_NODES = 64
 GH_NODES_COARSE = 48
@@ -151,67 +154,52 @@ class LogSobolevReport:
     passed: bool
 
 
-def entropy_gap(model: OperatorFamily, t: float, phi, p: float, kappa: float,
-                system: EvolutionSystem | None = None, method: str = "quadrature",
-                count: int = 100_000, seed: int = 0) -> LogSobolevReport | list[LogSobolevReport]:
+def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: float,
+                kappa: float, system: EvolutionSystem | None = None,
+                method: str = "quadrature", count: int = 100_000,
+                seed: int = 0) -> LogSobolevReport:
     """Entropy versus weighted gradient energy at time t.
 
-    Quadrature handles cylindrical observables over at most two directions;
-    Monte Carlo works for any number.  The verdict allows slack down to
-    minus three combined errors.
-
-    ``phi`` is one CylindricalFunction, giving one report, or a sequence,
-    giving one report per observable in order, each equal to its single
-    call's: Monte Carlo draws one sample for the whole sequence and keeps
-    only the observables' coordinates in it.
+    Both methods integrate over the marginal law of phi's k coordinates
+    <h_i, x>: quadrature for k <= 2, Monte Carlo for any k, drawing k
+    normals a row from that law.  The verdict allows slack down to minus
+    three combined errors.
     """
     if not p > 1.0:
         raise ValueError("need p > 1")
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    single = isinstance(phi, CylindricalFunction)
-    probes = [phi] if single else list(phi)
     if system is None:
         system = gaussian_system(model)
-    mu = system(t)
-    if method == "mc":
-        x = sample(mu, count, seed, label="entropy-gap")
-        coords = [f.coords(x) for f in probes]
-        del x
-
-    reports = []
-    for i, f in enumerate(probes):
-        h = f.directions
-        q_proj = h @ model.diffusion_matrix(t) @ h.T
-        if method == "quadrature":
-            if f.n_dirs > 2:
-                raise ValueError("quadrature path handles at most 2 active directions")
-            marginal, shift = h @ mu.cov.entries @ h.T, f.coords(mu.mean)
-            grids = [_gh_grid(marginal, n) for n in (GH_NODES, GH_NODES_COARSE)]
-            sums = [[float(w @ a) for a in _entropy_terms(u + shift, f, p, q_proj)]
-                    for u, w in grids]
-        else:
-            terms = _entropy_terms(coords[i], f, p, q_proj)
-            w = np.full(len(coords[i]), 1.0 / len(coords[i]))
-            sums = [[float(w @ a) for a in terms]]
-        m, ent, energy = sums[0]
-        if m <= 0.0:
-            raise NonPositiveMeanError(f"E|phi|^p = {m}")
-        lhs = ent - m * math.log(m)
-        rhs = kappa * p * p * energy
-        if method == "quadrature":  # the gap to the coarser rule
-            mc, entc, energyc = sums[1]
-            lhs_err = abs(lhs - (entc - mc * math.log(mc) if mc > 0 else lhs))
-            rhs_err = abs(rhs - kappa * p * p * energyc)
-        else:  # delta method on the same summands: d(m log m) = (1 + log m) dm
-            se_vp, se_ent, se_energy = (float(np.std(a, ddof=1)) / math.sqrt(len(a))
-                                        for a in terms)
-            lhs_err = se_ent + abs(1.0 + math.log(m)) * se_vp
-            rhs_err = kappa * p * p * se_energy
-        slack = rhs - lhs
-        passed = slack >= -3.0 * (lhs_err + rhs_err)
-        reports.append(LogSobolevReport(p, f.label, lhs, rhs, slack, lhs_err, rhs_err, passed))
-    return reports[0] if single else reports
+    h = phi.directions
+    law = marginal(system(t), h)
+    q_proj = h @ model.diffusion_matrix(t) @ h.T
+    if method == "quadrature":
+        if phi.n_dirs > 2:
+            raise ValueError("quadrature path handles at most 2 active directions")
+        grids = [_gh_grid(law.cov.entries, n) for n in (GH_NODES, GH_NODES_COARSE)]
+        sums = [[float(w @ a) for a in _entropy_terms(u + law.mean, phi, p, q_proj)]
+                for u, w in grids]
+    else:
+        terms = _entropy_terms(sample(law, count, seed, label="entropy-gap"), phi, p, q_proj)
+        sums = [[float(a.mean()) for a in terms]]
+    m, ent, energy = sums[0]
+    if m <= 0.0:
+        raise NonPositiveMeanError(f"E|phi|^p = {m}")
+    lhs = ent - m * math.log(m)
+    rhs = kappa * p * p * energy
+    if method == "quadrature":  # the gap to the coarser rule
+        mc, entc, energyc = sums[1]
+        lhs_err = abs(lhs - (entc - mc * math.log(mc) if mc > 0 else lhs))
+        rhs_err = abs(rhs - kappa * p * p * energyc)
+    else:  # delta method on the same summands: d(m log m) = (1 + log m) dm
+        se_vp, se_ent, se_energy = (float(np.std(a, ddof=1)) / math.sqrt(count)
+                                    for a in terms)
+        lhs_err = se_ent + abs(1.0 + math.log(m)) * se_vp
+        rhs_err = kappa * p * p * se_energy
+    slack = rhs - lhs
+    passed = slack >= -3.0 * (lhs_err + rhs_err)
+    return LogSobolevReport(p, phi.label, lhs, rhs, slack, lhs_err, rhs_err, passed)
 
 
 # -- norm contraction -----------------------------------------------------------
@@ -227,13 +215,14 @@ def _p_norm_and_err(values: np.ndarray, p: float) -> tuple[float, float]:
     return norm, (m ** (1.0 / p - 1.0) / p) * se
 
 
-def _evaluate_by_chunk(phi: TrigPolynomial, xs: np.ndarray) -> np.ndarray:
-    """phi at each row of xs, CHUNK rows per call, so the work arrays stay
-    the size of a chunk."""
-    vals = np.empty(len(xs), dtype=complex)
-    for lo in range(0, len(xs), CHUNK):
-        vals[lo:lo + CHUNK] = phi.evaluate(xs[lo:lo + CHUNK])
-    return vals
+def _sampled_values(poly: TrigPolynomial, mu: GaussianMeasure, count: int, seed: int,
+                    label: str) -> np.ndarray:
+    """Real values of poly at count draws of mu, drawn as the phases along
+    its k folded directions: k normals a row."""
+    vals = poly.at_phases(sample(marginal(mu, poly.directions), count, seed, label=label))
+    if np.abs(vals.imag).max(initial=0.0) > 1e-8:
+        raise ValueError("observable must be real for norm checks")
+    return vals.real
 
 
 @dataclass(frozen=True)
@@ -263,32 +252,28 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
     path for observables over more than two frequency directions.
 
     The trig observable propagates exactly, so one Monte Carlo layer over
-    nu_s suffices.  PASS requires p on or under the exponent curve and the
-    norm inequality to hold within three combined standard errors.
+    nu_s suffices.  Each norm draws the marginal law of the phases along its
+    polynomial's k folded directions, k normals a row (k = 3 for two
+    frequency directions and a constant term, pinned at zero).  PASS
+    requires p on or under the exponent curve and the norm inequality to
+    hold within three combined standard errors.
 
-    ``p`` is one exponent or a sequence of them.  A single exponent returns
-    one HyperReport.  A sequence returns one HyperReport per exponent, in
-    order, from a single pass: the outer sample, the propagated values and
-    the right-hand q-norm do not depend on p, so they are drawn and
-    evaluated once and only the left-hand p-norm is taken per exponent.
-    Each report equals the one the single-exponent call returns.
+    ``p`` is one exponent, giving one HyperReport, or a sequence, giving
+    one per exponent in order from one pass: only the left-hand p-norm
+    depends on p, so each report equals its single-exponent call's.
     """
     single = np.ndim(p) == 0
     p_values = [p] if single else list(p)
     if system is None:
         system = gaussian_system(model)
-    mu_s, mu_t = system(s), system(t)
-    # each sample lives only while its observable is evaluated
-    vals = _evaluate_by_chunk(propagate_trig(model, s, t, phi),
-                              sample(mu_s, count, seed, label="hyper-outer"))
-    if np.abs(vals.imag).max(initial=0.0) > 1e-8:
-        raise ValueError("observable must be real for norm checks")
-    ends = _evaluate_by_chunk(phi, sample(mu_t, count, seed + 1, label="hyper-rhs"))
-    rhs, rhs_err = _p_norm_and_err(ends.real, q)
+    vals = _sampled_values(propagate_trig(model, s, t, phi), system(s), count, seed,
+                           "hyper-outer")
+    rhs, rhs_err = _p_norm_and_err(_sampled_values(phi, system(t), count, seed + 1,
+                                                   "hyper-rhs"), q)
     p_max = exponent_curve(q, t - s, kappa)
     reports = []
     for p in p_values:
-        lhs, lhs_err = _p_norm_and_err(vals.real, p)
+        lhs, lhs_err = _p_norm_and_err(vals, p)
         reports.append(_hyper_report(p, p_max, lhs, rhs, lhs_err, rhs_err))
     return reports[0] if single else reports
 
@@ -354,15 +339,13 @@ def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p: float,
     h = phi.directions[0]
     g = propagator_matrix(model, s, t).T @ h
     v_inner = float(h @ accumulated(model, s, t).entries @ h)
-    mu_s, mu_t = system(s), system(t)
-    v_outer = float(g @ mu_s.cov.entries @ g)
-    v_end = float(h @ mu_t.cov.entries @ h)
+    outer, end = marginal(system(s), g), marginal(system(t), h)
 
     x1, w1 = np.polynomial.hermite.hermgauss(nodes)
     w1 = w1 / math.sqrt(math.pi)
     inner_pts = _normal_nodes(x1, v_inner)
-    outer_pts = _normal_nodes(x1, v_outer) + g @ mu_s.mean
-    end_pts = _normal_nodes(x1, v_end) + h @ mu_t.mean
+    outer_pts = _normal_nodes(x1, outer.cov.entries[0, 0]) + outer.mean[0]
+    end_pts = _normal_nodes(x1, end.cov.entries[0, 0]) + end.mean[0]
 
     prof = lambda arr: np.asarray(phi.profile(arr[:, None]), dtype=float)
     propagated = np.array([float(w1 @ prof(wpt + inner_pts)) for wpt in outer_pts])

@@ -79,6 +79,15 @@ def sample(mu: GaussianMeasure, count: int, seed: int, label: str = "sample") ->
     return z
 
 
+def marginal(mu: GaussianMeasure, h: np.ndarray) -> GaussianMeasure:
+    """Law N(H m, H Q H^T) of the coordinates (<h_1, x>, ..., <h_k, x>)
+    under mu = N(m, Q), for the rows h_i of H.  Its factor comes from
+    ``spectral_factor``, so a rank-deficient marginal (a zero row, or
+    dependent rows) samples with its kernel modes pinned."""
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    return GaussianMeasure(h @ mu.mean, SymOperator(h @ mu.cov.entries @ h.T))
+
+
 def mean_functional(mu: GaussianMeasure, phi: TrigPolynomial) -> complex:
     """Exact mean of a trig polynomial: term coefficients against the
     characteristic function at the term frequencies."""
@@ -136,10 +145,12 @@ def point_shifted_system(base: EvolutionSystem, shift: Callable[[float], np.ndar
 
 
 def default_probes(dim: int, seed: int, count: int = 20) -> list[np.ndarray]:
-    """The first ``count`` of: basis vectors, adjacent-pair sums, and seeded
-    random directions; only the random directions kept are drawn."""
+    """The first ``count`` of: basis vectors, adjacent-pair sums (for dim
+    >= 3), and seeded random directions; only the random directions kept
+    are drawn."""
     probes = [np.eye(dim)[i] for i in range(dim)]
-    probes += [np.eye(dim)[i] + np.eye(dim)[(i + 1) % dim] for i in range(min(dim, 4))]
+    if dim >= 3:  # below 3 the cyclic pair sums repeat or are parallel to e_1
+        probes += [np.eye(dim)[i] + np.eye(dim)[(i + 1) % dim] for i in range(min(dim, 4))]
     gen = seed_stream(seed, "probes")
     for _ in range(count - len(probes)):
         v = gen.standard_normal(dim)

@@ -81,16 +81,21 @@ class TrigPolynomial:
                         [-odd.imag[:, None], odd.real[:, None]]])
         return dirs, mix
 
+    @property
+    def directions(self) -> np.ndarray:
+        """The folded directions H as rows: phi is a function of x H^T."""
+        return self._folded[0]
+
+    def at_phases(self, phases: np.ndarray) -> np.ndarray:
+        """Values at phases (..., k) along ``directions``."""
+        parts = np.concatenate([np.cos(phases), np.sin(phases)], axis=-1) @ self._folded[1]
+        return parts[..., 0] + 1j * parts[..., 1]
+
     def evaluate(self, x: np.ndarray) -> complex | np.ndarray:
         """Value at a point (dim,) or at each row of an (N, dim) array."""
         x = np.asarray(x, dtype=float)
-        dirs, mix = self._folded
-        phases = x @ dirs.T
-        parts = np.concatenate([np.cos(phases), np.sin(phases)], axis=-1) @ mix
-        vals = parts[..., 0] + 1j * parts[..., 1]
-        if x.ndim == 1:
-            return complex(vals)
-        return vals
+        vals = self.at_phases(x @ self.directions.T)
+        return complex(vals) if x.ndim == 1 else vals
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -168,11 +173,8 @@ class CylindricalFunction:
     def n_dirs(self) -> int:
         return self.directions.shape[0]
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.directions.T
-
     def __call__(self, x):
-        return self.profile(self.coords(x))
+        return self.profile(np.asarray(x, dtype=float) @ self.directions.T)
 
 
 # -- exact action -------------------------------------------------------------

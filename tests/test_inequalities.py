@@ -11,7 +11,7 @@ from oulab import measures as meas
 from oulab.config import ExperimentConfig
 from oulab.evolution import DecayCertificate, fit_decay
 from oulab.mehler import CylindricalFunction, TrigPolynomial, propagate_trig
-from oulab.models import build_model
+from oulab.models import build_model, make_parabolic_1d
 from oulab.reporting import RunReport
 
 
@@ -269,31 +269,62 @@ def test_run_hyper_draws_once_per_probe(monkeypatch, tmp_path):
                                                         for i in range(10)]
 
 
-def test_entropy_probe_sequence_matches_single_probes(dc8, dc_kappa, dc_system):
-    probes = ineq.default_entropy_probes(8)[7:10]  # one and two directions
-    kwargs = dict(system=dc_system, method="mc", count=5_000, seed=9)
-    batched = ineq.entropy_gap(dc8, 0.0, probes, 2.0, dc_kappa, **kwargs)
-    single = [ineq.entropy_gap(dc8, 0.0, phi, 2.0, dc_kappa, **kwargs) for phi in probes]
-    assert isinstance(batched, list) and len(batched) == len(probes)
-    assert [dataclasses.astuple(r) for r in batched] == \
-        [dataclasses.astuple(r) for r in single]
+@pytest.mark.parametrize("which", ["dc8", "parabolic40"])
+def test_monte_carlo_draws_count_times_k_normals(monkeypatch, dc8, which):
+    # each sampled check draws the marginal law of its observable's k
+    # coordinates, whatever the dimension of the model
+    model = dc8 if which == "dc8" else make_parabolic_1d(40, 1.0, -1.0)
+    system = meas.gaussian_system(model, anchor=-1.0)
+    drawn, normals = [], []
+    real_sample, real_normals = ineq.sample, meas.chunked_normals
+
+    def counting_sample(mu, count, seed, label):
+        drawn.append((label, mu.dim))
+        return real_sample(mu, count, seed, label=label)
+
+    def counting_normals(seed, label, count, dim):
+        normals.append(count * dim)
+        return real_normals(seed, label, count, dim)
+
+    monkeypatch.setattr(ineq, "sample", counting_sample)
+    monkeypatch.setattr(meas, "chunked_normals", counting_normals)
+    e = np.eye(model.dim)
+    phi = (TrigPolynomial.constant(model.dim, 2.0) + 0.5 * TrigPolynomial.cosine(e[0] + e[2])
+           + 0.3 * TrigPolynomial.sine(e[0] + e[2]) + 0.2 * TrigPolynomial.cosine(e[1]))
+    ineq.hypercontractivity_check(model, -0.5, 0.0, 2.0, [2.0, 3.0], phi, 0.5, count=700,
+                                  seed=3, system=system)
+    probes = ineq.default_entropy_probes(model.dim)
+    for probe in (probes[0], probes[-1]):  # one and two directions
+        ineq.entropy_gap(model, 0.0, probe, 2.0, 0.5, system=system, method="mc",
+                         count=700, seed=3)
+    # the constant term is a third, pinned direction of each polynomial
+    assert drawn == [("hyper-outer", 3), ("hyper-rhs", 3), ("entropy-gap", 1),
+                     ("entropy-gap", 2)]
+    assert normals == [700 * k for _, k in drawn]
 
 
-def test_run_logsob_draws_one_sample(monkeypatch, tmp_path):
+def test_run_logsob_reuses_the_loop_reports(monkeypatch, tmp_path):
     cfg = ExperimentConfig(mc_samples=500, s_values=(-1.0, 0.0), t_values=(0.5, 1.0))
     model = build_model(cfg.model_name, None)
-    calls = []
-    real_sample = meas.sample
+    methods, drawn = [], []
+    real_gap, real_sample = ineq.entropy_gap, ineq.sample
 
-    def counting_sample(*args, **kwargs):
-        calls.append(kwargs.get("label"))
-        return real_sample(*args, **kwargs)
+    def counting_gap(*args, **kwargs):
+        methods.append(kwargs.get("method", "quadrature"))
+        return real_gap(*args, **kwargs)
 
-    monkeypatch.setattr(meas, "sample", counting_sample)
+    def counting_sample(mu, count, seed, label):
+        drawn.append((label, mu.dim))
+        return real_sample(mu, count, seed, label=label)
+
+    monkeypatch.setattr(ineq, "entropy_gap", counting_gap)
     monkeypatch.setattr(ineq, "sample", counting_sample)
     report = RunReport(cfg.to_text(), "test")
     experiments.run_logsob(model, cfg, report, tmp_path)
-    assert calls == ["entropy-gap"]  # one draw serves the three Monte Carlo probes
+    cells = len(ineq.default_entropy_probes(model.dim)) * len(experiments.LOGSOB_P_VALUES)
+    # the p = 2 quadrature reports of the cross-check come from the loop
+    assert methods == ["quadrature"] * cells + ["mc"] * 3
+    assert drawn == [("entropy-gap", 1)] * 3  # the first three probes read e_1
     assert [c["status"] for c in report.checks] == ["PASS", "PASS"]
 
 

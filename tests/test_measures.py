@@ -98,6 +98,38 @@ def test_default_probes_returns_the_count_asked_for():
             np.testing.assert_array_equal(probes, full[:count])
 
 
+@pytest.mark.parametrize("dim, count", [(1, 1), (2, 5), (3, 9)])
+def test_default_probes_are_not_parallel(dim, count):
+    # in one dimension every direction is parallel to e_1, so one probe
+    probes = np.array(meas.default_probes(dim, seed=3, count=count))
+    units = probes / np.linalg.norm(probes, axis=1)[:, None]
+    cosines = np.abs(units @ units.T)[np.triu_indices(count, k=1)]
+    assert np.all(cosines < 1.0 - 1e-9)
+    assert np.allclose(np.linalg.norm(meas.default_probes(1, seed=3, count=3), axis=1), 1.0)
+
+
+def test_marginal_law_is_the_projected_gaussian(dc8):
+    mean = np.linspace(-1.0, 1.0, 8)
+    mu = GaussianMeasure(mean, meas.gaussian_system(dc8)(0.0).cov)
+    gen = np.random.default_rng(4)
+    full = gen.standard_normal((2, 8))
+    rank1 = np.stack([full[0], -2.0 * full[0]])  # dependent rows: rank 1
+    for h in (full, rank1):
+        law = meas.marginal(mu, h)
+        np.testing.assert_allclose(law.mean, h @ mean, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(law.cov.entries, h @ mu.cov.entries @ h.T, rtol=1e-14)
+        draws = sample(law, 100_000, seed=5)
+        emp = np.cov(draws.T, ddof=1)
+        q = law.cov.entries
+        se = np.sqrt((np.outer(np.diag(q), np.diag(q)) + q**2) / 100_000)
+        assert np.all(np.abs(emp - q) <= 5.0 * se)
+        assert np.all(np.abs(draws.mean(axis=0) - law.mean)
+                      <= 4.0 * np.sqrt(np.diag(q) / 100_000))
+    # the rank-1 law stays on its line: the second coordinate is -2 x the first
+    centred = sample(meas.marginal(mu, rank1), 1000, seed=6) - rank1 @ mean
+    np.testing.assert_allclose(centred[:, 1], -2.0 * centred[:, 0], atol=1e-12)
+
+
 def test_invariance_rejects_pre_anchor_times(rational4):
     system = meas.gaussian_system(rational4, anchor=0.0)
     with pytest.raises(ValueError):
