@@ -78,6 +78,9 @@ class ExperimentConfig:
             raise ConfigError("mc_samples must be >= 2")
         if not self.sharpness_p_values:
             raise ConfigError("sharpness_p_values must be nonempty")
+        for name in ("hyper_p_values", "sharpness_p_values"):
+            if any(p < 1.0 for p in getattr(self, name)):  # no norm below p = 1
+                raise ConfigError(f"{name} must all be >= 1, got {getattr(self, name)}")
         if not any(s < t for s in self.s_values for t in self.t_values):
             raise ConfigError("grids need a pair s < t of s_values and t_values")
         return self

@@ -26,26 +26,25 @@ Two families of checks use it:
     start measure stays below the q-norm at the end measure whenever
     p <= p_max.
 
-Expectations over at most two active directions are done by tensor
-Gauss-Hermite quadrature (64 nodes per dimension, error estimated as the gap
-to a 48-node rule).  That covers the entropy gap of the shipped probes and
-both norms of the contraction check (``hyper_quadrature``): a trig
-polynomial over two frequency directions propagates to one over their two
-adjoint images.  Monte Carlo with delta-method errors serves any number of
-directions; ``entropy_gap(method="mc")`` and ``hypercontractivity_check``
-are the sampled cross-checks of the quadrature verdicts.  Both draw the
-law N(H m, H Q H^T) of the observable's k coordinates <h_i, x> under
-N(m, Q) (``measures.marginal``), k normals a row whatever the dimension;
-the entropy and sharpness quadratures take their nodes from it too.  Norm
-ratios beyond the curve use nested 1-D Gauss-Hermite rules with
-SHARPNESS_NODES nodes.
+Every expectation is over the law N(H m, H Q H^T) of the observable's k
+coordinates <h_i, x> under N(m, Q) (``measures.marginal``).  Laws of rank
+at most two are integrated by tensor Gauss-Hermite quadrature (64 nodes
+per dimension, error estimated as the gap to a 48-node rule): the entropy
+gap of the shipped probes and both norms of the contraction check
+(``hyper_quadrature``), since a trig polynomial over two frequency
+directions propagates to one over their two adjoint images.  Monte Carlo
+with delta-method errors serves any rank, drawing k normals a row whatever
+the dimension; ``entropy_gap(method="mc")`` and
+``hypercontractivity_check`` are the sampled cross-checks of the
+quadrature verdicts.  Norm ratios beyond the curve use nested 1-D
+Gauss-Hermite rules with SHARPNESS_NODES nodes.
 
-Tensor node sets come from one grid, ``_gh_grid``, over k = 0, 1 or 2
-directions (k = 0 is a point mass), and the nested 1-D rules from its
-helper ``_normal_nodes``.  Both give nodes of a centred law N(0, cov); each
-caller shifts them by the measure's mean along its directions, so measures
-with a mean (``point_shifted_system``) are integrated where their mass
-sits.
+Every node set comes from ``measures.gauss_hermite``: the tensor rule over
+the columns of the factor that ``measures.sample`` draws with, as many as
+the law has rank, means included, so quadrature and Monte Carlo share one
+factorization of each law, a zero or dependent direction costs no nodes,
+and measures with a mean (``point_shifted_system``) are integrated where
+their mass sits.
 """
 
 from __future__ import annotations
@@ -57,8 +56,9 @@ import numpy as np
 
 from .covariance import accumulated
 from .evolution import DecayCertificate, propagator_matrix
-from .linalg import RANK_CUT, SymOperator, psd_eigh
-from .measures import EvolutionSystem, GaussianMeasure, gaussian_system, marginal, sample
+from .linalg import SymOperator
+from .measures import (EvolutionSystem, GaussianMeasure, gauss_hermite, gaussian_system,
+                       marginal, sample)
 from .mehler import CylindricalFunction, TrigPolynomial, propagate_trig
 from .models import OperatorFamily
 
@@ -93,37 +93,6 @@ def exponent_curve(q: float, gap: float, kappa: float) -> float:
     if gap < 0.0:
         raise ValueError("need a nonnegative time gap")
     return (q - 1.0) * math.exp(gap / (2.0 * kappa)) + 1.0
-
-
-# -- Gauss-Hermite machinery ---------------------------------------------------
-
-def _normal_nodes(x: np.ndarray, var: float) -> np.ndarray:
-    """Physicists' Hermite nodes x mapped to N(0, var); all at 0 when
-    var <= 0."""
-    return math.sqrt(2.0 * var) * x if var > 0.0 else np.zeros_like(x)
-
-
-def _gh_grid(cov: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (rows) and normalized weights for E under N(0, cov), cov k x k
-    with k <= 2; k = 0 is the point mass at the origin.  A 2 x 2 cov of rank
-    2 (as ``range_inverse`` counts it) gets the tensor grid through its
-    Cholesky factor, of rank 1 the 1-D rule along its range, of rank 0 the
-    point mass."""
-    k = cov.shape[0]
-    if k == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    if k == 1:
-        return _normal_nodes(x, cov[0, 0])[:, None], w / math.sqrt(math.pi)
-    lam, vec = psd_eigh(SymOperator(cov))
-    rank = int(np.count_nonzero(lam > RANK_CUT * lam[0]))
-    if rank == 0:
-        return np.zeros((1, k)), np.ones(1)
-    if rank == 1:
-        return np.outer(_normal_nodes(x, lam[0]), vec[:, 0]), w / math.sqrt(math.pi)
-    xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-    ws = np.multiply.outer(w, w).reshape(-1) / math.pi
-    return math.sqrt(2.0) * xs @ np.linalg.cholesky(cov).T, ws
 
 
 def _entropy_terms(u: np.ndarray, phi: CylindricalFunction, p: float,
@@ -161,9 +130,9 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: fl
     """Entropy versus weighted gradient energy at time t.
 
     Both methods integrate over the marginal law of phi's k coordinates
-    <h_i, x>: quadrature for k <= 2, Monte Carlo for any k, drawing k
-    normals a row from that law.  The verdict allows slack down to minus
-    three combined errors.
+    <h_i, x>: quadrature for a law of rank at most 2, Monte Carlo for any
+    k, drawing k normals a row from that law.  The verdict allows slack down
+    to minus three combined errors.
     """
     if not p > 1.0:
         raise ValueError("need p > 1")
@@ -175,11 +144,9 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: fl
     law = marginal(system(t), h)
     q_proj = h @ model.diffusion_matrix(t) @ h.T
     if method == "quadrature":
-        if phi.n_dirs > 2:
-            raise ValueError("quadrature path handles at most 2 active directions")
-        grids = [_gh_grid(law.cov.entries, n) for n in (GH_NODES, GH_NODES_COARSE)]
-        sums = [[float(w @ a) for a in _entropy_terms(u + law.mean, phi, p, q_proj)]
-                for u, w in grids]
+        sums = [[float(w @ a) for a in _entropy_terms(u, phi, p, q_proj)]
+                for u, w in (gauss_hermite(law, *np.polynomial.hermite.hermgauss(n))
+                             for n in (GH_NODES, GH_NODES_COARSE))]
     else:
         terms = _entropy_terms(sample(law, count, seed, label="entropy-gap"), phi, p, q_proj)
         sums = [[float(a.mean()) for a in terms]]
@@ -280,21 +247,10 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
 
 def _quad_p_norms(phi: TrigPolynomial, mu: GaussianMeasure, p_values,
                   nodes: int) -> np.ndarray:
-    """(E|phi|^p)^(1/p) under mu for each p, by tensor Gauss-Hermite on the
-    at most 2-dimensional span of phi's frequencies.  The basis is the right
-    singular vectors above roundoff; an unpivoted QR would lose part of the
-    span when an early frequency depends on later ones, as -h does on h."""
-    f = phi.freqs[np.any(phi.freqs != 0.0, axis=1)]
-    if len(f):
-        _, sv, vt = np.linalg.svd(f, full_matrices=False)
-        basis = vt[sv > sv[0] * max(f.shape) * np.finfo(float).eps].T
-    else:
-        basis = np.zeros((phi.dim, 0))
-    if basis.shape[1] > 2:
-        raise ValueError(f"quadrature norms need at most 2 frequency directions, "
-                         f"got {basis.shape[1]}")
-    u, w = _gh_grid(basis.T @ mu.cov.entries @ basis, nodes)
-    vals = np.asarray(phi.evaluate(mu.mean + u @ basis.T))
+    """(E|phi|^p)^(1/p) under mu for each p, by Gauss-Hermite over the law
+    of the phases along phi's folded directions, of rank at most 2."""
+    u, w = gauss_hermite(marginal(mu, phi.directions), *np.polynomial.hermite.hermgauss(nodes))
+    vals = phi.at_phases(u)
     if np.abs(vals.imag).max() > 1e-8:
         raise ValueError("observable must be real for norm checks")
     p = np.asarray(p_values, dtype=float)
@@ -333,24 +289,20 @@ def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p: float,
               nodes: int) -> float:
     """Norm ratio for a single-direction observable, by nested 1-D
     Gauss-Hermite: the propagated observable is again a function of one
-    coordinate, so both norms reduce to scalar Gaussian integrals.  The outer
-    nodes sit at the law of <g, x> under nu_s, g = U(t, s)^T h, and the end
-    nodes at the law of <h, x> under nu_t, means included."""
-    h = phi.directions[0]
-    g = propagator_matrix(model, s, t).T @ h
-    v_inner = float(h @ accumulated(model, s, t).entries @ h)
-    outer, end = marginal(system(s), g), marginal(system(t), h)
-
-    x1, w1 = np.polynomial.hermite.hermgauss(nodes)
-    w1 = w1 / math.sqrt(math.pi)
-    inner_pts = _normal_nodes(x1, v_inner)
-    outer_pts = _normal_nodes(x1, outer.cov.entries[0, 0]) + outer.mean[0]
-    end_pts = _normal_nodes(x1, end.cov.entries[0, 0]) + end.mean[0]
-
-    prof = lambda arr: np.asarray(phi.profile(arr[:, None]), dtype=float)
-    propagated = np.array([float(w1 @ prof(wpt + inner_pts)) for wpt in outer_pts])
-    lhs = float(w1 @ np.abs(propagated) ** p) ** (1.0 / p)
-    rhs = float(w1 @ np.abs(prof(end_pts)) ** q) ** (1.0 / q)
+    coordinate, so both norms reduce to scalar Gaussian integrals: the
+    inner law N(0, <K(t, s) h, h>) of the transition, the outer law of
+    <g, x> under nu_s, g = U(t, s)^T h, and the end law of <h, x> under
+    nu_t."""
+    h = phi.directions[:1]
+    g = h @ propagator_matrix(model, s, t)
+    k_h = SymOperator(h @ accumulated(model, s, t).entries @ h.T)
+    laws = GaussianMeasure(np.zeros(1), k_h), marginal(system(s), g), marginal(system(t), h)
+    rule = np.polynomial.hermite.hermgauss(nodes)
+    (inner, w_in), (outer, w_out), (end, w_end) = (gauss_hermite(law, *rule) for law in laws)
+    prof = lambda u: np.asarray(phi.profile(u), dtype=float)
+    propagated = np.array([float(w_in @ prof(pt + inner)) for pt in outer])
+    lhs = float(w_out @ np.abs(propagated) ** p) ** (1.0 / p)
+    rhs = float(w_end @ np.abs(prof(end)) ** q) ** (1.0 / q)
     return lhs / rhs
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .covariance import accumulated, steady_state
 from .evolution import propagator_matrix
-from .linalg import SymOperator, spectral_factor
+from .linalg import RANK_CUT, SymOperator, spectral_factor
 from .mehler import TrigPolynomial, apply_exact, propagate_trig
 from .models import OperatorFamily, WindowExceededError
 from .rng import CHUNK, chunked_normals, seed_stream
@@ -77,6 +77,26 @@ def sample(mu: GaussianMeasure, count: int, seed: int, label: str = "sample") ->
     for lo in range(0, count, CHUNK):
         z[lo:lo + CHUNK] = mu.mean + z[lo:lo + CHUNK] @ mu._factor.T
     return z
+
+
+def gauss_hermite(mu: GaussianMeasure, x: np.ndarray, w: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Points (rows) and normalized weights for E under mu from the
+    physicists' Hermite rule (x, w) of ``hermgauss``: the tensor rule over
+    the leading columns of the factor ``sample`` draws with, as many as mu
+    has rank (eigenvalues above RANK_CUT times the largest), at most 2.
+    Rank 0 is the point mass at the mean."""
+    lam = np.einsum("ij,ij->j", mu._factor, mu._factor)  # the eigenvalues
+    rank = int(np.count_nonzero(lam > RANK_CUT * lam[0]))
+    if rank == 0:
+        return mu.mean[None, :], np.ones(1)
+    if rank > 2:
+        raise ValueError(f"Gauss-Hermite rules take laws of rank at most 2, got {rank}")
+    u, w = x[:, None], w / math.sqrt(math.pi)
+    if rank == 2:
+        u = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        w = np.multiply.outer(w, w).reshape(-1)
+    return mu.mean + math.sqrt(2.0) * u @ mu._factor[:, :rank].T, w
 
 
 def marginal(mu: GaussianMeasure, h: np.ndarray) -> GaussianMeasure:

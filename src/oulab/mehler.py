@@ -88,7 +88,11 @@ class TrigPolynomial:
 
     def at_phases(self, phases: np.ndarray) -> np.ndarray:
         """Values at phases (..., k) along ``directions``."""
-        parts = np.concatenate([np.cos(phases), np.sin(phases)], axis=-1) @ self._folded[1]
+        k = phases.shape[-1]
+        trig = np.empty(phases.shape[:-1] + (2 * k,))  # [cos | sin], written in place
+        np.cos(phases, out=trig[..., :k])
+        np.sin(phases, out=trig[..., k:])
+        parts = trig @ self._folded[1]
         return parts[..., 0] + 1j * parts[..., 1]
 
     def evaluate(self, x: np.ndarray) -> complex | np.ndarray:

@@ -126,6 +126,8 @@ def test_cli_unknown_key_exits_two(tmp_path, capsys, old, new):
     ("s_values = -1.0,", "s_values = nan,"),
     ("fd = 0.0001", "fd = inf"),
     ("samples = 20000", "samples = 1"),  # no standard error from one draw
+    ("p_values = 2.0, 2.5, 3.0", "p_values = 0.0, 2.0"),  # no p-norm below p = 1
+    ("sharpness_p = 4.5, 6.0", "sharpness_p = 0.5, -1.0"),
 ])
 def test_cli_unusable_grid_exits_two_without_report(tmp_path, capsys, old, new):
     text = (REPO / "configs" / "parabolic_1d.cfg").read_text()

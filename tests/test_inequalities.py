@@ -356,19 +356,6 @@ def test_hyper_quadrature_l2_norm_is_exact(path):
                 assert norm == pytest.approx(_exact_l2(poly, mu), rel=1e-12, abs=0.0)
 
 
-def test_gh_grid_of_a_rank_one_marginal_lies_on_its_line():
-    cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    u, w = ineq._gh_grid(cov, 8)
-    assert u.shape == (8, 2) and w.shape == (8,)
-    np.testing.assert_allclose(u[:, 0], u[:, 1], rtol=0.0, atol=1e-15 * np.abs(u).max())
-    np.testing.assert_allclose((u * w[:, None]).T @ u, cov, rtol=0.0, atol=1e-14)
-
-
-def test_gh_grid_of_a_zero_marginal_is_the_point_mass():
-    u, w = ineq._gh_grid(np.zeros((2, 2)), 8)
-    assert u.tolist() == [[0.0, 0.0]] and w.tolist() == [1.0]
-
-
 def test_hyper_quadrature_direction_count(dc8, dc_kappa, dc_system):
     t = math.log(2.0)
     const = TrigPolynomial.constant(8, 1.5)
@@ -376,7 +363,7 @@ def test_hyper_quadrature_direction_count(dc8, dc_kappa, dc_system):
     assert (rep.lhs, rep.rhs, rep.lhs_err, rep.rhs_err) == (1.5, 1.5, 0.0, 0.0)
     three = const + TrigPolynomial.cosine(np.eye(8)[0]) + TrigPolynomial.sine(np.eye(8)[1]) \
         + TrigPolynomial.cosine(np.eye(8)[0] + np.eye(8)[2])
-    with pytest.raises(ValueError, match="at most 2 frequency directions"):
+    with pytest.raises(ValueError, match="rank at most 2, got 3"):
         ineq.hyper_quadrature(dc8, 0.0, t, 2.0, [3.0], three, dc_kappa, system=dc_system)
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from oulab import measures as meas
 from oulab.covariance import accumulated, steady_state
@@ -128,6 +129,60 @@ def test_marginal_law_is_the_projected_gaussian(dc8):
     # the rank-1 law stays on its line: the second coordinate is -2 x the first
     centred = sample(meas.marginal(mu, rank1), 1000, seed=6) - rank1 @ mean
     np.testing.assert_allclose(centred[:, 1], -2.0 * centred[:, 0], atol=1e-12)
+
+
+_GEN = np.random.default_rng(11)
+_H = _GEN.standard_normal((2, 4))
+_A = _GEN.standard_normal((4, 4))
+# rows of H for the law N(Hm, H S H^T) and its rank
+RULE_ROWS = {
+    "zero-row": (np.zeros((1, 4)), 0),
+    "one-row": (_H[:1], 1),
+    "zero-h-2h": (np.vstack([np.zeros(4), _H[0], 2.0 * _H[0]]), 1),
+    "two-rows": (_H, 2),
+    "zero-h1-h2": (np.vstack([np.zeros(4), _H]), 2),
+    "h1-h2-sum": (np.vstack([_H, _H[0] + _H[1]]), 2),
+}
+
+
+def _base_law():
+    return GaussianMeasure(np.array([0.5, -1.0, 0.25, 2.0]), SymOperator(_A @ _A.T / 4.0))
+
+
+@pytest.mark.parametrize("name", RULE_ROWS)
+def test_gauss_hermite_reproduces_the_marginal_moments(name):
+    rows, rank = RULE_ROWS[name]
+    mu = _base_law()
+    u, w = meas.gauss_hermite(meas.marginal(mu, rows), *hermgauss(8))
+    assert u.shape == (8 ** rank, len(rows)) and w.shape == (8 ** rank,)
+    mean = rows @ mu.mean
+    np.testing.assert_allclose(w @ u, mean, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose((u - mean).T @ ((u - mean) * w[:, None]),
+                               rows @ mu.cov.entries @ rows.T, rtol=0.0, atol=1e-12)
+    if name == "zero-h-2h":  # a rank-1 law lies on its line
+        np.testing.assert_allclose(u[:, 2] - mean[2], 2.0 * (u[:, 1] - mean[1]), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", RULE_ROWS)
+def test_gauss_hermite_integrates_exponentials(name):
+    rows, _ = RULE_ROWS[name]
+    mu = _base_law()
+    a = np.linspace(0.5, -0.3, len(rows))
+    law = meas.marginal(mu, rows)
+    u, w = meas.gauss_hermite(law, *hermgauss(64))
+    exact = math.exp(a @ law.mean + 0.5 * law.cov.quadratic_form(a))
+    assert float(w @ np.exp(u @ a)) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_gauss_hermite_of_a_point_mass_is_its_mean():
+    u, w = meas.gauss_hermite(GaussianMeasure(np.array([2.0, -1.0]), SymOperator.zero(2)),
+                              *hermgauss(8))
+    assert u.tolist() == [[2.0, -1.0]] and w.tolist() == [1.0]
+
+
+def test_gauss_hermite_rejects_rank_three():
+    with pytest.raises(ValueError, match="rank at most 2, got 3"):
+        meas.gauss_hermite(GaussianMeasure(np.zeros(3), SymOperator(np.eye(3))), *hermgauss(8))
 
 
 def test_invariance_rejects_pre_anchor_times(rational4):
