@@ -120,7 +120,15 @@ class LogSobolevReport:
     slack: float
     lhs_err: float
     rhs_err: float
-    passed: bool
+
+    @property
+    def excess(self) -> float:
+        """The verdict slack >= -3 err as an excess: at most 0 exactly when it holds."""
+        return -self.slack - 3.0 * (self.lhs_err + self.rhs_err)
+
+    @property
+    def passed(self) -> bool:
+        return self.excess <= 0.0
 
 
 def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: float,
@@ -131,8 +139,7 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: fl
 
     Both methods integrate over the marginal law of phi's k coordinates
     <h_i, x>: quadrature for a law of rank at most 2, Monte Carlo for any
-    k, drawing k normals a row from that law.  The verdict allows slack down
-    to minus three combined errors.
+    k, drawing k normals a row from that law.
     """
     if not p > 1.0:
         raise ValueError("need p > 1")
@@ -164,9 +171,7 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: fl
                                     for a in terms)
         lhs_err = se_ent + abs(1.0 + math.log(m)) * se_vp
         rhs_err = kappa * p * p * se_energy
-    slack = rhs - lhs
-    passed = slack >= -3.0 * (lhs_err + rhs_err)
-    return LogSobolevReport(p, phi.label, lhs, rhs, slack, lhs_err, rhs_err, passed)
+    return LogSobolevReport(p, phi.label, lhs, rhs, rhs - lhs, lhs_err, rhs_err)
 
 
 # -- norm contraction -----------------------------------------------------------
@@ -200,14 +205,16 @@ class HyperReport:
     rhs: float
     lhs_err: float
     rhs_err: float
-    passed: bool
 
+    @property
+    def excess(self) -> float:
+        """The larger of p - p_max (less 1e-12) and lhs - rhs - 3 err, NaN if either is."""
+        return float(np.max([self.p - (self.p_max + 1e-12),
+                             self.lhs - (self.rhs + 3.0 * (self.lhs_err + self.rhs_err))]))
 
-def _hyper_report(p, p_max, lhs, rhs, lhs_err, rhs_err) -> HyperReport:
-    """PASS requires p on or under the exponent curve and the norm inequality
-    to hold within three combined errors."""
-    passed = (p <= p_max + 1e-12) and (lhs <= rhs + 3.0 * (lhs_err + rhs_err))
-    return HyperReport(p, p_max, lhs, rhs, lhs_err, rhs_err, passed)
+    @property
+    def passed(self) -> bool:
+        return self.excess <= 0.0
 
 
 def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
@@ -221,9 +228,7 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
     The trig observable propagates exactly, so one Monte Carlo layer over
     nu_s suffices.  Each norm draws the marginal law of the phases along its
     polynomial's k folded directions, k normals a row (k = 3 for two
-    frequency directions and a constant term, pinned at zero).  PASS
-    requires p on or under the exponent curve and the norm inequality to
-    hold within three combined standard errors.
+    frequency directions and a constant term, pinned at zero).
 
     ``p`` is one exponent, giving one HyperReport, or a sequence, giving
     one per exponent in order from one pass: only the left-hand p-norm
@@ -241,7 +246,7 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
     reports = []
     for p in p_values:
         lhs, lhs_err = _p_norm_and_err(vals, p)
-        reports.append(_hyper_report(p, p_max, lhs, rhs, lhs_err, rhs_err))
+        reports.append(HyperReport(p, p_max, lhs, rhs, lhs_err, rhs_err))
     return reports[0] if single else reports
 
 
@@ -270,8 +275,8 @@ def hyper_quadrature(model: OperatorFamily, s: float, t: float, q: float, p_valu
     (rhs,), (rhs_c,) = (_quad_p_norms(phi, system(t), [q], n)
                         for n in (GH_NODES, GH_NODES_COARSE))
     p_max = exponent_curve(q, t - s, kappa)
-    return [_hyper_report(float(p), p_max, float(a), float(rhs),
-                          float(abs(a - a_c)), float(abs(rhs - rhs_c)))
+    return [HyperReport(float(p), p_max, float(a), float(rhs),
+                        float(abs(a - a_c)), float(abs(rhs - rhs_c)))
             for p, a, a_c in zip(p_values, lhs, lhs_c)]
 
 

@@ -56,11 +56,11 @@ def write_json(path: Path, payload: dict) -> None:
 class RunReport:
     """Aggregated verdicts of one CLI invocation.
 
-    Every check that ran appears exactly once with status PASS, FAIL, or
-    REPORT (evidence rows that never gate the exit code).  A subcommand
-    stopped by a numerical error adds one ``<sub>.error`` row with status
-    ERROR in place of the checks it did not reach.  Wall times of the
-    subcommands that ran and the peak resident set go to run_meta.json only.
+    Every check that ran appears exactly once: asserted (``check``, PASS or
+    FAIL), evidence that never gates the exit code (REPORT), or in place of
+    the checks a subcommand stopped by a numerical error did not reach, one
+    ``<sub>.error`` row (ERROR).  Wall times of the subcommands that ran and
+    the peak resident set go to run_meta.json only.
     """
 
     config_text: str
@@ -76,6 +76,14 @@ class RunReport:
         if any(c["name"] == name for c in self.checks):
             raise ValueError(f"duplicate check name {name!r}")
         self.checks.append({"name": name, "status": status, "detail": detail})
+
+    def check(self, name: str, value: float, bound: float, detail: str) -> None:
+        """Asserted row, PASS exactly when value <= bound (a NaN value FAILs);
+        its detail gives the context, value, bound and margin bound - value."""
+        value, bound = float(value), float(bound)
+        self.add(name, "PASS" if value <= bound else "FAIL",
+                 f"{detail}; value {value:.4g}, bound {bound:.4g}, margin {bound - value:.4g}")
+        self.checks[-1].update(value=value, bound=bound)
 
     def named(self, status: str) -> list[str]:
         return [c["name"] for c in self.checks if c["status"] == status]

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import oulab
-from oulab import cli, evolution, experiments, inequalities, measures, mehler
+from oulab import cli, evolution, experiments, inequalities, measures, mehler, spde
 from oulab import covariance as cov
 from oulab.config import ConfigError, ExperimentConfig
 from oulab.experiments import run_suite
+from oulab.linalg import SymOperator
 from oulab.models import build_model
 
 NAN = float("nan")
@@ -27,6 +28,7 @@ def small_config(**over):
 
 
 REPO = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(p.name for p in (REPO / "configs").glob("*.cfg"))
 
 
 def test_config_roundtrip_lossless():
@@ -140,13 +142,35 @@ def test_cli_unusable_grid_exits_two_without_report(tmp_path, capsys, old, new):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.cfg")))
-def test_shipped_config_report_all_passes_with_small_samples(tmp_path, name):
-    cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / name),
-                              mc_samples=5000)
-    report = run_suite("report-all", cfg, tmp_path)
-    assert {c["status"] for c in report.checks} <= {"PASS", "REPORT"}, \
-        [c for c in report.checks if c["status"] not in ("PASS", "REPORT")]
+@pytest.fixture(scope="module")
+def shipped_checks(tmp_path_factory):
+    """The checks in report.json of report-all on a shipped config with
+    small samples, run once per config and module."""
+    runs = {}
+
+    def checks(name):
+        if name not in runs:
+            cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / name),
+                                      mc_samples=5000)
+            out = tmp_path_factory.mktemp(name)
+            run_suite("report-all", cfg, out)
+            runs[name] = json.loads((out / "report.json").read_text())["checks"]
+        return runs[name]
+
+    return checks
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_report_all_passes_with_small_samples(shipped_checks, name):
+    checks = shipped_checks(name)
+    assert {c["status"] for c in checks} <= {"PASS", "REPORT"}, \
+        [c for c in checks if c["status"] not in ("PASS", "REPORT")]
+    # an asserted row is a finite (value, bound) record; evidence has neither
+    for c in checks:
+        asserted = c["status"] == "PASS"
+        assert asserted == ("value" in c) == ("bound" in c), c
+        assert not asserted or (np.isfinite([c["value"], c["bound"]]).all()
+                                and c["value"] <= c["bound"]), c
 
 
 @pytest.mark.parametrize("name, label", [
@@ -369,15 +393,27 @@ def test_cli_lists_failed_checks_beside_errors(tmp_path, monkeypatch, capsys):
     assert "FAILED: hyper.curve" in err and "ERROR: covariance.error" in err
 
 
+def test_check_rows_pass_exactly_when_the_value_is_within_the_bound():
+    from oulab.reporting import RunReport
+
+    report = RunReport(config_text="", version="")
+    report.check("a.at-bound", 1.0, 1.0, "context")
+    report.check("a.beyond", 1.5, 1.0, "context")
+    report.check("a.nan", NAN, 1.0, "context")
+    assert [c["status"] for c in report.checks] == ["PASS", "FAIL", "FAIL"]
+    assert report.checks[1] == {"name": "a.beyond", "status": "FAIL", "value": 1.5, "bound": 1.0,
+                                "detail": "context; value 1.5, bound 1, margin -0.5"}
+
+
 def _spoil_call(monkeypatch, owner, attr, at, spoil):
-    """Replace the result of call number ``at`` (from 0) of owner.attr by
-    spoil(result)."""
+    """Replace the result of call number ``at`` (from 0) of owner.attr, or of
+    every call when ``at`` is None, by spoil(result)."""
     original, calls = getattr(owner, attr), []
 
     def spoiled(*args, **kwargs):
         out = original(*args, **kwargs)
         calls.append(None)
-        return spoil(out) if len(calls) == at + 1 else out
+        return spoil(out) if at is None or len(calls) == at + 1 else out
 
     monkeypatch.setattr(owner, attr, spoiled)
 
@@ -386,33 +422,102 @@ def _first_lhs_nan(reports):
     return [dataclasses.replace(reports[0], lhs=NAN)] + list(reports[1:])
 
 
-# (check, subcommand, model, owner, attribute, call, spoil): one NaN residual
-# planted in a check that reduces its residuals to one worst value
-NAN_PLANTS = [
+def _bump(out, by=1e-6):
+    """out with its first entry raised by ``by``."""
+    bumped = np.array(out, dtype=float)
+    bumped.flat[0] += by
+    return bumped
+
+
+def _scaled(factor):
+    return lambda out: SymOperator(out.entries * factor)
+
+
+# The planted-defect table: one row per asserted check of the shipped
+# configs, (check, subcommand, model, defect, NaN plant or None).  A defect
+# or plant (owner, attribute, call, spoil) spoils the result of call number
+# ``call`` of owner.attribute (every call if None), as _spoil_call does.  The
+# defect must flip the check from PASS to FAIL; the NaN plant, in a check
+# that reduces its residuals to one worst value, must FAIL it too.
+PLANTS = [
     ("evolve.chain-law", "evolve", "diag-constant",
-     experiments, "operator_norm", 0, lambda out: NAN),
-    ("evolve.adjoint", "evolve", "parabolic-1d",  # after the 10 chain-law triples
-     experiments, "operator_norm", 10, lambda out: NAN),
+     (evolution, "propagator_matrix", 0, _bump),
+     (experiments, "operator_norm", 0, lambda out: NAN)),
+    ("evolve.adjoint", "evolve", "parabolic-1d",
+     (evolution, "adjoint_by_integration", 0, _bump),
+     (experiments, "operator_norm", 10, lambda out: NAN)),  # after the 10 chain-law triples
     ("covariance.flow-decomposition", "covariance", "diag-constant",
-     evolution, "propagator_matrix", 0, lambda out: out * NAN),
+     (evolution, "propagator_matrix", 0, _bump),
+     (evolution, "propagator_matrix", 0, lambda out: out * NAN)),
     ("covariance.derivatives", "covariance", "diag-constant",
-     cov, "check_forward_derivative", 1,
-     lambda out: dataclasses.replace(out, abs_discrepancy=NAN)),
+     (cov, "_quad_form", 0, lambda out: out + 1e-6),
+     (cov, "check_forward_derivative", 1,
+      lambda out: dataclasses.replace(out, abs_discrepancy=NAN))),
+    # K of the longest horizon, after 4 grid pairs, 10 flow-decomposition
+    # triples of 3 and 3 derivative probes of 5
+    ("covariance.monotone-horizon", "covariance", "diag-constant",
+     (cov, "accumulated", 52, _scaled(0.5)), None),
+    ("invariance.gaussian-system", "invariance", "diag-constant",  # the dual form
+     (measures, "propagate_trig", 0, lambda out: 1.001 * out), None),
+    ("invariance.shifted-system", "invariance", "nonunique-demo",  # after 3 dual pairs
+     (measures, "propagate_trig", 3, lambda out: 1.001 * out), None),
     ("diffcheck.formulas", "diffcheck", "diag-constant",
-     mehler, "check_differentiation", 1,
-     lambda out: dataclasses.replace(out, start_discrepancy=NAN)),
+     (mehler, "transition_of_generator", 0, lambda out: out + 1e-3),
+     (mehler, "check_differentiation", 1,
+      lambda out: dataclasses.replace(out, start_discrepancy=NAN))),
+    ("diffcheck.fd-order", "diffcheck", "diag-constant",  # an O(1) error does not halve
+     (mehler, "generator_apply", None, lambda out: out + 1e-3), None),
+    ("logsob.entropy-bound", "logsob", "diag-constant",  # kappa below kappa* = 0.25
+     (inequalities, "log_sobolev_constant", 0, lambda kappa: 0.1 * kappa), None),
+    ("logsob.quadrature-vs-mc", "logsob", "diag-constant",  # a sampled law half as wide
+     (inequalities, "sample", 0, lambda out: 0.5 * out), None),
+    ("hyper.norm-inequality", "hyper", "diag-constant",  # p_max 3 -> 2 on the first probe
+     (inequalities, "exponent_curve", 0, lambda p_max: 1.0 + 0.5 * (p_max - 1.0)), None),
     ("hyper.quadrature-vs-mc", "hyper", "diag-constant",
-     inequalities, "hypercontractivity_check", 1, _first_lhs_nan),
+     (inequalities, "sample", 0, lambda out: 1.5 * out),
+     (inequalities, "hypercontractivity_check", 1, _first_lhs_nan)),
+    ("spde.terminal-law", "spde", "diag-constant",  # every step's noise 10% too strong
+     (spde, "sqrt_psd", None, _scaled(1.1)), None),
+    ("spde.observable-consistency", "spde", "diag-constant",
+     (mehler, "apply_exact", 0, lambda out: out + 0.1), None),
+    ("ergodic.long-time-limit", "ergodic", "diag-constant",  # the last start time
+     (measures, "apply_exact", 3, lambda out: out + 0.01), None),
 ]
 
+# asserted checks no defect can flip yet, each with the ROADMAP item that fixes it
+BLIND = {
+    "evolve.decay-certificates": "item 3: it re-tests pairs its certificates were fitted to",
+}
 
-@pytest.mark.parametrize("check, sub, model, owner, attr, at, spoil", NAN_PLANTS,
-                         ids=[plant[0] for plant in NAN_PLANTS])
-def test_a_nan_residual_fails_its_check(tmp_path, monkeypatch, check, sub, model,
-                                        owner, attr, at, spoil):
-    _spoil_call(monkeypatch, owner, attr, at, spoil)
-    report = run_suite(sub, small_config(model_name=model), tmp_path)
-    assert {c["name"]: c["status"] for c in report.checks}[check] == "FAIL"
+
+def _status(report, check):
+    return {c["name"]: c["status"] for c in report.checks}[check]
+
+
+@pytest.mark.parametrize("check, sub, model, defect", [row[:4] for row in PLANTS],
+                         ids=[row[0] for row in PLANTS])
+def test_a_planted_defect_flips_its_check(tmp_path, monkeypatch, check, sub, model, defect):
+    cfg = small_config(model_name=model)
+    assert _status(run_suite(sub, cfg, tmp_path), check) == "PASS"
+    _spoil_call(monkeypatch, *defect)
+    assert _status(run_suite(sub, cfg, tmp_path), check) == "FAIL"
+
+
+def test_every_asserted_check_has_a_planted_defect_or_is_blind(shipped_checks):
+    asserted = {c["name"] for name in SHIPPED for c in shipped_checks(name) if "value" in c}
+    planted = {row[0] for row in PLANTS}
+    assert not planted & set(BLIND)
+    assert asserted == planted | set(BLIND)
+
+
+NAN_PLANTS = [(row[0], row[1], row[2], row[4]) for row in PLANTS if row[4] is not None]
+
+
+@pytest.mark.parametrize("check, sub, model, plant", NAN_PLANTS,
+                         ids=[row[0] for row in NAN_PLANTS])
+def test_a_nan_residual_fails_its_check(tmp_path, monkeypatch, check, sub, model, plant):
+    _spoil_call(monkeypatch, *plant)
+    assert _status(run_suite(sub, small_config(model_name=model), tmp_path), check) == "FAIL"
 
 
 def test_a_nan_covariance_is_an_error_row(tmp_path, monkeypatch, capsys):
