@@ -7,11 +7,12 @@
 Each config in ``configs/`` runs ``oulab report-all`` at each seed of SEEDS,
 in a fresh process and a temporary directory, with the config's ``[run]
 seed`` replaced.  The manifest (MANIFEST, committed next to this script)
-holds the exit code and the sha256 of every file the run writes except
-``run_meta.json``, which records timings, plus the Python, numpy and BLAS
-versions that produced them.  ``--check`` prints each run whose exit code
-or file set differs and each file whose digest differs, and exits 1 if
-any does.
+holds the exit code, the sha256 of every file the run writes except
+``run_meta.json``, which records timings, and the status of every check in
+its ``report.json``, plus the Python, numpy and BLAS versions that produced
+them.  ``--check`` prints each run whose exit code or file set differs,
+each file whose digest differs and each check whose status moved (when
+the manifest records statuses), and exits 1 if any does.
 
 Digests are tied to one numpy and BLAS build: a mismatch under other
 versions (the check prints both) is not a defect by itself.  A change
@@ -47,7 +48,8 @@ def versions() -> dict:
 
 
 def run(cfg: Path, seed: int, workdir: Path) -> dict:
-    """Exit code and {file name: sha256} of one ``report-all`` run."""
+    """Exit code, {file name: sha256} and {check name: status} of one
+    ``report-all`` run."""
     text, n = re.subn(r"(?m)^seed\s*=.*$", f"seed = {seed}", cfg.read_text())
     if n != 1:
         raise SystemExit(f"{cfg.name}: expected one seed line, found {n}")
@@ -60,7 +62,10 @@ def run(cfg: Path, seed: int, workdir: Path) -> dict:
                           stdout=subprocess.DEVNULL).returncode
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(outdir.glob("*")) if p.name not in SKIPPED}
-    return {"exit": code, "files": files}
+    report = outdir / "report.json"
+    checks = json.loads(report.read_text())["checks"] if report.exists() else []
+    return {"exit": code, "files": files,
+            "statuses": {c["name"]: c["status"] for c in checks}}
 
 
 def collect() -> dict:
@@ -85,6 +90,12 @@ def differences(old: dict, new: dict) -> list[str]:
         for name in sorted(a["files"].keys() | b["files"].keys()):
             if a["files"].get(name) != b["files"].get(name):
                 out.append(f"{key}/{name}")
+        if "statuses" in a:  # a manifest written before statuses were recorded has none
+            old_s, new_s = a["statuses"], b["statuses"]
+            for name in sorted(old_s.keys() | new_s.keys()):
+                if old_s.get(name) != new_s.get(name):
+                    out.append(f"{key}: {name} {old_s.get(name, 'absent')} -> "
+                               f"{new_s.get(name, 'absent')}")
     return out
 
 

@@ -47,6 +47,13 @@ def _worst(values, floor: float = 0.0) -> float:
     return float(np.max(list(values), initial=floor))
 
 
+def _cross_check_ratios(quad, mc) -> list[float]:
+    """|quadrature - Monte Carlo| of lhs and rhs over 4 stderr plus the
+    quadrature error (at least 1e-12): both quadrature-vs-mc checks."""
+    tol = max(4.0 * (mc.lhs_err + mc.rhs_err) + quad.lhs_err + quad.rhs_err, 1e-12)
+    return [abs(quad.lhs - mc.lhs) / tol, abs(quad.rhs - mc.rhs) / tol]
+
+
 def _pairs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     return [(s, t) for s in cfg.s_values for t in cfg.t_values if s < t]
 
@@ -269,10 +276,10 @@ def run_logsob(model, cfg, report: RunReport, outdir: Path) -> None:
         quad = reports[LOGSOB_P_VALUES.index(2.0)]
         mc = ineq.entropy_gap(model, REF_T, phi, 2.0, kappa, system=system,
                               method="mc", count=cfg.mc_samples, seed=cfg.seed)
-        tol = 4.0 * max(mc.lhs_err + mc.rhs_err, 1e-12)
-        gaps += [abs(quad.lhs - mc.lhs) - tol, abs(quad.rhs - mc.rhs) - tol]
-    report.check("logsob.quadrature-vs-mc", _worst(gaps, -math.inf), 0.0,
-                 "quadrature and Monte Carlo entropies on 3 probes: largest gap minus 4 stderr")
+        gaps += _cross_check_ratios(quad, mc)
+    report.check("logsob.quadrature-vs-mc", _worst(gaps), 1.0,
+                 "largest gap between quadrature and Monte Carlo entropy sides over "
+                 "4 stderr plus the quadrature error, on 3 probes")
 
 
 def _hyper_probes(model, cfg) -> list[mehler.TrigPolynomial]:
@@ -314,9 +321,7 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
         mc = ineq.hypercontractivity_check(model, s, t, HYPER_Q, p_values, phi, kappa,
                                            cfg.mc_samples, cfg.seed + i, system=system)
         for quad, sampled in zip(by_probe[i], mc):
-            tol = max(4.0 * (sampled.lhs_err + sampled.rhs_err)
-                      + quad.lhs_err + quad.rhs_err, 1e-12)
-            gaps += [abs(quad.lhs - sampled.lhs) / tol, abs(quad.rhs - sampled.rhs) / tol]
+            gaps += _cross_check_ratios(quad, sampled)
     report.check("hyper.quadrature-vs-mc", _worst(gaps), 1.0,
                  "largest gap between quadrature and Monte Carlo norms over "
                  "4 stderr plus the quadrature error, on 3 probes")

@@ -36,8 +36,10 @@ directions propagates to one over their two adjoint images.  Monte Carlo
 with delta-method errors serves any rank, drawing k normals a row whatever
 the dimension; ``entropy_gap(method="mc")`` and
 ``hypercontractivity_check`` are the sampled cross-checks of the
-quadrature verdicts.  Norm ratios beyond the curve use nested 1-D
-Gauss-Hermite rules with SHARPNESS_NODES nodes.
+quadrature verdicts; the sampled entropy's error is the standard error of
+its one summand ent_i - (1 + log m) v_i, since its two means correlate.
+Norm ratios beyond the curve use nested 1-D Gauss-Hermite rules with
+SHARPNESS_NODES nodes.
 
 Every node set comes from ``measures.gauss_hermite``: the tensor rule over
 the columns of the factor that ``measures.sample`` draws with, as many as
@@ -166,11 +168,10 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: fl
         mc, entc, energyc = sums[1]
         lhs_err = abs(lhs - (entc - mc * math.log(mc) if mc > 0 else lhs))
         rhs_err = abs(rhs - kappa * p * p * energyc)
-    else:  # delta method on the same summands: d(m log m) = (1 + log m) dm
-        se_vp, se_ent, se_energy = (float(np.std(a, ddof=1)) / math.sqrt(count)
-                                    for a in terms)
-        lhs_err = se_ent + abs(1.0 + math.log(m)) * se_vp
-        rhs_err = kappa * p * p * se_energy
+    else:  # delta method, d(m log m) = (1 + log m) dm: lhs is the mean of one summand
+        vp, ent_terms, energy_terms = terms
+        lhs_err = float(np.std(ent_terms - (1.0 + math.log(m)) * vp, ddof=1)) / math.sqrt(count)
+        rhs_err = kappa * p * p * float(np.std(energy_terms, ddof=1)) / math.sqrt(count)
     return LogSobolevReport(p, phi.label, lhs, rhs, rhs - lhs, lhs_err, rhs_err)
 
 
@@ -208,9 +209,10 @@ class HyperReport:
 
     @property
     def excess(self) -> float:
-        """The larger of p - p_max (less 1e-12) and lhs - rhs - 3 err, NaN if either is."""
-        return float(np.max([self.p - (self.p_max + 1e-12),
-                             self.lhs - (self.rhs + 3.0 * (self.lhs_err + self.rhs_err))]))
+        """p - p_max (less 1e-12) for p beyond the curve or NaN, else lhs - rhs - 3 err."""
+        if not self.p <= self.p_max + 1e-12:
+            return self.p - (self.p_max + 1e-12)
+        return self.lhs - (self.rhs + 3.0 * (self.lhs_err + self.rhs_err))
 
     @property
     def passed(self) -> bool:

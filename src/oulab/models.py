@@ -6,7 +6,7 @@ finite truncation of the state space, together with a query window
 supported:
 
   diagonal   A(t) e_k = a_k(t) e_k,  B(t) e_k = b_k(t) e_k, every a_k with
-             a closed-form antiderivative
+             a closed-form antiderivative; a_k(t) and b_k(t) are numbers
   dense      A(t), B(t) arbitrary matrix-valued callables
 
 The factories below ship the concrete families used throughout the test
@@ -14,8 +14,8 @@ suite: constant diagonal coefficients, a rational-in-time diagonal drift with
 oscillating diffusion, the scalar non-autonomous analogue of the classical
 Ornstein-Uhlenbeck operator (n identical diagonal modes), a 1-D
 finite-difference discretization of a divergence-form parabolic operator
-with Dirichlet boundary, and a two-mode family engineered so that more than
-one evolution system of measures exists.
+with Dirichlet boundary (written as the tridiagonal matrix it is), and a
+two-mode family engineered so that more than one evolution system exists.
 
 ``meta`` carries the model data the checks read: ``noise_sup``, a bound on
 |B(t)| behind the steady-state tail cutoff, and, for the non-uniqueness
@@ -48,7 +48,7 @@ class WindowExceededError(ValueError):
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """Scalar drift/diffusion coefficients of one diagonal mode.
+    """Scalar drift/diffusion coefficients of one diagonal mode: float t -> number.
 
     ``drift_antideriv`` is an exact antiderivative c of the drift, taking a
     float: U of the mode is exp(c(t) - c(s)), and K of the mode takes its
@@ -127,8 +127,8 @@ def make_diagonal_constant(n: int, lam: float, b: float,
         raise BadParameterError("n must be >= 1")
     lam, b = float(lam), float(b)
     mode = ModeCoefficients(
-        drift=lambda t: lam * np.ones_like(np.asarray(t, dtype=float)),
-        diffusion=lambda t: b * np.ones_like(np.asarray(t, dtype=float)),
+        drift=lambda t: lam,
+        diffusion=lambda t: b,
         drift_antideriv=lambda t: lam * t,
     )
     return OperatorFamily(
@@ -209,11 +209,6 @@ def _constant_matrix(b: np.ndarray) -> Callable:
     return lambda t: b
 
 
-def _as_coefficient(c) -> Callable:
-    """A coefficient (t, x) -> value; a plain number is constant in t and x."""
-    return c if callable(c) else lambda t, x: c
-
-
 def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
                       window: tuple[float, float] = (-50.0, 50.0),
                       noise: Callable | None = None) -> OperatorFamily:
@@ -229,8 +224,8 @@ def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
     taking a float t and an array of points x and returning one value per
     point, or a scalar that broadcasts; a callable that cannot take an
     array raises BadParameterError here.  A(t) = diag(a0) - D^T diag(a / h^2) D
-    with D the (m+1) x m Dirichlet difference matrix, applied as one
-    precomputed stencil.
+    with D the (m+1) x m Dirichlet difference matrix: tridiagonal, written
+    diagonal by diagonal.
 
     Ellipticity a >= nu > 0 and non-positivity of a0 are checked on a sample
     grid of the window times the spatial nodes.  B defaults to the identity.
@@ -241,7 +236,8 @@ def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
     if m < 1:
         raise BadParameterError("m must be >= 1")
     autonomous = not callable(a) and not callable(a0) and noise is None
-    a, a0 = _as_coefficient(a), _as_coefficient(a0)
+    # a coefficient maps (t, x) to a value; a plain number is constant in t and x
+    a, a0 = (c if callable(c) else (lambda t, x, c=c: c) for c in (a, a0))
     h = 1.0 / (m + 1)
     xs = np.arange(1, m + 1) * h
     mids = np.arange(0.5, m + 1) * h  # staggered coefficient nodes
@@ -263,18 +259,13 @@ def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
     if not a0_max <= 0:
         raise BadParameterError(f"zero-order coefficient must be <= 0, max is {a0_max}")
 
-    # row (i, j) of the stencil maps the midpoint samples a / h^2 to the
-    # entry (i, j) of -D^T diag(a / h^2) D.  Every entry sums at most two
-    # nonzero terms, so the product is exact in any summation order, and
-    # "0.0 -" stores the zeros as +0, so no entry of A(t) is a -0.
-    diff = np.eye(m + 1, m, k=-1) - np.eye(m + 1, m)
-    stencil = 0.0 - np.einsum("ki,kj->ijk", diff, diff).reshape(m * m, m + 1)
     h2 = np.full(m + 1, h**2)  # an array, so a scalar coefficient broadcasts
-    diagonal = np.arange(m) * (m + 1)
 
     def drift_fn(t):
-        flat = stencil @ np.divide(a(t, mids), h2)
-        flat[diagonal] += a0(t, xs)
+        c = np.divide(a(t, mids), h2)
+        flat = np.zeros(m * m)
+        flat[::m + 1] = -c[:-1] - c[1:] + a0(t, xs)  # the diagonal
+        flat[1::m + 1] = flat[m::m + 1] = c[1:-1]  # the super- and subdiagonal
         return flat.reshape(m, m)
 
     if autonomous:
@@ -344,8 +335,8 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
     c1_at_minus_inf = math.pi / (2.0 * SQRT2)
     modes = (ModeCoefficients(drift=a1, diffusion=b1, drift_antideriv=c1),) + tuple(
         ModeCoefficients(
-            drift=lambda t, k=k: -float(k * k) * np.ones_like(np.asarray(t, dtype=float)),
-            diffusion=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+            drift=lambda t, k=k: -float(k * k),
+            diffusion=lambda t: 1.0,
             drift_antideriv=lambda t, k=k: -float(k * k) * t,
         )
         for k in range(2, n + 1))
@@ -369,8 +360,8 @@ def _build_scalar_osc(n: int = 4, offset: float = -1.0, amp: float = -0.5,
     if not top < 0:
         raise BadParameterError(f"need offset + |amp| < 0, got {top}")
     mode = ModeCoefficients(
-        drift=lambda t: offset + amp * np.sin(np.asarray(t, dtype=float)),
-        diffusion=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        drift=lambda t: offset + amp * np.sin(t),
+        diffusion=lambda t: 1.0,
         drift_antideriv=lambda t: offset * t - amp * math.cos(t),
     )
     return OperatorFamily(

@@ -510,6 +510,22 @@ def test_every_asserted_check_has_a_planted_defect_or_is_blind(shipped_checks):
     assert asserted == planted | set(BLIND)
 
 
+def test_a_slightly_wide_sampled_law_fails_the_entropy_cross_check(tmp_path, monkeypatch):
+    # at the shipped 100,000 draws the Monte Carlo entropy error is tight
+    # enough that a law 1.1x as wide stands out
+    cfg = ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg")
+    assert _status(run_suite("logsob", cfg, tmp_path), "logsob.quadrature-vs-mc") == "PASS"
+    _spoil_call(monkeypatch, inequalities, "sample", None, lambda out: 1.1 * out)
+    assert _status(run_suite("logsob", cfg, tmp_path), "logsob.quadrature-vs-mc") == "FAIL"
+
+
+def test_hyper_norm_inequality_shows_the_norm_margin_at_the_curve(shipped_checks):
+    # diag-constant's p = 3 equals p_max; the row still reports the norm excess
+    (row,) = [c for c in shipped_checks("diag_constant.cfg")
+              if c["name"] == "hyper.norm-inequality"]
+    assert row["value"] < -0.01
+
+
 NAN_PLANTS = [(row[0], row[1], row[2], row[4]) for row in PLANTS if row[4] is not None]
 
 

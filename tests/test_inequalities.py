@@ -115,6 +115,19 @@ def test_entropy_quadrature_matches_mc(dc8, dc_kappa, dc_system):
     assert abs(quad.rhs - mc.rhs) <= 4.0 * max(mc.rhs_err, 1e-12)
 
 
+@pytest.mark.parametrize("which", ["dc8", "parabolic5"])
+def test_mc_entropy_error_is_the_spread_of_its_estimate(request, which):
+    # the stated lhs error is the standard error of one summand, so it
+    # matches the spread of lhs over independent draws
+    model = request.getfixturevalue(which)
+    system = meas.gaussian_system(model)
+    for phi in ineq.default_entropy_probes(model.dim)[:3]:
+        reps = [ineq.entropy_gap(model, 0.0, phi, 2.0, 0.5, system=system, method="mc",
+                                 count=4000, seed=seed) for seed in range(40)]
+        spread = np.std([r.lhs for r in reps], ddof=1) / np.mean([r.lhs_err for r in reps])
+        assert 0.7 <= spread <= 1.4, (phi.label, spread)
+
+
 def test_entropy_quadrature_matches_mc_under_a_mean(dc8, dc_kappa, dc_system):
     # the quadrature nodes must follow the measure's mean, as the samples do
     shifted = meas.point_shifted_system(dc_system, lambda t: 1.5 * np.eye(8)[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ def test_parabolic_catalog_drift_is_bitwise_the_loop_stencil(parabolic5):
     for t in np.linspace(-50.0, 50.0, 1001):
         ref = _loop_drift(5, lambda t, x: 1.0, lambda t, x: -1.0, t)
         assert parabolic5.drift_matrix(t).tobytes() == ref.tobytes()
+
+
+def test_parabolic_160_builds_in_linear_memory_as_the_loop_stencil():
+    # the drift has 3m - 2 nonzero entries: no (m^2, m + 1) stencil is built
+    tracemalloc.start()
+    try:
+        model = make_parabolic_1d(160, 1.0, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    ref = _loop_drift(160, lambda t, x: 1.0, lambda t, x: -1.0, 0.0)
+    assert model.drift_matrix(0.0).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("m", [3, 5, 9])
