@@ -8,11 +8,13 @@ Each config in ``configs/`` runs ``oulab report-all`` at each seed of SEEDS,
 in a fresh process and a temporary directory, with the config's ``[run]
 seed`` replaced.  The manifest (MANIFEST, committed next to this script)
 holds the exit code, the sha256 of every file the run writes except
-``run_meta.json``, which records timings, and the status of every check in
-its ``report.json``, plus the Python, numpy and BLAS versions that produced
-them.  ``--check`` prints each run whose exit code or file set differs,
-each file whose digest differs and each check whose status moved (when
-the manifest records statuses), and exits 1 if any does.
+``run_meta.json``, which records timings, the status of every check in
+its ``report.json`` and the value of every asserted one, plus the Python,
+numpy and BLAS versions that produced them.  ``--check`` prints each run
+whose exit code or file set differs, each file whose digest differs, each
+check whose status moved and each asserted value that moved within its
+status (when the manifest records statuses and values), and exits 1 if
+any does.
 
 Digests are tied to one numpy and BLAS build: a mismatch under other
 versions (the check prints both) is not a defect by itself.  A change
@@ -48,8 +50,8 @@ def versions() -> dict:
 
 
 def run(cfg: Path, seed: int, workdir: Path) -> dict:
-    """Exit code, {file name: sha256} and {check name: status} of one
-    ``report-all`` run."""
+    """Exit code, {file name: sha256}, {check name: status} and {asserted
+    check name: value} of one ``report-all`` run."""
     text, n = re.subn(r"(?m)^seed\s*=.*$", f"seed = {seed}", cfg.read_text())
     if n != 1:
         raise SystemExit(f"{cfg.name}: expected one seed line, found {n}")
@@ -65,7 +67,8 @@ def run(cfg: Path, seed: int, workdir: Path) -> dict:
     report = outdir / "report.json"
     checks = json.loads(report.read_text())["checks"] if report.exists() else []
     return {"exit": code, "files": files,
-            "statuses": {c["name"]: c["status"] for c in checks}}
+            "statuses": {c["name"]: c["status"] for c in checks},
+            "values": {c["name"]: c["value"] for c in checks if "value" in c}}
 
 
 def collect() -> dict:
@@ -92,10 +95,14 @@ def differences(old: dict, new: dict) -> list[str]:
                 out.append(f"{key}/{name}")
         if "statuses" in a:  # a manifest written before statuses were recorded has none
             old_s, new_s = a["statuses"], b["statuses"]
+            old_v, new_v = a.get("values"), b["values"]  # likewise for values
             for name in sorted(old_s.keys() | new_s.keys()):
                 if old_s.get(name) != new_s.get(name):
                     out.append(f"{key}: {name} {old_s.get(name, 'absent')} -> "
                                f"{new_s.get(name, 'absent')}")
+                elif old_v is not None and repr(old_v.get(name)) != repr(new_v.get(name)):
+                    out.append(f"{key}: {name} {new_s[name]}, value {old_v.get(name)!r} -> "
+                               f"{new_v.get(name)!r}")
     return out
 
 

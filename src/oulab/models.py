@@ -114,6 +114,12 @@ class OperatorFamily:
         return b @ b.T
 
 
+def _constant_mode(lam: float, b: float) -> ModeCoefficients:
+    """A mode with constant drift lam and diffusion b, as plain numbers."""
+    return ModeCoefficients(drift=lambda t: lam, diffusion=lambda t: b,
+                            drift_antideriv=lambda t: lam * t)
+
+
 def make_diagonal_constant(n: int, lam: float, b: float,
                            window: tuple[float, float] = (-50.0, 50.0)) -> OperatorFamily:
     """Constant diagonal model: a_k = lam < 0, b_k = b.
@@ -126,13 +132,9 @@ def make_diagonal_constant(n: int, lam: float, b: float,
     if n < 1:
         raise BadParameterError("n must be >= 1")
     lam, b = float(lam), float(b)
-    mode = ModeCoefficients(
-        drift=lambda t: lam,
-        diffusion=lambda t: b,
-        drift_antideriv=lambda t: lam * t,
-    )
     return OperatorFamily(
-        name="diag-constant", dim=n, window=window, kind="diagonal", modes=(mode,) * n,
+        name="diag-constant", dim=n, window=window, kind="diagonal",
+        modes=(_constant_mode(lam, b),) * n,
         decay=(1.0, -lam), meta={"noise_sup": abs(b)},
     )
 
@@ -334,12 +336,7 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
 
     c1_at_minus_inf = math.pi / (2.0 * SQRT2)
     modes = (ModeCoefficients(drift=a1, diffusion=b1, drift_antideriv=c1),) + tuple(
-        ModeCoefficients(
-            drift=lambda t, k=k: -float(k * k),
-            diffusion=lambda t: 1.0,
-            drift_antideriv=lambda t, k=k: -float(k * k) * t,
-        )
-        for k in range(2, n + 1))
+        _constant_mode(-float(k * k), 1.0) for k in range(2, n + 1))
 
     def mean_scale(t: float) -> float:
         return math.exp(c1(t) - c1_at_minus_inf)

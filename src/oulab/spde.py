@@ -13,9 +13,9 @@ the symmetric PSD square root: it is diagonal for diagonal models and it
 admits the singular K of a noiseless model.
 
 The ensemble keeps what its checks read: the end state of every path, for
-the terminal law, and the snapshots of the first HEAD paths, which
-``run_spde`` writes.  Memory is one (count, dim) array plus a chunk's
-work, whatever the number of snapshots.
+the terminal law, and the snapshots of the first HEAD paths (rows of chunk
+0), which ``run_spde`` writes.  Memory is one (count, dim) array plus a
+chunk's work, whatever the number of snapshots.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .models import OperatorFamily
 from .rng import CHUNK, seed_stream
 
 Z_LIMIT = 5.0  # largest z-score law_check accepts
-HEAD = 10  # paths whose snapshots the ensemble keeps
+HEAD = 10  # paths whose snapshots the ensemble keeps: the first rows of chunk 0
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ def simulate(model: OperatorFamily, s: float, t: float, x0: np.ndarray,
 
     Noise for path chunk c comes entirely from substream (seed, "paths", c),
     drawn step by step in a fixed order, so the ensemble is bit-identical
-    however chunks are scheduled.
+    however chunks are scheduled; chunk 0 also records its first HEAD rows
+    at the snapshot steps.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -76,31 +77,24 @@ def simulate(model: OperatorFamily, s: float, t: float, x0: np.ndarray,
     model.require_window(s, t)
     x0 = np.asarray(x0, dtype=float)
     taus = _step_grid(s, t, step)
-    n_steps = len(taus) - 1
-    snap_idx = np.unique(np.linspace(0, n_steps, max(2, snapshots)).round().astype(int))
+    snap_idx = np.unique(np.linspace(0, len(taus) - 1, max(2, snapshots)).round().astype(int))
+    column = {j: k for k, j in enumerate(snap_idx.tolist())}  # steps taken -> snapshot
 
     # row-vector form: z U^T + xi K^{1/2}, with K^{1/2} symmetric
-    steps = list(zip(taus[:-1], taus[1:]))
-    props = [propagator_matrix(model, lo, hi).T for lo, hi in steps]
-    roots = [sqrt_psd(accumulated(model, lo, hi)).entries for lo, hi in steps]
+    factors = [(propagator_matrix(model, lo, hi).T, sqrt_psd(accumulated(model, lo, hi)).entries)
+               for lo, hi in zip(taus[:-1], taus[1:])]
 
     terminal = np.empty((count, model.dim))
     states = np.empty((min(HEAD, count), model.dim, len(snap_idx)))
+    states[:, :, 0] = x0  # snap_idx[0] == 0
     for c, lo_path in enumerate(range(0, count, CHUNK)):
-        hi_path = min(lo_path + CHUNK, count)
-        nc = hi_path - lo_path
-        head = states[lo_path:hi_path]  # the chunk's kept paths, often none
         gen = seed_stream(seed, "paths", c)
-        z = np.tile(x0, (nc, 1))
-        head[:, :, 0] = x0  # snap_idx[0] == 0
-        cursor = 1
-        for j in range(n_steps):
-            xi = gen.standard_normal((nc, model.dim))
-            z = z @ props[j] + xi @ roots[j]
-            if cursor < len(snap_idx) and snap_idx[cursor] == j + 1:
-                head[:, :, cursor] = z[:len(head)]
-                cursor += 1
-        terminal[lo_path:hi_path] = z
+        z = np.tile(x0, (min(CHUNK, count - lo_path), 1))
+        for j, (prop, root) in enumerate(factors, 1):
+            z = z @ prop + gen.standard_normal(z.shape) @ root
+            if c == 0 and j in column:  # chunk 0 holds every kept path
+                states[:, :, column[j]] = z[:HEAD]
+        terminal[lo_path:lo_path + len(z)] = z
     return PathEnsemble(taus[snap_idx], states, terminal)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -349,12 +350,32 @@ def test_short_window_keeps_the_adjoint_spans_inside(tmp_path):
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
     assert checks["evolve.adjoint"]["status"] == "PASS"
     assert checks["evolve.decay-certificates"]["status"] == "PASS"
-    # a window that ends at the earliest start leaves no span at all
+    # a window that ends at the earliest start still holds the seeded triples
+    # and their adjoint spans; the certificate fit then asks for t = -0.8
     path.write_text(dataclasses.replace(cfg, window=(-1.5, -1.0)).to_text())
     assert cli.main(["evolve", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
-    assert checks["evolve.error"]["detail"].startswith("WindowExceededError:")
-    assert "evolve.adjoint" not in checks
+    assert checks["evolve.error"]["detail"].startswith("WindowExceededError: time -0.8")
+    assert checks["evolve.adjoint"]["status"] == "PASS"
+
+
+@pytest.mark.parametrize("triple_count", [10, 3])
+def test_adjoint_check_runs_on_the_outer_spans_of_the_first_triples(tmp_path, monkeypatch,
+                                                                    triple_count):
+    cfg = small_config(model_name="parabolic-1d", triple_count=triple_count)
+    model = build_model(cfg.model_name, cfg.model_params)
+    original, spans = evolution.adjoint_by_integration, []
+
+    def recorded(model, s, t):
+        spans.append((s, t))
+        return original(model, s, t)
+
+    monkeypatch.setattr(evolution, "adjoint_by_integration", recorded)
+    checks = {c["name"]: c for c in run_suite("evolve", cfg, tmp_path).checks}
+    triples = list(experiments._seeded_triples(model, cfg))
+    assert spans == [(s, t) for s, _, t in triples[:5]]
+    assert checks["evolve.adjoint"]["status"] == "PASS"
+    assert f"on {min(5, triple_count)} spans" in checks["evolve.adjoint"]["detail"]
 
 
 def test_horizon_check_without_the_tail_cutoff_has_no_inf_row(tmp_path):
@@ -377,6 +398,24 @@ def test_contraction_curve_scan_script_writes_its_table(tmp_path):
                    capture_output=True, check=True, env=env)
     rows = (tmp_path / "contraction_scan.csv").read_text().splitlines()
     assert len(rows) > 2  # schema line, header, data
+
+
+def test_digest_check_lists_moved_values_and_reads_old_manifests():
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  REPO / "scripts" / "artifact_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    run = {"exit": 0, "files": {"report.json": "a"},
+           "statuses": {"x.moved": "PASS", "x.same": "PASS", "x.flipped": "PASS"},
+           "values": {"x.moved": 1e-15, "x.same": 0.5, "x.flipped": 0.1}}
+    new = {"exit": 0, "files": {"report.json": "b"},
+           "statuses": {"x.moved": "PASS", "x.same": "PASS", "x.flipped": "FAIL"},
+           "values": {"x.moved": 2e-15, "x.same": 0.5, "x.flipped": 2.0}}
+    assert digests.differences({"runs": {"m@1": run}}, {"runs": {"m@1": new}}) == [
+        "m@1/report.json", "m@1: x.flipped PASS -> FAIL", "m@1: x.moved PASS, value 1e-15 -> 2e-15"]
+    del run["values"]  # a manifest written before values were recorded
+    assert digests.differences({"runs": {"m@1": run}}, {"runs": {"m@1": new}}) == [
+        "m@1/report.json", "m@1: x.flipped PASS -> FAIL"]
 
 
 def test_cli_lists_failed_checks_beside_errors(tmp_path, monkeypatch, capsys):

@@ -194,3 +194,22 @@ def test_differentiation_formulas_rational(rational2):
         rep = check_differentiation(rational2, -0.3, 0.9, poly, x, fd_step=1e-4)
         worst = max(worst, rep.start_discrepancy, rep.end_discrepancy)
     assert worst <= 1e-6
+
+
+def test_differentiation_evaluates_each_closed_form_once(dc4, monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(mehler, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("generator_apply", "transition_of_generator"):
+        monkeypatch.setattr(mehler, name, counted(name))
+    poly = TrigPolynomial.plane_wave(np.array([1.0, -0.5, 0.0, 2.0]))
+    rep = check_differentiation(dc4, 0.0, 1.0, poly, np.ones(4), fd_step=1e-4)
+    assert sorted(calls) == ["generator_apply", "transition_of_generator"]
+    assert max(rep.start_discrepancy, rep.end_discrepancy) <= 1e-7

@@ -4,6 +4,7 @@ import numpy as np
 from oulab import spde
 from oulab.covariance import accumulated
 from oulab.evolution import propagator_matrix
+from oulab.linalg import sqrt_psd
 from oulab.mehler import TrigPolynomial, apply_exact
 from oulab.models import make_diagonal_constant
 from oulab.rng import CHUNK, seed_stream
@@ -70,6 +71,31 @@ def test_diagonal_paths_are_the_elementwise_recursion(rational4, dc8, scalar4):
             z = (z * np.diag(propagator_matrix(model, lo, hi))
                  + xi * np.sqrt(np.diag(accumulated(model, lo, hi).entries)))
         np.testing.assert_array_equal(ens.terminal, z)
+
+
+def test_every_snapshot_is_the_recursion_of_chunk_zero(parabolic5, dc8):
+    # the head paths are the first rows of chunk 0, stepped by the exact
+    # factors; a second, partial chunk leaves them alone
+    for model in (parabolic5, dc8):
+        s, t, step, count, seed = 0.0, 1.0, 0.05, CHUNK + 7, 3
+        x0 = np.linspace(-1.0, 1.0, model.dim)
+        ens = spde.simulate(model, s, t, x0, step, count, seed, snapshots=5)
+        taus = spde._step_grid(s, t, step)
+        snap_idx = [0, 5, 10, 15, 20]
+        np.testing.assert_array_equal(ens.times, taus[snap_idx])
+        z = np.tile(x0, (CHUNK, 1))
+        gen = seed_stream(seed, "paths", 0)
+        kept = [z[:spde.HEAD]]
+        for j, (lo, hi) in enumerate(zip(taus[:-1], taus[1:]), 1):
+            root = sqrt_psd(accumulated(model, lo, hi)).entries
+            z = (z @ propagator_matrix(model, lo, hi).T
+                 + gen.standard_normal((CHUNK, model.dim)) @ root)
+            if j in snap_idx:
+                kept.append(z[:spde.HEAD])
+        assert ens.states.shape == (spde.HEAD, model.dim, 5)
+        for k, snap in enumerate(kept):
+            np.testing.assert_array_equal(ens.states[:, :, k], snap)
+        np.testing.assert_array_equal(ens.terminal[:CHUNK], z)
 
 
 def test_noiseless_limit_covariance_zero():
