@@ -39,7 +39,7 @@ the dimension; ``entropy_gap(method="mc")`` and
 quadrature verdicts; the sampled entropy's error is the standard error of
 its one summand ent_i - (1 + log m) v_i, since its two means correlate.
 Norm ratios beyond the curve use nested 1-D Gauss-Hermite rules with
-SHARPNESS_NODES nodes.
+SHARPNESS_NODES nodes, one nested quadrature per ramp and rule for every p.
 
 Every node set comes from ``measures.gauss_hermite``: the tensor rule over
 the columns of the factor that ``measures.sample`` draws with, as many as
@@ -291,15 +291,15 @@ class SharpnessRow:
     violates: bool
 
 
-def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p: float,
+def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p_values,
               phi: CylindricalFunction, system: EvolutionSystem,
-              nodes: int) -> float:
-    """Norm ratio for a single-direction observable, by nested 1-D
-    Gauss-Hermite: the propagated observable is again a function of one
-    coordinate, so both norms reduce to scalar Gaussian integrals: the
-    inner law N(0, <K(t, s) h, h>) of the transition, the outer law of
-    <g, x> under nu_s, g = U(t, s)^T h, and the end law of <h, x> under
-    nu_t."""
+              nodes: int) -> list[float]:
+    """Norm ratio at each p of ``p_values`` for a single-direction
+    observable, by nested 1-D Gauss-Hermite: the propagated observable is
+    again a function of one coordinate, so both norms reduce to scalar
+    Gaussian integrals over the inner law N(0, <K(t, s) h, h>) of the
+    transition, the outer law of <g, x> under nu_s, g = U(t, s)^T h, and the
+    end law of <h, x> under nu_t; only the outer norm depends on p."""
     h = phi.directions[:1]
     g = h @ propagator_matrix(model, s, t)
     k_h = SymOperator(h @ accumulated(model, s, t).entries @ h.T)
@@ -307,35 +307,34 @@ def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p: float,
     rule = np.polynomial.hermite.hermgauss(nodes)
     (inner, w_in), (outer, w_out), (end, w_end) = (gauss_hermite(law, *rule) for law in laws)
     prof = lambda u: np.asarray(phi.profile(u), dtype=float)
-    propagated = np.array([float(w_in @ prof(pt + inner)) for pt in outer])
-    lhs = float(w_out @ np.abs(propagated) ** p) ** (1.0 / p)
+    propagated = np.abs(np.array([float(w_in @ prof(pt + inner)) for pt in outer]))
     rhs = float(w_end @ np.abs(prof(end)) ** q) ** (1.0 / q)
-    return lhs / rhs
+    return [float(w_out @ propagated ** p) ** (1.0 / p) / rhs for p in p_values]
 
 
 def sharpness_probe(model: OperatorFamily, s: float, t: float, q: float,
                     p_grid, family, kappa: float,
                     system: EvolutionSystem | None = None) -> list[SharpnessRow]:
-    """Norm ratios beyond the exponent curve, reported as evidence.
+    """Norm ratios beyond the exponent curve, reported as evidence: one row
+    per (p, observable), p-major.
 
     Every observable in ``family`` must be cylindrical over one direction;
-    the nested quadrature makes the ratios deterministic, with the error
-    taken from a coarser node count.  Rows flag ratio > 1 + 3 err; whether
-    any p actually produces a violation depends on where the model's true
-    contraction threshold sits relative to the certified curve.
+    the nested quadrature makes the ratios deterministic, serves every p at
+    once and takes the error from a coarser node count.  Rows flag ratio >
+    1 + 3 err; whether any p produces a violation depends on where the
+    model's true contraction threshold sits relative to the certified curve.
     """
     if system is None:
         system = gaussian_system(model)
-    rows = []
-    for p in p_grid:
-        for phi in family:
-            if phi.n_dirs != 1:
-                raise ValueError("sharpness probes must have one active direction")
-            r = _ratio_1d(model, s, t, q, p, phi, system, SHARPNESS_NODES)
-            r_coarse = _ratio_1d(model, s, t, q, p, phi, system, SHARPNESS_NODES - 16)
-            err = abs(r - r_coarse)
-            rows.append(SharpnessRow(float(p), phi.label, r, err, r > 1.0 + 3.0 * err))
-    return rows
+    p_grid, cells = tuple(p_grid), []  # cells: (ratio, error) at each p, per observable
+    for phi in family:
+        if phi.n_dirs != 1:
+            raise ValueError("sharpness probes must have one active direction")
+        fine, coarse = (_ratio_1d(model, s, t, q, p_grid, phi, system, n)
+                        for n in (SHARPNESS_NODES, SHARPNESS_NODES - 16))
+        cells.append([(r, abs(r - r_c)) for r, r_c in zip(fine, coarse)])
+    return [SharpnessRow(float(p), phi.label, r, err, r > 1.0 + 3.0 * err)
+            for p, by_phi in zip(p_grid, zip(*cells)) for phi, (r, err) in zip(family, by_phi)]
 
 
 def capped_exponential_family(dim: int) -> list[CylindricalFunction]:

@@ -445,14 +445,16 @@ def test_check_rows_pass_exactly_when_the_value_is_within_the_bound():
 
 
 def _spoil_call(monkeypatch, owner, attr, at, spoil):
-    """Replace the result of call number ``at`` (from 0) of owner.attr, or of
-    every call when ``at`` is None, by spoil(result)."""
+    """Replace the result of call number ``at`` (from 0) of owner.attr, of
+    every call when ``at`` is None, or of every call whose arguments the
+    function ``at`` accepts, by spoil(result)."""
     original, calls = getattr(owner, attr), []
 
     def spoiled(*args, **kwargs):
         out = original(*args, **kwargs)
         calls.append(None)
-        return spoil(out) if at is None or len(calls) == at + 1 else out
+        hit = at(*args, **kwargs) if callable(at) else at is None or len(calls) == at + 1
+        return spoil(out) if hit else out
 
     monkeypatch.setattr(owner, attr, spoiled)
 
@@ -472,19 +474,25 @@ def _scaled(factor):
     return lambda out: SymOperator(out.entries * factor)
 
 
-# The planted-defect table: one row per asserted check of the shipped
-# configs, (check, subcommand, model, defect, NaN plant or None).  A defect
-# or plant (owner, attribute, call, spoil) spoils the result of call number
-# ``call`` of owner.attribute (every call if None), as _spoil_call does.  The
-# defect must flip the check from PASS to FAIL; the NaN plant, in a check
-# that reduces its residuals to one worst value, must FAIL it too.
+def _long_span(model, s, t):
+    """The calls of the relative plants: spans (s, t) longer than 1."""
+    return t - s > 1.0
+
+
+# The planted-defect table: at least one row per asserted check of the
+# shipped configs, (check, subcommand, model, defect, NaN plant or None).  A
+# defect or plant (owner, attribute, call, spoil) spoils the result of call
+# number ``call`` of owner.attribute (every call if None, the calls it
+# accepts if a function), as _spoil_call does.  The defect must flip the
+# check from PASS to FAIL; the NaN plant, in a check that reduces its
+# residuals to one worst value, must FAIL it too.
 PLANTS = [
     ("evolve.chain-law", "evolve", "diag-constant",
      (evolution, "propagator_matrix", 0, _bump),
      (experiments, "operator_norm", 0, lambda out: NAN)),
     ("evolve.adjoint", "evolve", "parabolic-1d",
      (evolution, "adjoint_by_integration", 0, _bump),
-     (experiments, "operator_norm", 10, lambda out: NAN)),  # after the 10 chain-law triples
+     (experiments, "operator_norm", 30, lambda out: NAN)),  # after 10 chain-law triples of 3
     ("covariance.flow-decomposition", "covariance", "diag-constant",
      (evolution, "propagator_matrix", 0, _bump),
      (evolution, "propagator_matrix", 0, lambda out: out * NAN)),
@@ -521,6 +529,14 @@ PLANTS = [
      (mehler, "apply_exact", 0, lambda out: out + 0.1), None),
     ("ergodic.long-time-limit", "ergodic", "diag-constant",  # the last start time
      (measures, "apply_exact", 3, lambda out: out + 0.01), None),
+    # relative plants: parabolic-1d's flows on spans longer than 1 are far
+    # below 1 in norm, so only a relative bound sees a relative error there
+    ("evolve.chain-law", "evolve", "parabolic-1d",
+     (evolution, "propagator_matrix", _long_span, lambda out: out * (1.0 + 1e-9)), None),
+    ("covariance.flow-decomposition", "covariance", "parabolic-1d",
+     (cov, "accumulated", _long_span, _scaled(1.0 + 1e-9)), None),
+    ("evolve.adjoint", "evolve", "parabolic-1d",
+     (evolution, "adjoint_by_integration", _long_span, lambda out: out * (1.0 + 1e-7)), None),
 ]
 
 # asserted checks no defect can flip yet, each with the ROADMAP item that fixes it
@@ -534,7 +550,8 @@ def _status(report, check):
 
 
 @pytest.mark.parametrize("check, sub, model, defect", [row[:4] for row in PLANTS],
-                         ids=[row[0] for row in PLANTS])
+                         ids=[row[0] + ("-relative" if row[3][2] is _long_span else "")
+                              for row in PLANTS])
 def test_a_planted_defect_flips_its_check(tmp_path, monkeypatch, check, sub, model, defect):
     cfg = small_config(model_name=model)
     assert _status(run_suite(sub, cfg, tmp_path), check) == "PASS"

@@ -230,6 +230,35 @@ def test_sharpness_beyond_true_threshold(dc8, dc_kappa, dc_system):
     assert max(r.ratio for r in beyond) > 1.4
 
 
+@pytest.mark.parametrize("which", ["dc8", "parabolic5"])
+def test_sharpness_exponent_grid_equals_one_call_per_exponent(request, which):
+    model = request.getfixturevalue(which)
+    fam, system = ineq.capped_exponential_family(model.dim), meas.gaussian_system(model)
+    args = (model, 0.0, math.log(2.0), 2.0)
+    batched = ineq.sharpness_probe(*args, (4.5, 6.0), fam, 1.0, system=system)
+    single = [row for p in (4.5, 6.0)
+              for row in ineq.sharpness_probe(*args, (p,), fam, 1.0, system=system)]
+    assert [dataclasses.astuple(r) for r in batched] == [dataclasses.astuple(r) for r in single]
+
+
+@pytest.mark.parametrize("p_grid", [(3.0,), (4.5, 6.0), (2.0, 2.5, 3.0, 4.5, 6.0, 8.0)])
+def test_sharpness_probe_takes_two_quadratures_per_observable(dc8, dc_kappa, dc_system,
+                                                              monkeypatch, p_grid):
+    # one per node count, whatever the number of exponents
+    original, calls = ineq._ratio_1d, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ineq, "_ratio_1d", counted)
+    fam = ineq.capped_exponential_family(8)
+    rows = ineq.sharpness_probe(dc8, 0.0, math.log(2.0), 2.0, p_grid, fam, dc_kappa,
+                                system=dc_system)
+    assert len(rows) == len(p_grid) * len(fam)
+    assert len(calls) == 2 * len(fam)
+
+
 def test_sharpness_exponential_under_a_mean_is_lognormal(dc8, dc_kappa, dc_system):
     # exp(u_1) under N(c e_1, 1/2): the propagated observable is
     # exp(e^{-tau} u_1 + v_in / 2), so both norms are lognormal moments
