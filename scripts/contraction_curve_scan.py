@@ -49,8 +49,7 @@ def main() -> None:
         p_grid = sorted({round(v, 4) for v in
                          [0.5 * (1 + p_cert), p_cert, 0.5 * (p_cert + p_true),
                           0.98 * p_true, 1.1 * p_true, 1.5 * p_true]})
-        probe_rows = ineq.sharpness_probe(model, -gap, 0.0, q, p_grid, family,
-                                          kappa, system=system)
+        probe_rows = ineq.sharpness_probe(model, -gap, 0.0, q, p_grid, family, system=system)
         print(f"\ngap {gap:.4f}: certified p {p_cert:.3f}, true threshold {p_true:.3f}")
         for p in p_grid:
             best = max(r.ratio for r in probe_rows if r.p == p)

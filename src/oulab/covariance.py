@@ -5,12 +5,13 @@ Between times s <= t the noise accumulates the covariance
     K(t, s) = integral over [s, t] of U(t, r) B(r) B(r)^T U(t, r)^T dr,
 
 which is the covariance of the Gaussian transition law started at s and read
-at t.  Diagonal models reduce to one scalar integral per distinct mode,
+at t.  Diagonal models reduce to one scalar integral per mode,
 
     k_i(t, s) = integral of exp(2 integral_sigma^t a_i) b_i(sigma)^2 dsigma,
 
-with the inner drift integral c_i(t) - c_i(sigma) taken from the mode's
-exact antiderivative ``drift_antideriv``, the one U uses too.  Dense
+with the inner drift integral c_i(t) - c_i(sigma) taken from the modes'
+exact antiderivative ``drift_antideriv``, the one U uses too; every mode's
+integral comes from one vector ``quad`` on a shared subdivision.  Dense
 models read K from ``evolution.flow``: in closed form from one
 eigendecomposition of the drift when the family is autonomous, otherwise by
 solving the joint (U, K) system on unit-grid cells and composing longer
@@ -43,17 +44,14 @@ class NoDecayError(RuntimeError):
 
 # -- per-mode machinery ------------------------------------------------------
 
-def mode_accumulated(model: OperatorFamily, idx: int, s: float, t: float) -> float:
-    """Scalar accumulated covariance of one diagonal mode over [s, t]."""
+def mode_accumulated(model: OperatorFamily, s: float, t: float) -> np.ndarray:
+    """k_i(t, s) of every diagonal mode i over [s, t], from one quad."""
     if t == s:
-        return 0.0
-    mode = model.modes[idx]
-    cum = mode.drift_antideriv
-    at = float(cum(t))
-    f = lambda sigma: (math.exp(2.0 * (at - float(cum(sigma))))
-                       * float(mode.diffusion(sigma)) ** 2)
-    val, _ = quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)
-    return val
+        return np.zeros(model.dim)
+    cum, diffusion = model.coeffs.drift_antideriv, model.coeffs.diffusion
+    at = cum(t)
+    f = lambda sigma: np.exp(2.0 * (at - cum(sigma))) * diffusion(sigma) ** 2
+    return quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)[0]
 
 
 def accumulated(model: OperatorFamily, s: float, t: float) -> SymOperator:
@@ -73,11 +71,7 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> SymOperator:
     if t == s:
         k = SymOperator.zero(model.dim)
     elif model.kind == "diagonal":
-        by_mode = {}  # one integral per distinct mode object, reused by its repeats
-        for i, mode in enumerate(model.modes):
-            if id(mode) not in by_mode:
-                by_mode[id(mode)] = mode_accumulated(model, i, s, t)
-        k = clamp_psd(np.diag([by_mode[id(mode)] for mode in model.modes]))
+        k = clamp_psd(np.diag(mode_accumulated(model, s, t)))
     else:
         k = clamp_psd(flow(model, s, t)[1])
     cache[key] = k

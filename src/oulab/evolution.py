@@ -14,8 +14,8 @@ U(t, r) U(r, s) = U(t, s), and K the flow decomposition
 
 Diagonal models get U as entrywise exponentials exp(c_k(t) - c_k(s)), with
 c_k the exact drift antiderivative every mode carries
-(``ModeCoefficients.drift_antideriv``); K of the mode takes its exponent
-from the same c_k.
+(``DiagonalCoefficients.drift_antideriv``, all modes from one call); K of
+the mode takes its exponent from the same c_k.
 
 ``flow`` serves U and K for dense models.  An autonomous family (A and B
 constant, A symmetric) gets both in closed form from one eigendecomposition
@@ -164,8 +164,8 @@ def propagator_matrix(model: OperatorFamily, s: float, t: float) -> np.ndarray:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
     if model.kind == "diagonal":
-        return np.diag([math.exp(float(m.drift_antideriv(t)) - float(m.drift_antideriv(s)))
-                        for m in model.modes])
+        c = model.coeffs.drift_antideriv
+        return np.diag(np.exp(c(t) - c(s)))
     return flow(model, s, t)[0]
 
 

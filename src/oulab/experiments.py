@@ -316,7 +316,7 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
                  "4 stderr plus the quadrature error, on 3 probes")
 
     fam = ineq.capped_exponential_family(model.dim)
-    srows = ineq.sharpness_probe(model, s, t, HYPER_Q, cfg.sharpness_p_values, fam, kappa,
+    srows = ineq.sharpness_probe(model, s, t, HYPER_Q, cfg.sharpness_p_values, fam,
                                  system=system)
     write_csv(outdir / "hyper_sharpness.csv",
               ["p", "probe", "ratio", "err", "violates"],

@@ -313,8 +313,7 @@ def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p_values,
 
 
 def sharpness_probe(model: OperatorFamily, s: float, t: float, q: float,
-                    p_grid, family, kappa: float,
-                    system: EvolutionSystem | None = None) -> list[SharpnessRow]:
+                    p_grid, family, system: EvolutionSystem | None = None) -> list[SharpnessRow]:
     """Norm ratios beyond the exponent curve, reported as evidence: one row
     per (p, observable), p-major.
 

@@ -7,13 +7,14 @@ control of SciPy's ``solve_ivp`` DOP853: the same tableau, error norm and
 step factors, written with the same NumPy operations, so from the same
 first step its states equal that solver's bit for bit.
 
-``quad`` bisects the part with the largest error estimate under the
-21-point Gauss-Kronrod rule of QUADPACK (Piessens et al., 1983), keeping the
-parts and the running sums in the order of ``dqagse``.  It has no epsilon
-extrapolation, which only singular integrands need, and oulab integrates
-none: on oulab's integrands it takes the same evaluations as
-``scipy.integrate.quad`` and returns its value, to the last bit or within
-an ulp where QAGS bisects in its extrapolation order.
+``quad`` is globally adaptive bisection under the 21-point Gauss-Kronrod
+rule and error estimate of QUADPACK (Piessens et al., 1983), for one
+integrand or for several on one shared subdivision.  Each rule takes all 21
+values of every integrand from one call and sums them as dot products with
+the weight vectors, not in QUADPACK's order, so on oulab's integrands its
+values agree with ``scipy.integrate.quad`` to roundoff, not bit for bit.
+It has no epsilon extrapolation, which only singular integrands need, and
+oulab integrates none.
 
 Both live here so that importing oulab does not import ``scipy.integrate``,
 which loads ``scipy.optimize``, ``scipy.special`` and ``scipy.sparse``:
@@ -29,7 +30,6 @@ import warnings
 import numpy as np
 
 EPMACH = sys.float_info.epsilon
-UFLOW = sys.float_info.min
 
 
 class IntegratorDivergedError(RuntimeError):
@@ -162,75 +162,57 @@ WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
 WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
       0.295524224714752870173892994651338)
-# (index, abscissa, Kronrod weight, Gauss weight or 0): Gauss points first
-_NODES = tuple((j, XGK[j], WGK[j], WG[j // 2] if j % 2 else 0.0)
-               for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
+# the rule on [-1, 1], left to right: abscissae, Kronrod weights, and the
+# Kronrod and Gauss weights as two rows, the Gauss ones 0 at the Kronrod-only
+# abscissae
+_J = (*range(11), *range(9, -1, -1))  # index into XGK of each abscissa
+XK = np.array([-XGK[j] if i < 11 else XGK[j] for i, j in enumerate(_J)])
+WK = np.array([WGK[j] for j in _J])
+W_KG = np.array([WK, [WG[j // 2] if j % 2 else 0.0 for j in _J]])
 
 
 def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int = 50):
     """(integral of f over [a, b], error estimate); b < a negates.
 
+    f maps a part's 21 Kronrod abscissae, an array, to f's values there: a
+    (21,) array for one integrand, (21, m) for m integrands on one shared
+    subdivision, whose values and estimates then have shape (m,).
     Globally adaptive bisection with the 21-point Gauss-Kronrod rule: the
-    part with the largest error estimate is halved until the summed
-    estimate is within max(epsabs, epsrel |integral|).  Reaching ``limit``
-    parts first gives a RuntimeWarning.
+    part whose error estimate is largest relative to the tolerance
+    max(epsabs, epsrel |I_j|) of a component j is halved, until every
+    component's summed estimate is within its tolerance.  Reaching ``limit``
+    parts first gives a RuntimeWarning.  An empty interval gives (0.0, 0.0)
+    without calling f.
     """
     if a == b:
         return 0.0, 0.0
     lo, hi = min(a, b), max(a, b)
-    area, errsum, _, _ = _qk21(f, lo, hi)
-    parts = [(lo, hi, area, errsum)]
-    while errsum > max(epsabs, epsrel * abs(area)):
-        if len(parts) == limit:
+    ends, rules = [(lo, hi)], [_qk21(f, lo, hi)]
+    area, errsum = rules[0]
+    while np.any(errsum > (tol := np.maximum(epsabs, epsrel * np.abs(area)))):
+        if len(rules) == limit:
             warnings.warn(f"quad on [{a}, {b}]: {limit} subintervals leave an error "
-                          f"estimate of {errsum:.3g}", RuntimeWarning, stacklevel=2)
+                          f"estimate of {np.max(errsum):.3g}", RuntimeWarning, stacklevel=2)
             break
-        k = max(range(len(parts)), key=lambda i: parts[i][3])
-        left, right, r, e = parts[k]
+        ratios = np.array([e for _, e in rules]) / tol
+        k = int(np.argmax(ratios.reshape(len(rules), -1).max(axis=1)))
+        left, right = ends[k]
         mid = 0.5 * (left + right)
-        r1, e1, _, _ = _qk21(f, left, mid)
-        r2, e2, _, _ = _qk21(f, mid, right)
-        errsum = errsum + (e1 + e2) - e
-        area = area + (r1 + r2) - r
-        lower, upper = (left, mid, r1, e1), (mid, right, r2, e2)
-        # the half with the larger error takes slot k, the other goes last
-        parts[k], spare = (upper, lower) if e2 > e1 else (lower, upper)
-        parts.append(spare)
-    total = 0.0  # left to right, as dqagse sums; sum() compensates from Python 3.12
-    for part in parts:
-        total = total + part[2]
-    return (-total if b < a else total), errsum
+        ends[k], rules[k] = (left, mid), _qk21(f, left, mid)
+        ends.append((mid, right))
+        rules.append(_qk21(f, mid, right))
+        area, errsum = (np.sum(column, axis=0) for column in zip(*rules))
+    return (-area if b < a else area), errsum
 
 
 def _qk21(f, a: float, b: float):
-    """21-point Gauss-Kronrod rule: (result, abserr, resabs, resasc)."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    resg = 0.0
-    fc = f(centr)
-    resk = WGK[10] * fc
-    resabs = abs(resk)
-    fv = [None] * 10
-    for j, x, wk, wg in _NODES:
-        absc = hlgth * x
-        fval1, fval2 = f(centr - absc), f(centr + absc)
-        fv[j] = (wk, fval1, fval2)
-        fsum = fval1 + fval2
-        if wg:
-            resg = resg + wg * fsum
-        resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = WGK[10] * abs(fc - reskh)
-    for wk, fval1, fval2 in fv:
-        resasc = resasc + wk * (abs(fval1 - reskh) + abs(fval2 - reskh))
-    dhlgth = abs(hlgth)
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > UFLOW / (50.0 * EPMACH):
-        abserr = max((EPMACH * 50.0) * resabs, abserr)
-    return result, abserr, resabs, resasc
+    """21-point Gauss-Kronrod rule on [a, b], a <= b: (result, QUADPACK's
+    error estimate), per component of f."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fv = np.asarray(f(centr + hlgth * XK), dtype=float) * hlgth
+    result, gauss = W_KG @ fv
+    resabs = WK @ np.abs(fv)
+    resasc = WK @ np.abs(fv - 0.5 * result)  # 0.5 result: the mean of f times hlgth
+    with np.errstate(divide="ignore", invalid="ignore"):  # resasc is 0 on a constant f
+        abserr = resasc * np.fmin(1.0, (200.0 * np.abs(result - gauss) / resasc) ** 1.5)
+    return result, np.maximum(abserr, (50.0 * EPMACH) * resabs)

@@ -6,7 +6,8 @@ finite truncation of the state space, together with a query window
 supported:
 
   diagonal   A(t) e_k = a_k(t) e_k,  B(t) e_k = b_k(t) e_k, every a_k with
-             a closed-form antiderivative; a_k(t) and b_k(t) are numbers
+             a closed-form antiderivative; a time, or an array of times,
+             maps to all n values a_k or b_k on the last axis
   dense      A(t), B(t) arbitrary matrix-valued callables
 
 The factories below ship the concrete families used throughout the test
@@ -47,13 +48,15 @@ class WindowExceededError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModeCoefficients:
-    """Scalar drift/diffusion coefficients of one diagonal mode: float t -> number.
+class DiagonalCoefficients:
+    """Drift/diffusion coefficients of every diagonal mode at once: a time,
+    or an array of times of shape S, maps to the n mode values on the last
+    axis, an array of shape S + (n,).
 
-    ``drift_antideriv`` is an exact antiderivative c of the drift, taking a
-    float: U of the mode is exp(c(t) - c(s)), and K of the mode takes its
-    exponent from the same c.  A drift without a closed-form integral is a
-    dense model.
+    ``drift_antideriv`` is an exact antiderivative c of the drift: U of
+    mode k is exp(c_k(t) - c_k(s)), and K of the mode takes its exponent
+    from the same c.  A drift without a closed-form integral is a dense
+    model.
     """
 
     drift: Callable
@@ -67,7 +70,7 @@ class OperatorFamily:
     dim: int
     window: tuple[float, float]
     kind: str  # "diagonal" | "dense"
-    modes: tuple[ModeCoefficients, ...] = ()
+    coeffs: DiagonalCoefficients | None = None  # diagonal kind
     noise_fn: Callable | None = None  # t -> (dim, dim), dense kind
     drift_fn: Callable | None = None  # t -> (dim, dim), dense kind
     decay: tuple[float, float] | None = None  # (M, zeta): ||U(t,s)|| <= M e^{-zeta (t-s)}
@@ -96,7 +99,7 @@ class OperatorFamily:
     def drift_matrix(self, t: float) -> np.ndarray:
         self.require_window(t)
         if self.kind == "diagonal":
-            return np.diag([float(m.drift(t)) for m in self.modes])
+            return np.diag(self.coeffs.drift(t))
         return np.asarray(self.drift_fn(t), dtype=float)
 
     def drift_adjoint(self, t: float) -> np.ndarray:
@@ -105,7 +108,7 @@ class OperatorFamily:
     def noise_matrix(self, t: float) -> np.ndarray:
         self.require_window(t)
         if self.kind == "diagonal":
-            return np.diag([float(m.diffusion(t)) for m in self.modes])
+            return np.diag(self.coeffs.diffusion(t))
         return np.asarray(self.noise_fn(t), dtype=float)
 
     def diffusion_matrix(self, t: float) -> np.ndarray:
@@ -114,10 +117,19 @@ class OperatorFamily:
         return b @ b.T
 
 
-def _constant_mode(lam: float, b: float) -> ModeCoefficients:
-    """A mode with constant drift lam and diffusion b, as plain numbers."""
-    return ModeCoefficients(drift=lambda t: lam, diffusion=lambda t: b,
-                            drift_antideriv=lambda t: lam * t)
+def _per_mode(values, n: int) -> np.ndarray:
+    """values, an array over times, repeated for n modes on a last axis."""
+    values = np.asarray(values, dtype=float)
+    return np.broadcast_to(values[..., None], values.shape + (n,))
+
+
+def constant_modes(lams, bs) -> DiagonalCoefficients:
+    """Modes with constant drifts lams and diffusions bs."""
+    lams, bs = np.asarray(lams, dtype=float), np.asarray(bs, dtype=float)
+    return DiagonalCoefficients(
+        drift=lambda t: np.broadcast_to(lams, np.shape(t) + lams.shape),
+        diffusion=lambda t: np.broadcast_to(bs, np.shape(t) + bs.shape),
+        drift_antideriv=lambda t: np.multiply.outer(t, lams))
 
 
 def make_diagonal_constant(n: int, lam: float, b: float,
@@ -134,31 +146,34 @@ def make_diagonal_constant(n: int, lam: float, b: float,
     lam, b = float(lam), float(b)
     return OperatorFamily(
         name="diag-constant", dim=n, window=window, kind="diagonal",
-        modes=(_constant_mode(lam, b),) * n,
+        coeffs=constant_modes(np.full(n, lam), np.full(n, b)),
         decay=(1.0, -lam), meta={"noise_sup": abs(b)},
     )
 
 
-def _inverse_even_power_antideriv(n: int) -> Callable:
-    """An antiderivative of 1/(1 + t^{2n}), by partial fractions over the
-    roots e^{i theta_j}, theta_j = (2j - 1) pi / (2n), j = 1..n:
+def _inverse_even_power_antiderivs(n: int) -> Callable:
+    """Antiderivatives F_k of 1/(1 + t^{2k}), k = 1..n, on the last axis, by
+    partial fractions over the roots e^{i theta_j}, theta_j = (2j - 1) pi / (2k),
+    j = 1..k:
 
-        (1/2n) sum_j [2 sin theta_j atan((t - cos theta_j) / sin theta_j)
-                      - cos theta_j ln(t^2 - 2 t cos theta_j + 1)].
+        F_k(t) = (1/2k) sum_j [2 sin theta_j atan((t - cos theta_j) / sin theta_j)
+                               - cos theta_j ln(t^2 - 2 t cos theta_j + 1)].
 
     cos theta_j and sin theta_j are taken as the sine and cosine of
-    phi_j = pi/2 - theta_j.  phi_j is 0 for the middle root of an odd n, so
-    that root's cosine is exactly 0 and n = 1 gives atan t to the last bit.
+    phi_j = pi/2 - theta_j.  phi_j is 0 for the middle root of an odd k, so
+    that root's cosine is exactly 0 and F_1 is atan t to the last bit.  The
+    terms of every root of every mode are one broadcast, summed mode by mode.
     """
-    roots = [(math.cos(phi), math.sin(phi))
-             for phi in ((n + 1 - 2 * j) * math.pi / (2 * n) for j in range(1, n + 1))]
+    ks = np.arange(1, n + 1)
+    phis = np.concatenate([(k + 1 - 2 * np.arange(1, k + 1)) * np.pi / (2 * k) for k in ks])
+    sin_j, cos_j = np.cos(phis), np.sin(phis)
+    starts = np.cumsum(ks) - ks  # each mode's first root
 
-    def antideriv(t: float) -> float:
-        acc = 0.0
-        for sin_j, cos_j in roots:
-            acc += 2.0 * sin_j * math.atan((t - cos_j) / sin_j) \
-                - cos_j * math.log(t * t - 2.0 * t * cos_j + 1.0)
-        return acc / (2 * n)
+    def antideriv(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        terms = (2.0 * sin_j * np.arctan((t - cos_j) / sin_j)
+                 - cos_j * np.log(t * t - 2.0 * t * cos_j + 1.0))
+        return np.add.reduceat(terms, starts, axis=-1) / (2 * ks)
 
     return antideriv
 
@@ -173,7 +188,7 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
     Each a_k is strictly negative but tends to 0 at infinity, so the model
     carries no decay certificate.  Every
     mode carries the closed-form antiderivative -(k^2 + c1) F_k, with F_k
-    from ``_inverse_even_power_antideriv``; F_1 is atan.
+    from ``_inverse_even_power_antiderivs``; F_1 is atan.
     Note mode 1 has integrable drift, so the propagator does NOT vanish as
     s -> -infinity and no infinite-horizon covariance exists: evolution
     systems for this model must be anchored at a finite start time.
@@ -183,24 +198,20 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
     if c2 <= 1:
         raise BadParameterError(f"need c2 > 1, got {c2}")
 
-    def drift_k(k):
-        def a(t, k=k):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(over="ignore"):
-                return -(k * k + c1) / (t ** (2 * k) + 1.0)
-        return a
+    ks = np.arange(1, n + 1)
+    scales, antiderivs = -(ks * ks + c1), _inverse_even_power_antiderivs(n)
 
-    def diff_k(k):
-        return lambda t, k=k: np.sin(k * np.asarray(t, dtype=float)) + c2
+    def drift(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        with np.errstate(over="ignore"):
+            return scales / (t ** (2 * ks) + 1.0)
 
-    def anti_k(k):
-        f, scale = _inverse_even_power_antideriv(k), -(k * k + c1)
-        return lambda t: scale * f(t)
-
-    modes = tuple(ModeCoefficients(drift=drift_k(k), diffusion=diff_k(k), drift_antideriv=anti_k(k))
-                  for k in range(1, n + 1))
+    coeffs = DiagonalCoefficients(
+        drift=drift,
+        diffusion=lambda t: np.sin(ks * np.asarray(t, dtype=float)[..., None]) + c2,
+        drift_antideriv=lambda t: scales * antiderivs(t))
     return OperatorFamily(
-        name="diag-rational", dim=n, window=window, kind="diagonal", modes=modes,
+        name="diag-rational", dim=n, window=window, kind="diagonal", coeffs=coeffs,
         meta={"noise_sup": 1.0 + float(c2)},
     )
 
@@ -290,7 +301,7 @@ def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
 SQRT2 = math.sqrt(2.0)
 
 
-def _quartic_ratio_antideriv(t: float) -> float:
+def _quartic_ratio_antideriv(t):
     """An antiderivative of t^2 / (1 + t^4):
 
         (1/2 sqrt2) [atan(sqrt2 t + 1) + atan(sqrt2 t - 1)]
@@ -298,8 +309,8 @@ def _quartic_ratio_antideriv(t: float) -> float:
 
     which tends to -pi / (2 sqrt2) as t -> -inf.
     """
-    return ((math.atan(SQRT2 * t + 1.0) + math.atan(SQRT2 * t - 1.0)) / (2.0 * SQRT2)
-            + math.log((t * t - SQRT2 * t + 1.0) / (t * t + SQRT2 * t + 1.0)) / (4.0 * SQRT2))
+    return ((np.arctan(SQRT2 * t + 1.0) + np.arctan(SQRT2 * t - 1.0)) / (2.0 * SQRT2)
+            + np.log((t * t - SQRT2 * t + 1.0) / (t * t + SQRT2 * t + 1.0)) / (4.0 * SQRT2))
 
 
 def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) -> OperatorFamily:
@@ -323,26 +334,24 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
     if n < 2:
         raise BadParameterError("need n >= 2 to separate the two regimes")
 
-    def a1(t):
-        t = np.asarray(t, dtype=float)
-        return -(t * t) / (1.0 + t**4)
+    first = np.arange(n) == 0
+    lams = -np.arange(1.0, n + 1) ** 2  # -k^2, the drift of every mode k >= 2
+    times = lambda t: np.asarray(t, dtype=float)[..., None]
 
-    def b1(t):
-        t = np.asarray(t, dtype=float)
-        return 1.0 / (1.0 + t * t)
-
-    def c1(t: float) -> float:
+    def c1(t):
         return -_quartic_ratio_antideriv(t)
 
+    coeffs = DiagonalCoefficients(
+        drift=lambda t: np.where(first, -(times(t) ** 2) / (1.0 + times(t) ** 4), lams),
+        diffusion=lambda t: np.where(first, 1.0 / (1.0 + times(t) ** 2), 1.0),
+        drift_antideriv=lambda t: np.where(first, c1(times(t)), lams * times(t)))
     c1_at_minus_inf = math.pi / (2.0 * SQRT2)
-    modes = (ModeCoefficients(drift=a1, diffusion=b1, drift_antideriv=c1),) + tuple(
-        _constant_mode(-float(k * k), 1.0) for k in range(2, n + 1))
 
     def mean_scale(t: float) -> float:
         return math.exp(c1(t) - c1_at_minus_inf)
 
     return OperatorFamily(
-        name="nonunique-demo", dim=n, window=window, kind="diagonal", modes=modes,
+        name="nonunique-demo", dim=n, window=window, kind="diagonal", coeffs=coeffs,
         meta={"noise_sup": 1.0, "mean_scale": mean_scale},
     )
 
@@ -356,13 +365,13 @@ def _build_scalar_osc(n: int = 4, offset: float = -1.0, amp: float = -0.5,
     top = offset + abs(amp)
     if not top < 0:
         raise BadParameterError(f"need offset + |amp| < 0, got {top}")
-    mode = ModeCoefficients(
-        drift=lambda t: offset + amp * np.sin(t),
-        diffusion=lambda t: 1.0,
-        drift_antideriv=lambda t: offset * t - amp * math.cos(t),
+    coeffs = DiagonalCoefficients(
+        drift=lambda t: _per_mode(offset + amp * np.sin(t), n),
+        diffusion=lambda t: _per_mode(np.ones(np.shape(t)), n),
+        drift_antideriv=lambda t: _per_mode(offset * t - amp * np.cos(t), n),
     )
     return OperatorFamily(
-        name="scalar", dim=n, window=window, kind="diagonal", modes=(mode,) * n,
+        name="scalar", dim=n, window=window, kind="diagonal", coeffs=coeffs,
         decay=(1.0, -top), meta={"noise_sup": 1.0},
     )
 

@@ -199,7 +199,7 @@ def test_criterion_6_hypercontractivity(catalog):
             all_pass &= rep.passed
 
     fam = ineq.capped_exponential_family(8)
-    rows = ineq.sharpness_probe(dc, s, t, q, (4.5, 6.0), fam, kappa, system=system)
+    rows = ineq.sharpness_probe(dc, s, t, q, (4.5, 6.0), fam, system=system)
     top_45 = max(r.ratio for r in rows if r.p == 4.5)
     top_60 = max(r.ratio for r in rows if r.p == 6.0)
     print(f"  sharpness report: max ratio {top_45:.4f} at p=4.5 (true threshold for "

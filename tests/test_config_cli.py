@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,19 @@ def test_shipped_config_report_all_passes_with_small_samples(shipped_checks, nam
         assert asserted == ("value" in c) == ("bound" in c), c
         assert not asserted or (np.isfinite([c["value"], c["bound"]]).all()
                                 and c["value"] <= c["bound"]), c
+
+
+@pytest.mark.parametrize("seed", [1234, 9001])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_mode_integrals_stay_inside_the_quadrature_limit(tmp_path, name, seed):
+    # all modes of a span share one subdivision, which must converge within
+    # quad's 400 parts: at the limit quad warns
+    cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / name),
+                              seed=seed, mc_samples=2000)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        run_suite("report-all", cfg, tmp_path)
+    assert [str(w.message) for w in warned if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("name, label", [
@@ -593,8 +607,9 @@ def test_a_nan_residual_fails_its_check(tmp_path, monkeypatch, check, sub, model
 
 
 def test_a_nan_covariance_is_an_error_row(tmp_path, monkeypatch, capsys):
-    # the first mode integral of the first covariance comes out NaN
-    _spoil_call(monkeypatch, cov, "mode_accumulated", 0, lambda out: NAN)
+    # the first mode's integral in the first covariance comes out NaN, the
+    # other modes' integrals stay finite
+    _spoil_call(monkeypatch, cov, "mode_accumulated", 0, lambda out: _bump(out, NAN))
     path = tmp_path / "dc.cfg"
     path.write_text(small_config().to_text())
     out = tmp_path / "o"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from oulab import covariance as cov
 from oulab import evolution as evo
@@ -78,20 +79,47 @@ def test_steady_state_tail_bound_covers_neglected_trace():
 
 
 @pytest.mark.parametrize("which", ["dc8", "scalar4"])
-def test_repeated_modes_are_integrated_once(request, monkeypatch, which):
+def test_one_mode_integral_call_per_distinct_span(request, monkeypatch, which):
+    # every mode of a span comes from one vector quadrature, and the kernel
+    # memo serves a repeated span
     model = request.getfixturevalue(which)
-    assert len(set(map(id, model.modes))) == 1
     calls = []
     original = cov.mode_accumulated
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(model, s, t):
+        calls.append((s, t))
+        return original(model, s, t)
 
     monkeypatch.setattr(cov, "mode_accumulated", counted)
-    kern = cov.accumulated(model, -0.8125, 0.4375)  # a pair no other test uses
-    assert len(calls) == 1
-    np.testing.assert_array_equal(np.diag(kern.entries), np.full(model.dim, kern.entries[0, 0]))
+    spans = [(-0.8125, 0.4375), (-0.6875, 0.3125), (-0.8125, 0.4375)]  # pairs no other test uses
+    kernels = [cov.accumulated(model, s, t) for s, t in spans]
+    assert calls == spans[:2]
+    for kern in kernels:  # identical modes, identical integrals
+        np.testing.assert_array_equal(np.diag(kern.entries), np.full(model.dim, kern.entries[0, 0]))
+
+
+def test_mode_integrals_of_the_constant_model_are_closed_form(dc8):
+    # k(t, s) = b^2 (1 - e^{2 lam tau}) / (-2 lam), tau = t - s, with lam = -1, b = 1
+    for s, t in np.sort(np.random.default_rng(17).uniform(-40.0, 10.0, (20, 2)), axis=1):
+        expected = -math.expm1(-2.0 * (t - s)) / 2.0
+        np.testing.assert_allclose(cov.mode_accumulated(dc8, s, t), np.full(8, expected),
+                                   rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("which", ["rational4", "nonunique3", "scalar4"])
+def test_every_mode_integral_matches_scipy_per_mode(request, which):
+    # oracle: one SciPy quadrature per mode, at the same tolerances
+    model = request.getfixturevalue(which)
+    cum, diffusion = model.coeffs.drift_antideriv, model.coeffs.diffusion
+    spans = np.sort(np.random.default_rng(19).uniform(-4.0, 2.0, (8, 2)), axis=1).tolist()
+    if which == "nonunique3":
+        spans.append([-200.0, 0.0])  # the anchored span of nonunique-demo's system
+    for s, t in spans:
+        got = cov.mode_accumulated(model, s, t)
+        for k in range(model.dim):
+            f = lambda u: math.exp(2.0 * (cum(t)[k] - cum(u)[k])) * diffusion(u)[k] ** 2
+            ref, _ = integrate.quad(f, s, t, epsabs=cov.MODE_TOL, epsrel=cov.MODE_TOL, limit=400)
+            assert got[k] == pytest.approx(ref, rel=1e-12, abs=0.0), (s, t, k)
 
 
 def test_monotone_horizon_convergence(dc8):

@@ -10,7 +10,7 @@ from oulab import covariance as cov
 from oulab import evolution as evo
 from oulab import experiments
 from oulab.config import ExperimentConfig
-from oulab.models import (ModeCoefficients, OperatorFamily, build_model, make_diagonal_constant,
+from oulab.models import (OperatorFamily, build_model, constant_modes, make_diagonal_constant,
                           make_parabolic_1d)
 from oulab.reporting import RunReport
 from oulab.rng import seed_stream
@@ -278,7 +278,7 @@ def test_range_norm_matches_operator_norm_for_identity_noise(parabolic5):
 @pytest.mark.parametrize("s, t", [(-1.0, 0.5), (0.0, 1.25), (-2.0, 2.25)])
 def test_range_norm_with_non_scalar_noise(rational4, s, t):
     # diagonal U and B: the range norm is max_k |U_kk| |b_k(s)| / |b_k(t)|
-    b = lambda r: np.array([float(m.diffusion(r)) for m in rational4.modes])
+    b = rational4.coeffs.diffusion
     u = np.diag(evo.propagator_matrix(rational4, s, t))
     expected = float(np.max(np.abs(u) * np.abs(b(s)) / np.abs(b(t))))
     assert evo.cm_operator_norm(rational4, s, t) == pytest.approx(expected, rel=1e-12)
@@ -287,11 +287,8 @@ def test_range_norm_with_non_scalar_noise(rational4, s, t):
 def test_range_norm_drops_the_noise_kernel():
     # the noiseless third mode decays slowest; on the kernel of R_t the range
     # inverse is 0, not 1/0, so the norm is the max over the two noisy modes
-    coeffs = ((-1.0, 2.0), (-2.0, 0.5), (-0.1, 0.0))
-    modes = tuple(ModeCoefficients(drift=lambda t, a=a: a, diffusion=lambda t, b=b: b,
-                                   drift_antideriv=lambda t, a=a: a * t) for a, b in coeffs)
-    model = OperatorFamily(name="singular-noise", dim=3, window=(-5.0, 5.0),
-                           kind="diagonal", modes=modes)
+    model = OperatorFamily(name="singular-noise", dim=3, window=(-5.0, 5.0), kind="diagonal",
+                           coeffs=constant_modes([-1.0, -2.0, -0.1], [2.0, 0.5, 0.0]))
     assert evo.cm_operator_norm(model, 0.0, 1.5) == pytest.approx(math.exp(-1.5), rel=1e-12)
 
 

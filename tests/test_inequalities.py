@@ -200,29 +200,28 @@ def test_hyper_lattice_both_models(dc8, dc_kappa, dc_system, rational4):
                 assert rep.passed, (model.name, q, frac, rep.lhs, rep.rhs)
 
 
-def test_sharpness_at_curve_no_violation(dc8, dc_kappa, dc_system):
+def test_sharpness_at_curve_no_violation(dc8, dc_system):
     fam = ineq.capped_exponential_family(8)
-    rows = ineq.sharpness_probe(dc8, 0.0, math.log(2.0), 2.0, (3.0,), fam,
-                                dc_kappa, system=dc_system)
+    rows = ineq.sharpness_probe(dc8, 0.0, math.log(2.0), 2.0, (3.0,), fam, system=dc_system)
     assert all(r.ratio <= 1.0 + 3.0 * r.ratio_err for r in rows)
 
 
-def test_sharpness_constant_probe_ratio_one(dc8, dc_kappa, dc_system):
+def test_sharpness_constant_probe_ratio_one(dc8, dc_system):
     const = CylindricalFunction(profile=lambda u: np.full(u.shape[:-1], 1.5),
                                 directions=np.eye(8)[:1], label="const")
     rows = ineq.sharpness_probe(dc8, 0.0, math.log(2.0), 2.0, (2.0, 4.5), [const],
-                                dc_kappa, system=dc_system)
+                                system=dc_system)
     for r in rows:
         assert r.ratio == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sharpness_beyond_true_threshold(dc8, dc_kappa, dc_system):
+def test_sharpness_beyond_true_threshold(dc8, dc_system):
     # the model's genuine contraction threshold at q=2, gap ln 2 sits at
     # p = 1 + e^{2 ln 2} = 5: probes below it stay under 1, probes past it
     # must exhibit violations
     fam = ineq.capped_exponential_family(8)
     rows = ineq.sharpness_probe(dc8, 0.0, math.log(2.0), 2.0, (4.5, 6.0), fam,
-                                dc_kappa, system=dc_system)
+                                system=dc_system)
     below = [r for r in rows if r.p == 4.5]
     beyond = [r for r in rows if r.p == 6.0]
     assert all(not r.violates for r in below)
@@ -235,15 +234,15 @@ def test_sharpness_exponent_grid_equals_one_call_per_exponent(request, which):
     model = request.getfixturevalue(which)
     fam, system = ineq.capped_exponential_family(model.dim), meas.gaussian_system(model)
     args = (model, 0.0, math.log(2.0), 2.0)
-    batched = ineq.sharpness_probe(*args, (4.5, 6.0), fam, 1.0, system=system)
+    batched = ineq.sharpness_probe(*args, (4.5, 6.0), fam, system=system)
     single = [row for p in (4.5, 6.0)
-              for row in ineq.sharpness_probe(*args, (p,), fam, 1.0, system=system)]
+              for row in ineq.sharpness_probe(*args, (p,), fam, system=system)]
     assert [dataclasses.astuple(r) for r in batched] == [dataclasses.astuple(r) for r in single]
 
 
 @pytest.mark.parametrize("p_grid", [(3.0,), (4.5, 6.0), (2.0, 2.5, 3.0, 4.5, 6.0, 8.0)])
-def test_sharpness_probe_takes_two_quadratures_per_observable(dc8, dc_kappa, dc_system,
-                                                              monkeypatch, p_grid):
+def test_sharpness_probe_takes_two_quadratures_per_observable(dc8, dc_system, monkeypatch,
+                                                              p_grid):
     # one per node count, whatever the number of exponents
     original, calls = ineq._ratio_1d, []
 
@@ -253,20 +252,19 @@ def test_sharpness_probe_takes_two_quadratures_per_observable(dc8, dc_kappa, dc_
 
     monkeypatch.setattr(ineq, "_ratio_1d", counted)
     fam = ineq.capped_exponential_family(8)
-    rows = ineq.sharpness_probe(dc8, 0.0, math.log(2.0), 2.0, p_grid, fam, dc_kappa,
-                                system=dc_system)
+    rows = ineq.sharpness_probe(dc8, 0.0, math.log(2.0), 2.0, p_grid, fam, system=dc_system)
     assert len(rows) == len(p_grid) * len(fam)
     assert len(calls) == 2 * len(fam)
 
 
-def test_sharpness_exponential_under_a_mean_is_lognormal(dc8, dc_kappa, dc_system):
+def test_sharpness_exponential_under_a_mean_is_lognormal(dc8, dc_system):
     # exp(u_1) under N(c e_1, 1/2): the propagated observable is
     # exp(e^{-tau} u_1 + v_in / 2), so both norms are lognormal moments
     c, tau, p, q = 1.0, math.log(2.0), 3.0, 2.0
     shifted = meas.point_shifted_system(dc_system, lambda t: c * np.eye(8)[0])
     phi = CylindricalFunction(profile=lambda u: np.exp(u[..., 0]),
                               directions=np.eye(8)[:1], label="exp")
-    (row,) = ineq.sharpness_probe(dc8, 0.0, tau, q, (p,), [phi], dc_kappa, system=shifted)
+    (row,) = ineq.sharpness_probe(dc8, 0.0, tau, q, (p,), [phi], system=shifted)
     v_in, v_out, v_end = (1.0 - math.exp(-2.0 * tau)) / 2.0, math.exp(-2.0 * tau) / 2.0, 0.5
     expected = math.exp(c * (math.exp(-tau) - 1.0) + v_in / 2.0 + (p * v_out - q * v_end) / 2.0)
     assert row.ratio == pytest.approx(expected, rel=1e-12)

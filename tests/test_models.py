@@ -21,8 +21,8 @@ from oulab.models import (
 
 def test_rational_coefficients_at_zero(rational4):
     # a_1(0) = -(1 + c1), b_1(0) = c2
-    assert float(rational4.modes[0].drift(0.0)) == pytest.approx(-2.0, abs=1e-15)
-    assert float(rational4.modes[0].diffusion(0.0)) == pytest.approx(2.0, abs=1e-15)
+    assert rational4.coeffs.drift(0.0)[0] == pytest.approx(-2.0, abs=1e-15)
+    assert rational4.coeffs.diffusion(0.0)[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_rational_noise_sup_is_one_plus_c2(rational4):
@@ -194,9 +194,9 @@ def test_nonunique_noise_sup_over_its_window(nonunique3):
 
 
 def test_nonunique_slow_mode_peaks_at_zero(nonunique3):
-    a1 = nonunique3.modes[0].drift
-    assert float(a1(0.0)) == 0.0
-    assert float(a1(1.0)) < 0.0
+    a = nonunique3.coeffs.drift
+    assert a(0.0)[0] == 0.0
+    assert a(1.0)[0] < 0.0
 
 
 def test_nonunique_mean_scale_against_quadrature_oracle(nonunique3):
@@ -216,16 +216,15 @@ def test_drift_antiderivatives_match_quadrature(request, which):
     # oracle: SciPy's adaptive quadrature of the drift itself, at 1e-13
     model = request.getfixturevalue(which)
     pairs = np.sort(np.random.default_rng(13).uniform(*model.window, (50, 2)), axis=1)
-    for mode in model.modes:
-        c = mode.drift_antideriv
+    a, c = model.coeffs.drift, model.coeffs.drift_antideriv
+    for k in range(model.dim):
         for s, t in pairs.tolist():
-            ref, _ = integrate.quad(lambda u: float(mode.drift(u)), s, t,
+            ref, _ = integrate.quad(lambda u: a(u)[k], s, t,
                                     epsabs=1e-13, epsrel=1e-13, limit=400)
-            assert abs(c(t) - c(s) - ref) <= 1e-13 * max(1.0, abs(ref))
+            assert abs(c(t)[k] - c(s)[k] - ref) <= 1e-13 * max(1.0, abs(ref))
     if "mean_scale" in model.meta:
-        a1 = model.modes[0].drift
         for t in pairs[:, 1].tolist():
-            tail, _ = integrate.quad(lambda u: float(a1(u)), -np.inf, t,
+            tail, _ = integrate.quad(lambda u: a(u)[0], -np.inf, t,
                                      epsabs=1e-13, epsrel=1e-13, limit=400)
             assert model.meta["mean_scale"](t) == pytest.approx(math.exp(tail), rel=1e-13)
 
