@@ -67,27 +67,63 @@ def _size(f, a, b):
     return abs(b - a) * np.max(np.abs(f(0.5 * (a + b) + 0.5 * (b - a) * integrators.XK)))
 
 
+def _recorded(f, calls):
+    """f, appending each abscissa it is called at to ``calls``."""
+    def g(x):
+        calls.extend(np.ravel(x).tolist())
+        return f(x)
+    return g
+
+
+def _quad_and_scipy(name, tol, limit):
+    """quad's and SciPy's run on one integrand: (f, quad's value and
+    abscissae, or None where QAGS's extrapolation takes another course than
+    quad's bisection, and SciPy's value, abscissae and final parts)."""
+    f, a, b, _ = INTEGRANDS[name]
+    ref_calls = []
+    value, _, info = integrate.quad(_recorded(f, ref_calls), a, b, epsabs=tol, epsrel=tol,
+                                    limit=limit, full_output=1)[:3]
+    parts = list(zip(*(info[key][:info["last"]] for key in ("alist", "blist", "rlist"))))
+    ours = None
+    if name in SMOOTH and tol > 1e-14:
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # oscillating at limit 10
+            got, _ = integrators.quad(_recorded(f, calls), a, b, tol, tol, limit)
+        ours = (got, calls)
+    return f, ours, (value, ref_calls, parts)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+@pytest.mark.parametrize("tol, limit", TOLERANCES)
+def test_quad_is_bitwise_scipy_quad(name, tol, limit):
+    # what quad keeps of QUADPACK bit for bit: its abscissae.  On the smooth
+    # integrands above roundoff quad calls f at exactly SciPy's abscissae;
+    # elsewhere the 21-point rule on each part SciPy ends with calls f at
+    # exactly SciPy's abscissae on that part
+    f, ours, (_, ref_calls, parts) = _quad_and_scipy(name, tol, limit)
+    if ours is not None:
+        assert sorted(ours[1]) == sorted(ref_calls)
+        return
+    seen = set(ref_calls)
+    for lo, hi, _ in parts:
+        calls = []
+        integrators._qk21(_recorded(f, calls), lo, hi)
+        assert len(calls) == 21 and seen.issuperset(calls), (lo, hi)
+
+
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 @pytest.mark.parametrize("tol, limit", TOLERANCES)
 def test_quad_agrees_with_scipy_quad(name, tol, limit):
-    # on the smooth integrands above roundoff: SciPy's abscissae, bit for
-    # bit, and its value.  Elsewhere QAGS's extrapolation takes another
-    # course, so the 21-point rule is compared instead: on each part SciPy
-    # ends with, it gives SciPy's result
-    f, a, b, _ = INTEGRANDS[name]
-    ref_calls, calls = [], []
-    value, _, info = integrate.quad(lambda x: ref_calls.append(x) or f(x), a, b, epsabs=tol,
-                                    epsrel=tol, limit=limit, full_output=1)[:3]
-    if name in SMOOTH and tol > 1e-14:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # oscillating at limit 10
-            got, _ = integrators.quad(lambda x: calls.append(x) or f(x), a, b, tol, tol, limit)
-        assert np.array_equal(np.sort(np.concatenate(calls or [[]])), np.sort(ref_calls))
-        assert _agrees(got, value, _size(f, a, b))
-    else:
-        parts = zip(*(info[key][:info["last"]] for key in ("alist", "blist", "rlist")))
-        for lo, hi, result in parts:
-            assert _agrees(integrators._qk21(f, lo, hi)[0], result, _size(f, lo, hi))
+    # on the smooth integrands above roundoff: SciPy's value.  Elsewhere the
+    # 21-point rule is compared instead: on each part SciPy ends with, it
+    # gives SciPy's result
+    f, ours, (value, _, parts) = _quad_and_scipy(name, tol, limit)
+    if ours is not None:
+        assert _agrees(ours[0], value, _size(f, *INTEGRANDS[name][1:3]))
+        return
+    for lo, hi, result in parts:
+        assert _agrees(integrators._qk21(f, lo, hi)[0], result, _size(f, lo, hi))
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
