@@ -123,7 +123,6 @@ def steady_state(model: OperatorFamily, t: float, tol_tail: float = 1e-10) -> Sy
 class DerivativeReport:
     fd_value: float
     formula_value: float
-    fd_step: float
     abs_discrepancy: float
 
 
@@ -146,7 +145,7 @@ def check_forward_derivative(model: OperatorFamily, s: float, t: float,
     q_t = model.diffusion_matrix(t)
     ah = model.drift_adjoint(t) @ h
     formula = float(h @ q_t @ h) + 2.0 * float(h @ accumulated(model, s, t).entries @ ah)
-    return DerivativeReport(fd, formula, fd_step, abs(fd - formula))
+    return DerivativeReport(fd, formula, abs(fd - formula))
 
 
 def check_backward_derivative(model: OperatorFamily, s: float, t: float,
@@ -161,4 +160,4 @@ def check_backward_derivative(model: OperatorFamily, s: float, t: float,
     fd = (_quad_form(model, s + fd_step, t, x) - _quad_form(model, s - fd_step, t, x)) / (2 * fd_step)
     u = propagator_matrix(model, s, t)
     formula = -float(x @ u @ model.diffusion_matrix(s) @ u.T @ x)
-    return DerivativeReport(fd, formula, fd_step, abs(fd - formula))
+    return DerivativeReport(fd, formula, abs(fd - formula))

@@ -56,6 +56,7 @@ FLOW_ATOL = 1e-14
 DUAL_ATOL = 1e-30  # the adjoint solve's floor: its error control stays relative as U decays
 FLOW_FIRST_STEP = 1e-3
 RANGE_TOL = 1e-8  # relative share of U(t, s) R_s allowed outside range(R_t)
+CERT_SLACK = 1e-9  # relative room of a certificate's bound over a measured norm
 
 
 class FitFailedError(RuntimeError):
@@ -211,7 +212,7 @@ class DecayCertificate:
 
     ``mode`` is "operator" or "cameron-martin".  The certificate is sound on
     its sampled pairs: after fitting, ``scale`` is inflated so the bound
-    majorizes every measured norm up to ``slack``.
+    majorizes every measured norm up to ``CERT_SLACK``.
     """
 
     mode: str
@@ -219,7 +220,6 @@ class DecayCertificate:
     rate: float
     residual: float
     pairs: tuple[tuple[float, float], ...]
-    slack: float = 1e-9
 
     def bound(self, s: float, t: float) -> float:
         return self.scale * math.exp(-self.rate * (t - s))

@@ -39,6 +39,7 @@ HYPER_Q = 2.0  # hyper: the norm exponent q mapped to p along p_max(q, t - s)
 HYPER_GAP = math.log(2.0)  # hyper: t - s
 LOGSOB_P_VALUES = (1.5, 2.0, 3.0)  # logsob: the exponents p of the entropy bound
 ERGODIC_S_VALUES = (-1.0, -2.0, -4.0, -8.0)  # ergodic: receding start times s
+FD_STEP = 1e-4  # covariance and diffcheck: the central-difference step in s and t
 
 
 def _worst(values, floor: float = 0.0) -> float:
@@ -56,6 +57,19 @@ def _cross_check_ratios(quad, mc) -> list[float]:
 
 def _pairs(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     return [(s, t) for s in cfg.s_values for t in cfg.t_values if s < t]
+
+
+def _stencil_pairs(model, cfg, report: RunReport, check: str) -> list[tuple[float, float]]:
+    """The grid pairs whose finite-difference stencils s +- FD_STEP and
+    t +- FD_STEP lie in the window and apart; without one, a REPORT row for
+    ``check`` names the window."""
+    lo, hi = model.window
+    pairs = [(s, t) for s, t in _pairs(cfg)
+             if lo <= s - FD_STEP and s + FD_STEP <= t - FD_STEP and t + FD_STEP <= hi]
+    if not pairs:
+        report.add(check, "REPORT", f"no grid pair's stencils s +- {FD_STEP:g} and t +- "
+                   f"{FD_STEP:g} lie apart in the window {model.window}; not checked")
+    return pairs
 
 
 def _system(model: OperatorFamily, cfg: ExperimentConfig) -> meas.EvolutionSystem:
@@ -119,7 +133,7 @@ def run_evolve(model, cfg, report: RunReport, outdir: Path) -> None:
         # no range-norm certificate on this window is a legitimate outcome
         certs["cameron_martin"] = {"error": str(exc)}
     write_json(outdir / "decay_certificates.json", certs)
-    excess = _worst((evo.measured_norm(model, s, t, c.mode) - c.bound(s, t) * (1.0 + c.slack)
+    excess = _worst((evo.measured_norm(model, s, t, c.mode) - c.bound(s, t) * (1 + evo.CERT_SLACK)
                      for c in fitted for s, t in pairs[:10]), -math.inf)
     report.check("evolve.decay-certificates", excess, 0.0,
                  f"operator rate {fitted[0].rate:.6g}; measured norm minus the bound of "
@@ -144,19 +158,21 @@ def run_covariance(model, cfg, report: RunReport, outdir: Path) -> None:
                  f"max residual relative to max|K(t,s)| on {len(resids)} triples")
 
     gen = seed_stream(cfg.seed, "cov-derivative")
-    s, t = pairs[0]
-    drows = []
-    for probe in range(3):
-        v = gen.standard_normal(model.dim)
-        v /= np.linalg.norm(v)
-        fwd = cov.check_forward_derivative(model, s, t, v)
-        bwd = cov.check_backward_derivative(model, s, t, v)
-        drows.append((s, t, probe, "forward", fwd.fd_value, fwd.formula_value, fwd.abs_discrepancy))
-        drows.append((s, t, probe, "backward", bwd.fd_value, bwd.formula_value, bwd.abs_discrepancy))
-    write_csv(outdir / "covariance_derivatives.csv",
-              ["s", "t", "probe", "side", "fd", "formula", "discrepancy"], drows)
-    report.check("covariance.derivatives", _worst(row[6] for row in drows), cfg.tol_fd,
-                 f"max discrepancy at step {fwd.fd_step:g}")
+    pairs = _stencil_pairs(model, cfg, report, "covariance.derivatives")
+    if pairs:
+        s, t = pairs[0]
+        drows = []
+        for probe in range(3):
+            v = gen.standard_normal(model.dim)
+            v /= np.linalg.norm(v)
+            fwd = cov.check_forward_derivative(model, s, t, v, FD_STEP)
+            bwd = cov.check_backward_derivative(model, s, t, v, FD_STEP)
+            drows += [(s, t, probe, side, rep.fd_value, rep.formula_value, rep.abs_discrepancy)
+                      for side, rep in (("forward", fwd), ("backward", bwd))]
+        write_csv(outdir / "covariance_derivatives.csv",
+                  ["s", "t", "probe", "side", "fd", "formula", "discrepancy"], drows)
+        report.check("covariance.derivatives", _worst(row[6] for row in drows), cfg.tol_fd,
+                     f"max discrepancy at step {FD_STEP:g}")
 
     if model.decay is not None and model.decay[1] > 0:
         t0 = float(cfg.t_values[0])
@@ -193,7 +209,7 @@ def run_invariance(model, cfg, report: RunReport, outdir: Path) -> None:
     write_csv(outdir / "invariance.csv", ["s", "t", "probe", "discrepancy"], rep.rows)
     report.check("invariance.gaussian-system", rep.worst, rep.tol,
                  f"{system.label}: max {rep.max_discrepancy:.3e} over {len(pairs)} pairs x "
-                 f"{rep.probe_count} probes, dual {rep.dual_max:.3e}")
+                 f"{len(probes)} probes, dual {rep.dual_max:.3e}")
 
     scale = model.meta.get("mean_scale")
     if scale is not None:
@@ -209,14 +225,16 @@ def run_invariance(model, cfg, report: RunReport, outdir: Path) -> None:
 
 
 def run_diffcheck(model, cfg, report: RunReport, outdir: Path) -> None:
+    pairs = _stencil_pairs(model, cfg, report, "diffcheck.formulas")[:2]
+    if not pairs:
+        return
     gen = seed_stream(cfg.seed, "diffcheck")
-    pairs = _pairs(cfg)[:2]
     rows = []
     for probe in range(20):
         s, t = pairs[probe % len(pairs)]
         poly = mehler.TrigPolynomial.plane_wave(gen.standard_normal(model.dim))
         x = gen.standard_normal(model.dim)
-        rep = mehler.check_differentiation(model, s, t, poly, x)
+        rep = mehler.check_differentiation(model, s, t, poly, x, FD_STEP)
         rows.append((probe, s, t, rep.start_discrepancy, rep.end_discrepancy,
                      rep.start_order_ratio, rep.end_order_ratio))
     write_csv(outdir / "diffcheck.csv",

@@ -26,6 +26,7 @@ Two families of checks use it:
     start measure stays below the q-norm at the end measure whenever
     p <= p_max.
 
+Every entry point takes its evolution system from the caller (``system``).
 Every expectation is over the law N(H m, H Q H^T) of the observable's k
 coordinates <h_i, x> under N(m, Q) (``measures.marginal``).  Laws of rank
 at most two are integrated by tensor Gauss-Hermite quadrature (64 nodes
@@ -59,8 +60,7 @@ import numpy as np
 from .covariance import accumulated
 from .evolution import DecayCertificate, propagator_matrix
 from .linalg import SymOperator
-from .measures import (EvolutionSystem, GaussianMeasure, gauss_hermite, gaussian_system,
-                       marginal, sample)
+from .measures import EvolutionSystem, GaussianMeasure, gauss_hermite, marginal, sample
 from .mehler import CylindricalFunction, TrigPolynomial, propagate_trig
 from .models import OperatorFamily
 
@@ -134,9 +134,8 @@ class LogSobolevReport:
 
 
 def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: float,
-                kappa: float, system: EvolutionSystem | None = None,
-                method: str = "quadrature", count: int = 100_000,
-                seed: int = 0) -> LogSobolevReport:
+                kappa: float, system: EvolutionSystem, method: str = "quadrature",
+                count: int = 100_000, seed: int = 0) -> LogSobolevReport:
     """Entropy versus weighted gradient energy at time t.
 
     Both methods integrate over the marginal law of phi's k coordinates
@@ -147,8 +146,6 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: fl
         raise ValueError("need p > 1")
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    if system is None:
-        system = gaussian_system(model)
     h = phi.directions
     law = marginal(system(t), h)
     q_proj = h @ model.diffusion_matrix(t) @ h.T
@@ -221,7 +218,7 @@ class HyperReport:
 
 def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
                              q: float, p, phi: TrigPolynomial, kappa: float,
-                             count: int, seed: int, system: EvolutionSystem | None = None
+                             count: int, seed: int, system: EvolutionSystem
                              ) -> HyperReport | list[HyperReport]:
     """p-norm of the propagated observable at nu_s against its q-norm at nu_t,
     by Monte Carlo: the sampled cross-check of ``hyper_quadrature``, and the
@@ -238,8 +235,6 @@ def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
     """
     single = np.ndim(p) == 0
     p_values = [p] if single else list(p)
-    if system is None:
-        system = gaussian_system(model)
     vals = _sampled_values(propagate_trig(model, s, t, phi), system(s), count, seed,
                            "hyper-outer")
     rhs, rhs_err = _p_norm_and_err(_sampled_values(phi, system(t), count, seed + 1,
@@ -313,7 +308,7 @@ def _ratio_1d(model: OperatorFamily, s: float, t: float, q: float, p_values,
 
 
 def sharpness_probe(model: OperatorFamily, s: float, t: float, q: float,
-                    p_grid, family, system: EvolutionSystem | None = None) -> list[SharpnessRow]:
+                    p_grid, family, system: EvolutionSystem) -> list[SharpnessRow]:
     """Norm ratios beyond the exponent curve, reported as evidence: one row
     per (p, observable), p-major.
 
@@ -323,8 +318,6 @@ def sharpness_probe(model: OperatorFamily, s: float, t: float, q: float,
     1 + 3 err; whether any p produces a violation depends on where the
     model's true contraction threshold sits relative to the certified curve.
     """
-    if system is None:
-        system = gaussian_system(model)
     p_grid, cells = tuple(p_grid), []  # cells: (ratio, error) at each p, per observable
     for phi in family:
         if phi.n_dirs != 1:

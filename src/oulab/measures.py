@@ -185,15 +185,13 @@ class InvarianceReport:
     ``rows`` carry (s, t, probe index, |lhs - rhs|); ``dual_max`` is the
     agreement between the identity and its dual form (propagated observable
     against nu_s versus plain observable against nu_t) on trig probes; both
-    gate.  Finite probes give evidence, not proof; ``probe_count`` records how much.
+    gate.  Finite probes give evidence, not proof.
     """
 
-    label: str
     rows: tuple
     max_discrepancy: float
     dual_max: float
     tol: float
-    probe_count: int
 
     @property
     def worst(self) -> float:
@@ -236,7 +234,7 @@ def verify_invariance(system: EvolutionSystem, model: OperatorFamily,
         rhs = mean_functional(system(t), poly)
         duals.append(abs(lhs - rhs))
     dual_max = float(np.max(duals, initial=0.0))
-    return InvarianceReport(system.label, tuple(rows), worst, dual_max, tol, len(probes))
+    return InvarianceReport(tuple(rows), worst, dual_max, tol)
 
 
 @dataclass(frozen=True)

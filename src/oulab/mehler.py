@@ -30,8 +30,6 @@ from .covariance import accumulated
 from .evolution import propagator_matrix
 from .models import OperatorFamily
 
-CANONICAL_DECIMALS = 12  # frequencies equal to this many decimals merge
-
 
 @dataclass(frozen=True)
 class TrigPolynomial:
@@ -114,18 +112,6 @@ class TrigPolynomial:
             raise ValueError("dimension mismatch")
         return TrigPolynomial(np.concatenate([self.coeffs, other.coeffs]),
                               np.vstack([self.freqs, other.freqs]))
-
-    def canonical(self) -> "TrigPolynomial":
-        """Merge duplicate frequencies (to CANONICAL_DECIMALS) and sort
-        terms, for data-level comparisons of two polynomials."""
-        keys = {}
-        for c, f in zip(self.coeffs, self.freqs):
-            key = tuple(np.round(f, CANONICAL_DECIMALS))
-            keys[key] = keys.get(key, 0.0) + c
-        items = sorted(keys.items())
-        coeffs = np.array([v for _, v in items], dtype=complex)
-        freqs = np.array([k for k, _ in items], dtype=float)
-        return TrigPolynomial(coeffs, freqs)
 
     @staticmethod
     def constant(dim: int, value: complex = 1.0) -> "TrigPolynomial":
@@ -253,7 +239,6 @@ class DifferentiationReport:
     fd_step/2; second-order central differences should shrink it by about 4.
     """
 
-    fd_step: float
     start_discrepancy: float
     start_discrepancy_half: float
     end_discrepancy: float
@@ -285,5 +270,5 @@ def check_differentiation(model: OperatorFamily, s: float, t: float,
         return abs(fd - closed)
 
     half = fd_step / 2.0
-    return DifferentiationReport(fd_step, gap(start, fd_step, 0.0), gap(start, half, 0.0),
+    return DifferentiationReport(gap(start, fd_step, 0.0), gap(start, half, 0.0),
                                  gap(end, 0.0, fd_step), gap(end, 0.0, half))

@@ -69,10 +69,9 @@ class OperatorFamily:
     name: str
     dim: int
     window: tuple[float, float]
-    kind: str  # "diagonal" | "dense"
-    coeffs: DiagonalCoefficients | None = None  # diagonal kind
-    noise_fn: Callable | None = None  # t -> (dim, dim), dense kind
-    drift_fn: Callable | None = None  # t -> (dim, dim), dense kind
+    coeffs: DiagonalCoefficients | None = None  # a diagonal family carries these
+    noise_fn: Callable | None = None  # t -> (dim, dim); a dense family carries both maps
+    drift_fn: Callable | None = None  # t -> (dim, dim)
     decay: tuple[float, float] | None = None  # (M, zeta): ||U(t,s)|| <= M e^{-zeta (t-s)}
     meta: dict = field(default_factory=dict)  # "noise_sup" (a bound on |B(t)|), "mean_scale"
     # dense kind: A and B constant in t and A symmetric, so evolution.flow
@@ -87,6 +86,15 @@ class OperatorFamily:
             raise BadParameterError(f"empty window {self.window}")
         if self.dim < 1:
             raise BadParameterError("dim must be >= 1")
+        # diagonal: coeffs and neither map; dense: both maps and no coeffs
+        if (self.drift_fn is not None, self.noise_fn is not None) != (self.coeffs is None,) * 2:
+            raise BadParameterError("a family carries either coeffs (diagonal) "
+                                    "or drift_fn and noise_fn (dense)")
+
+    @property
+    def kind(self) -> str:
+        """The model kind, "diagonal" when the family carries ``coeffs``, else "dense"."""
+        return "dense" if self.coeffs is None else "diagonal"
 
     # -- queries ----------------------------------------------------------
 
@@ -145,7 +153,7 @@ def make_diagonal_constant(n: int, lam: float, b: float,
         raise BadParameterError("n must be >= 1")
     lam, b = float(lam), float(b)
     return OperatorFamily(
-        name="diag-constant", dim=n, window=window, kind="diagonal",
+        name="diag-constant", dim=n, window=window,
         coeffs=constant_modes(np.full(n, lam), np.full(n, b)),
         decay=(1.0, -lam), meta={"noise_sup": abs(b)},
     )
@@ -211,7 +219,7 @@ def make_diagonal_rational(n: int, c1: float, c2: float,
         diffusion=lambda t: np.sin(ks * np.asarray(t, dtype=float)[..., None]) + c2,
         drift_antideriv=lambda t: scales * antiderivs(t))
     return OperatorFamily(
-        name="diag-rational", dim=n, window=window, kind="diagonal", coeffs=coeffs,
+        name="diag-rational", dim=n, window=window, coeffs=coeffs,
         meta={"noise_sup": 1.0 + float(c2)},
     )
 
@@ -292,7 +300,7 @@ def make_parabolic_1d(m: int, a: Callable | float, a0: Callable | float,
     top = max(float(np.linalg.eigvalsh(drift_fn(t)).max()) for t in t_grid)
     decay = (1.0, -top) if top < 0 else None
     return OperatorFamily(
-        name="parabolic-1d", dim=m, window=window, kind="dense",
+        name="parabolic-1d", dim=m, window=window,
         drift_fn=drift_fn, noise_fn=noise, decay=decay, meta={"noise_sup": noise_sup},
         autonomous=autonomous,
     )
@@ -351,7 +359,7 @@ def make_nonunique_demo(n: int, window: tuple[float, float] = (-250.0, 50.0)) ->
         return math.exp(c1(t) - c1_at_minus_inf)
 
     return OperatorFamily(
-        name="nonunique-demo", dim=n, window=window, kind="diagonal", coeffs=coeffs,
+        name="nonunique-demo", dim=n, window=window, coeffs=coeffs,
         meta={"noise_sup": 1.0, "mean_scale": mean_scale},
     )
 
@@ -371,7 +379,7 @@ def _build_scalar_osc(n: int = 4, offset: float = -1.0, amp: float = -0.5,
         drift_antideriv=lambda t: _per_mode(offset * t - amp * np.cos(t), n),
     )
     return OperatorFamily(
-        name="scalar", dim=n, window=window, kind="diagonal", coeffs=coeffs,
+        name="scalar", dim=n, window=window, coeffs=coeffs,
         decay=(1.0, -top), meta={"noise_sup": 1.0},
     )
 

@@ -33,22 +33,18 @@ def write_csv(path: Path, columns: list[str], rows: list[tuple]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _encode(obj):
+    """What ``json`` cannot encode itself: a complex number as {re, im}, a
+    numpy array or scalar as its ``tolist()``."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if hasattr(obj, "tolist"):
-        return _jsonable(obj.tolist())
-    if hasattr(obj, "item"):
-        return obj.item()
-    return obj
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_encode)
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 

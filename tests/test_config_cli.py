@@ -291,21 +291,54 @@ def test_run_meta_peak_is_not_the_spawning_process_peak(tmp_path):
 
 
 def test_numerical_error_is_an_error_row_and_the_other_subcommands_run(tmp_path):
-    # the window starts at the grid's earliest s, so the finite-difference
-    # stencil of the covariance derivatives steps out of it partway through
+    # the window holds every grid pair but ends before the SPDE's span [0, 1]
     cfg = ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg")
     path = tmp_path / "narrow.cfg"
-    path.write_text(dataclasses.replace(cfg, window=(-2.0, 5.0), mc_samples=2000).to_text())
+    path.write_text(dataclasses.replace(cfg, s_values=(-2.0, -1.5), t_values=(-1.0, 0.5),
+                                        window=(-2.0, 0.8), mc_samples=2000).to_text())
     out = tmp_path / "out"
     assert cli.main(["report-all", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
-    assert checks["covariance.error"]["status"] == "ERROR"
-    assert checks["covariance.error"]["detail"].startswith("WindowExceededError: time -2.0001")
+    assert checks["spde.error"]["status"] == "ERROR"
+    assert checks["spde.error"]["detail"].startswith("WindowExceededError: time 1.0")
+    assert [name for name, c in checks.items() if c["status"] == "ERROR"] == ["spde.error"]
     assert checks["evolve.chain-law"]["status"] == "PASS"
     # the steady-state cutoff falls before -2, so the system is anchored instead
     assert checks["invariance.gaussian-system"]["status"] == "PASS"
     assert "anchor" in checks["invariance.gaussian-system"]["detail"]
-    assert "invariance.error" not in checks
+    assert any(name.startswith("ergodic.") for name in checks)
+
+
+def test_stencils_at_the_window_edge_use_the_first_pairs_that_fit(tmp_path):
+    # the window starts at the grid's earliest s and ends at its latest t, so
+    # the +-1e-4 stencils of the first pairs (s = -2) step out of it
+    cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg"),
+                              window=(-2.0, 3.0), mc_samples=2000)
+    checks = {c["name"]: c for c in run_suite("report-all", cfg, tmp_path).checks}
+    assert [name for name, c in checks.items() if c["status"] == "ERROR"] == []
+    for name in ("covariance.derivatives", "diffcheck.formulas", "diffcheck.fd-order"):
+        assert checks[name]["status"] == "PASS", checks[name]
+    rows = (tmp_path / "covariance_derivatives.csv").read_text().splitlines()[2:]
+    assert {tuple(r.split(",")[:2]) for r in rows} == {("-1.5", "-1.25")}
+    rows = (tmp_path / "diffcheck.csv").read_text().splitlines()[2:]
+    assert {tuple(r.split(",")[1:3]) for r in rows} == {("-1.5", "-1.25"), ("-1.5", "-0.75")}
+
+
+@pytest.mark.parametrize("grids, window", [
+    ({"s_values": (-2.0,)}, (-2.0, 3.0)),  # s - 1e-4 leaves the window
+    ({"s_values": (0.0,), "t_values": (5e-5, 1e-4)}, (-50.0, 50.0)),  # t - s below 2e-4
+], ids=["window-edge", "short-pairs"])
+def test_stencils_that_fit_no_pair_are_report_rows(tmp_path, grids, window):
+    cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / "diag_constant.cfg"),
+                              window=window, **grids)
+    checks = {c["name"]: c for sub in ("covariance", "diffcheck")
+              for c in run_suite(sub, cfg, tmp_path).checks}
+    assert [name for name, c in checks.items() if not name.startswith("covariance.")] == \
+        ["diffcheck.formulas"]
+    for name in ("covariance.derivatives", "diffcheck.formulas"):
+        assert checks[name]["status"] == "REPORT"
+        assert f"window {window}" in checks[name]["detail"]
+    assert checks["covariance.flow-decomposition"]["status"] == "PASS"
 
 
 def test_times_before_the_window_stay_error_rows(tmp_path):
@@ -444,6 +477,18 @@ def test_cli_lists_failed_checks_beside_errors(tmp_path, monkeypatch, capsys):
     assert cli.main(["report-all", str(path), "--outdir", str(tmp_path)]) == cli.EXIT_NUMERICAL_ERROR
     err = capsys.readouterr().err
     assert "FAILED: hyper.curve" in err and "ERROR: covariance.error" in err
+
+
+def test_json_encodes_numpy_values_and_complex_numbers(tmp_path):
+    from oulab.reporting import write_json
+
+    write_json(tmp_path / "x.json", {"a": np.arange(2), "b": np.float64(0.5), "c": 1 + 2j,
+                                     "d": (np.int64(3), np.bool_(True)), "e": np.array([1j])})
+    assert json.loads((tmp_path / "x.json").read_text()) == {
+        "a": [0, 1], "b": 0.5, "c": {"re": 1.0, "im": 2.0}, "d": [3, True],
+        "e": [{"re": 0.0, "im": 1.0}]}
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        write_json(tmp_path / "y.json", {"a": object()})
 
 
 def test_check_rows_pass_exactly_when_the_value_is_within_the_bound():

@@ -56,7 +56,7 @@ def _dense_scaled_noise(meta):
     from oulab.models import OperatorFamily
 
     return OperatorFamily(
-        name="dense-noisy", dim=3, window=(-30.0, 5.0), kind="dense",
+        name="dense-noisy", dim=3, window=(-30.0, 5.0),
         drift_fn=lambda t: -np.eye(3), noise_fn=lambda t: 10.0 * np.eye(3),
         decay=(1.0, 1.0), meta=meta,
     )
@@ -200,7 +200,7 @@ def test_dense_quadrature_against_closed_form(monkeypatch):
     from oulab.models import OperatorFamily
 
     dense = OperatorFamily(
-        name="dense-const", dim=3, window=(-5.0, 5.0), kind="dense",
+        name="dense-const", dim=3, window=(-5.0, 5.0),
         drift_fn=lambda t: -np.eye(3), noise_fn=lambda t: np.eye(3),
         meta={"noise_sup": 1.0},
     )

@@ -143,7 +143,7 @@ def test_spectral_flow_at_equal_times_and_symmetry_guard():
     u, k = evo.flow(model, 0.3, 0.3)
     assert np.array_equal(u, np.eye(4)) and np.array_equal(k, np.zeros((4, 4)))
     skew = OperatorFamily(
-        name="skew", dim=2, window=(-5.0, 5.0), kind="dense", autonomous=True,
+        name="skew", dim=2, window=(-5.0, 5.0), autonomous=True,
         drift_fn=lambda t: np.array([[-1.0, 1.0], [0.0, -1.0]]), noise_fn=lambda t: np.eye(2),
     )
     with pytest.raises(ValueError, match="non-symmetric"):
@@ -160,7 +160,7 @@ def test_flow_memo_is_read_only(parabolic5):
 
 def test_non_finite_drift_raises_diverged():
     broken = OperatorFamily(
-        name="broken", dim=2, window=(-5.0, 5.0), kind="dense",
+        name="broken", dim=2, window=(-5.0, 5.0),
         drift_fn=lambda t: -np.eye(2) if t < 0.3 else np.full((2, 2), np.nan),
         noise_fn=lambda t: np.eye(2),
     )
@@ -220,7 +220,7 @@ def test_certificate_majorizes_every_sample(rational4):
     cert = evo.fit_decay(rational4, pairs, mode="operator")
     for s, t in pairs:
         measured = evo.measured_norm(rational4, s, t, "operator")
-        assert measured <= cert.bound(s, t) * (1.0 + cert.slack)
+        assert measured <= cert.bound(s, t) * (1.0 + evo.CERT_SLACK)
 
 
 def test_fit_decay_rejects_zero_norms():
@@ -287,7 +287,7 @@ def test_range_norm_with_non_scalar_noise(rational4, s, t):
 def test_range_norm_drops_the_noise_kernel():
     # the noiseless third mode decays slowest; on the kernel of R_t the range
     # inverse is 0, not 1/0, so the norm is the max over the two noisy modes
-    model = OperatorFamily(name="singular-noise", dim=3, window=(-5.0, 5.0), kind="diagonal",
+    model = OperatorFamily(name="singular-noise", dim=3, window=(-5.0, 5.0),
                            coeffs=constant_modes([-1.0, -2.0, -0.1], [2.0, 0.5, 0.0]))
     assert evo.cm_operator_norm(model, 0.0, 1.5) == pytest.approx(math.exp(-1.5), rel=1e-12)
 

@@ -234,6 +234,42 @@ def test_nonunique_requires_two_modes():
         make_nonunique_demo(1)
 
 
+_COEFFS = models.constant_modes([-1.0, -2.0], [1.0, 1.0])
+_MAPS = {"drift_fn": lambda t: -np.eye(2), "noise_fn": lambda t: np.eye(2)}
+
+
+@pytest.mark.parametrize("parts", [
+    {"coeffs": _COEFFS, **_MAPS},  # both kinds at once
+    {},  # neither kind
+    {"coeffs": _COEFFS, "drift_fn": _MAPS["drift_fn"]},
+    {"drift_fn": _MAPS["drift_fn"]},
+    {"noise_fn": _MAPS["noise_fn"]},
+], ids=["both", "neither", "coeffs-and-drift", "drift-only", "noise-only"])
+def test_a_family_carries_exactly_one_kind_of_coefficients(parts):
+    with pytest.raises(BadParameterError, match="either coeffs"):
+        models.OperatorFamily(name="mixed", dim=2, window=(-1.0, 1.0), **parts)
+
+
+def test_kind_follows_the_coefficients_a_family_carries():
+    assert models.OperatorFamily(name="d", dim=2, window=(-1.0, 1.0),
+                                 coeffs=_COEFFS).kind == "diagonal"
+    assert models.OperatorFamily(name="m", dim=2, window=(-1.0, 1.0), **_MAPS).kind == "dense"
+
+
+@pytest.mark.parametrize("name", sorted(models.CATALOG))
+def test_catalog_kind_is_dense_for_the_parabolic_family_only(name):
+    assert build_model(name).kind == ("dense" if name == "parabolic-1d" else "diagonal")
+
+
+@pytest.mark.parametrize("fixture, kind", [
+    ("dc8", "diagonal"), ("dc4", "diagonal"), ("rational4", "diagonal"),
+    ("rational2", "diagonal"), ("scalar4", "diagonal"), ("nonunique3", "diagonal"),
+    ("parabolic5", "dense"), ("parabolic5_varying", "dense"),
+])
+def test_fixture_kind(request, fixture, kind):
+    assert request.getfixturevalue(fixture).kind == kind
+
+
 def test_window_is_enforced(dc8):
     with pytest.raises(WindowExceededError):
         dc8.drift_matrix(1000.0)

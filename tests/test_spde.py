@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from oulab import spde
 from oulab.covariance import accumulated
 from oulab.evolution import propagator_matrix
@@ -8,6 +9,24 @@ from oulab.linalg import sqrt_psd
 from oulab.mehler import TrigPolynomial, apply_exact
 from oulab.models import make_diagonal_constant
 from oulab.rng import CHUNK, seed_stream
+
+
+@pytest.mark.parametrize("fixture, step", [
+    ("dc8", 0.01), ("rational4", 0.01), ("nonunique3", 0.01), ("scalar4", 0.01),
+    ("parabolic5", 0.005),
+])
+def test_step_factors_compose_to_the_span_law(request, fixture, step):
+    # chain U and the flow decomposition of K over the simulation's own step
+    # grid: the steps' transition laws must compose to the law over [0, 1]
+    model = request.getfixturevalue(fixture)
+    u, k = np.eye(model.dim), np.zeros((model.dim, model.dim))
+    taus = spde._step_grid(0.0, 1.0, step)
+    for lo, hi in zip(taus[:-1], taus[1:]):
+        u_step = propagator_matrix(model, lo, hi)
+        u, k = u_step @ u, u_step @ k @ u_step.T + accumulated(model, lo, hi).entries
+    for got, whole in ((u, propagator_matrix(model, 0.0, 1.0)),
+                       (k, accumulated(model, 0.0, 1.0).entries)):
+        assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 def test_noiseless_paths_follow_propagator():
