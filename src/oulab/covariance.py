@@ -143,7 +143,7 @@ def check_forward_derivative(model: OperatorFamily, s: float, t: float,
     h = np.asarray(h, dtype=float)
     fd = (_quad_form(model, s, t + fd_step, h) - _quad_form(model, s, t - fd_step, h)) / (2 * fd_step)
     q_t = model.diffusion_matrix(t)
-    ah = model.drift_adjoint(t) @ h
+    ah = model.drift_matrix(t).T @ h
     formula = float(h @ q_t @ h) + 2.0 * float(h @ accumulated(model, s, t).entries @ ah)
     return DerivativeReport(fd, formula, abs(fd - formula))
 

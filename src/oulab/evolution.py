@@ -179,7 +179,7 @@ def adjoint_by_integration(model: OperatorFamily, s: float, t: float) -> np.ndar
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     model.require_window(s, t)
     n = model.dim
-    rhs = lambda tau, y: (y.reshape(n, n) @ model.drift_adjoint(tau)).ravel()
+    rhs = lambda tau, y: (y.reshape(n, n) @ model.drift_matrix(tau).T).ravel()
     return _solve(rhs, s, t, np.eye(n).ravel(), DUAL_ATOL).reshape(n, n)
 
 

@@ -7,8 +7,9 @@ this is the single identity
 
     nu_t^(h) = exp(-<K(t,s) h, h>/2) * nu_s^(U(t,s)^T h),
 
-checked here on finite probe sets.  A Gaussian system is one of two kinds,
-and no caller supplies a cutoff of its own:
+checked here on finite probe sets, with the damping and U^T h taken from
+``mehler.propagate_trig``.  A Gaussian system is one of two kinds, and no
+caller supplies a cutoff of its own:
 
   * certified: nu_t = N(0, K(t, -inf)), the infinite-horizon covariance
     truncated at the cutoff of ``covariance.tail_cutoff``, whose neglected
@@ -24,7 +25,6 @@ second, distinct system, which is how non-uniqueness is demonstrated.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .covariance import accumulated, steady_state
-from .evolution import propagator_matrix
 from .linalg import RANK_CUT, SymOperator, spectral_factor
 from .mehler import TrigPolynomial, apply_exact, propagate_trig
 from .models import OperatorFamily, WindowExceededError
@@ -58,10 +57,13 @@ class GaussianMeasure:
         return self.cov.dim
 
 
-def characteristic(mu: GaussianMeasure, h: np.ndarray) -> complex:
-    """exp(i<m, h> - <Q h, h>/2)."""
+def characteristic(mu: GaussianMeasure, h: np.ndarray) -> complex | np.ndarray:
+    """exp(i<m, h> - <Q h, h>/2) at a frequency h (dim,), or one value per
+    row of an array (terms, dim) of frequencies."""
     h = np.asarray(h, dtype=float)
-    return cmath.exp(1j * float(mu.mean @ h) - 0.5 * mu.cov.quadratic_form(h))
+    rows = np.atleast_2d(h)
+    vals = np.exp(1j * (rows @ mu.mean) - 0.5 * np.einsum("ij,jk,ik->i", rows, mu.cov.entries, rows))
+    return complex(vals[0]) if h.ndim == 1 else vals
 
 
 def sample(mu: GaussianMeasure, count: int, seed: int, label: str = "sample") -> np.ndarray:
@@ -111,7 +113,7 @@ def marginal(mu: GaussianMeasure, h: np.ndarray) -> GaussianMeasure:
 def mean_functional(mu: GaussianMeasure, phi: TrigPolynomial) -> complex:
     """Exact mean of a trig polynomial: term coefficients against the
     characteristic function at the term frequencies."""
-    return complex(sum(c * characteristic(mu, h) for c, h in zip(phi.coeffs, phi.freqs)))
+    return complex(phi.coeffs @ characteristic(mu, phi.freqs))
 
 
 @dataclass
@@ -208,19 +210,16 @@ def verify_invariance(system: EvolutionSystem, model: OperatorFamily,
     passing when every discrepancy, of this identity and of its dual form,
     is at most ``tol``.
 
-    A handful of multi-term trig polynomials cross-check the dual form
-    through the exact propagation of terms.
+    Both read ``propagate_trig``: the probes as the terms of one trig
+    polynomial, and a handful of multi-term trig polynomials for the dual form.
     """
+    waves = TrigPolynomial(np.ones(len(probes)), probes)  # one term per probe
     rows = []
     for s, t in pairs:
-        mu_s, mu_t = system(s), system(t)
-        u = propagator_matrix(model, s, t)
-        k = accumulated(model, s, t)
-        for j, h in enumerate(probes):
-            h = np.asarray(h, dtype=float)
-            lhs = characteristic(mu_t, h)
-            rhs = cmath.exp(-0.5 * k.quadratic_form(h)) * characteristic(mu_s, u.T @ h)
-            rows.append((float(s), float(t), j, abs(lhs - rhs)))
+        moved = propagate_trig(model, s, t, waves)
+        gaps = np.abs(characteristic(system(t), waves.freqs)
+                      - moved.coeffs * characteristic(system(s), moved.freqs))
+        rows += [(float(s), float(t), j, float(g)) for j, g in enumerate(gaps)]
     # np.max keeps a NaN discrepancy, which then fails ``passed``
     worst = float(np.max([row[3] for row in rows], initial=0.0))
 

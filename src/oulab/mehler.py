@@ -8,8 +8,9 @@ exponential e^{i<., h>} that average is a closed form,
 
 so finite combinations of exponentials propagate exactly: coefficients pick
 up the Gaussian damping factor and frequencies flow along the adjoint
-propagator.  Everything else about the operator family is checked against
-this closed form: the pointwise generator on trig polynomials
+propagator; ``propagate_trig`` is the one code of this formula.  Everything
+else about the operator family is checked against it: the pointwise
+generator on trig polynomials
 
     (L(r) phi)(x) = 1/2 Tr(Q(r) Hess phi(x)) + <x, A(r)^T grad phi(x)>,
 
@@ -20,7 +21,6 @@ gradient, all that the entropy and norm-ratio checks evaluate.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,40 +191,35 @@ def apply_exact(model: OperatorFamily, s: float, t: float,
 
 # -- generator ----------------------------------------------------------------
 
+def _generator_factors(model: OperatorFamily, r: float, freqs: np.ndarray,
+                       y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A(r)^T h_j and the term factors i<y, A(r)^T h_j> - <Q(r)h_j, h_j>/2 of L(r) at y."""
+    ah = freqs @ model.drift_matrix(r)
+    noise = np.einsum("ij,jk,ik->i", freqs, model.diffusion_matrix(r), freqs)
+    return ah, 1j * (ah @ y) - 0.5 * noise
+
+
 def generator_apply(model: OperatorFamily, r: float, phi: TrigPolynomial,
                     x: np.ndarray) -> complex:
     """Pointwise generator L(r) on a trig polynomial: each term picks up the
     factor i<x, A(r)^T h> - <Q(r)h, h>/2."""
     x = np.asarray(x, dtype=float)
-    ah = phi.freqs @ model.drift_matrix(r)  # rows A(r)^T h_j
-    drift_part = 1j * (ah @ x)
-    noise_part = -0.5 * np.einsum("ij,jk,ik->i", phi.freqs, model.diffusion_matrix(r),
-                                  phi.freqs)
-    phases = np.exp(1j * (phi.freqs @ x))
-    return complex(np.sum(phi.coeffs * (drift_part + noise_part) * phases))
+    factors = _generator_factors(model, r, phi.freqs, x)[1]
+    return complex(np.sum(phi.coeffs * factors * np.exp(1j * (phi.freqs @ x))))
 
 
 def transition_of_generator(model: OperatorFamily, s: float, t: float,
                             phi: TrigPolynomial, x: np.ndarray) -> complex:
     """Closed form of P_{s,t}(L(t) phi)(x) for trig phi.
 
-    Per term: [i<x, U^T A(t)^T h> - <K(t,s) A(t)^T h, h> - <Q(t)h, h>/2]
-    times the propagated term value.
+    Per term: the generator factor of L(t) at U(t,s) x, less
+    <K(t,s) A(t)^T h, h>, times the term of ``propagate_trig`` at x.
     """
     x = np.asarray(x, dtype=float)
-    u = propagator_matrix(model, s, t)
-    k = accumulated(model, s, t).entries
-    a_star = model.drift_adjoint(t)
-    q_t = model.diffusion_matrix(t)
-    total = 0.0 + 0.0j
-    for c, h in zip(phi.coeffs, phi.freqs):
-        ah = a_star @ h
-        damp = cmath.exp(-0.5 * float(h @ k @ h) + 1j * float(x @ (u.T @ h)))
-        factor = (1j * float(x @ (u.T @ ah))
-                  - float(ah @ k @ h)
-                  - 0.5 * float(h @ q_t @ h))
-        total += c * factor * damp
-    return total
+    moved = propagate_trig(model, s, t, phi)
+    ah, factors = _generator_factors(model, t, phi.freqs, propagator_matrix(model, s, t) @ x)
+    factors -= np.einsum("ij,jk,ik->i", ah, accumulated(model, s, t).entries, phi.freqs)
+    return complex(np.sum(moved.coeffs * factors * np.exp(1j * (moved.freqs @ x))))
 
 
 # -- differentiation and gradient checks ---------------------------------------

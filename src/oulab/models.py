@@ -110,9 +110,6 @@ class OperatorFamily:
             return np.diag(self.coeffs.drift(t))
         return np.asarray(self.drift_fn(t), dtype=float)
 
-    def drift_adjoint(self, t: float) -> np.ndarray:
-        return self.drift_matrix(t).T
-
     def noise_matrix(self, t: float) -> np.ndarray:
         self.require_window(t)
         if self.kind == "diagonal":

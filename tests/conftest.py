@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oulab import models
+
+# ``--hypothesis-profile=ci`` draws the same examples on every run, so a red
+# CI run can be reproduced; local runs keep the fresh random search
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

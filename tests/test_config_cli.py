@@ -563,10 +563,11 @@ PLANTS = [
     # triples of 3 and 3 derivative probes of 5
     ("covariance.monotone-horizon", "covariance", "diag-constant",
      (cov, "accumulated", 52, _scaled(0.5)), None),
-    ("invariance.gaussian-system", "invariance", "diag-constant",  # the dual form
+    ("invariance.gaussian-system", "invariance", "diag-constant",  # the first pair's probes
      (measures, "propagate_trig", 0, lambda out: 1.001 * out), None),
-    ("invariance.shifted-system", "invariance", "nonunique-demo",  # after 3 dual pairs
-     (measures, "propagate_trig", 3, lambda out: 1.001 * out), None),
+    # the shifted system's first pair, after the base system's 4 probe pairs and 3 dual pairs
+    ("invariance.shifted-system", "invariance", "nonunique-demo",
+     (measures, "propagate_trig", 7, lambda out: 1.001 * out), None),
     ("diffcheck.formulas", "diffcheck", "diag-constant",
      (mehler, "transition_of_generator", 0, lambda out: out + 1e-3),
      (mehler, "check_differentiation", 1,

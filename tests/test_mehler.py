@@ -159,7 +159,7 @@ def test_transition_of_generator_against_mc(dc4):
     h = np.eye(4)[0]
     poly = TrigPolynomial.plane_wave(h)
     closed = transition_of_generator(dc4, s, t, poly, np.ones(4))
-    a_h = dc4.drift_adjoint(t) @ h
+    a_h = dc4.drift_matrix(t).T @ h
     q_hh = float(h @ dc4.diffusion_matrix(t) @ h)
 
     def l_phi(ys):

@@ -277,12 +277,6 @@ def test_window_is_enforced(dc8):
         propagator_matrix(dc8, -60.0, 0.0)
 
 
-def test_adjoint_matches_transpose(parabolic5, rational4):
-    for model in (parabolic5, rational4):
-        a = model.drift_matrix(0.3)
-        np.testing.assert_allclose(model.drift_adjoint(0.3), a.T, atol=1e-12)
-
-
 def test_catalog_construction_is_deterministic():
     m1 = build_model("diag-rational", {"n": 3})
     m2 = build_model("diag-rational", {"n": 3})
