@@ -4,8 +4,8 @@
 
 Subcommands: evolve, covariance, invariance, diffcheck, logsob, hyper,
 spde, ergodic, report-all.  Exit codes: 0 all asserted checks pass,
-1 at least one check failed (failing rows listed), 2 invalid configuration
-or model parameters, 3 a subcommand stopped on a numerical error (an ERROR
+1 at least one check failed (failing rows listed), 2 invalid config, model
+parameters or outdir, 3 a subcommand stopped on a numerical error (an ERROR
 row; the other subcommands still run and report.json is written), which
 takes precedence over 1; failing rows are listed either way.
 The output directory resolves as --outdir, then $OULAB_OUTDIR, then the
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     outdir = Path(args.outdir or os.environ.get("OULAB_OUTDIR") or cfg.outdir)
     try:
         report = run_suite(args.subcommand, cfg, outdir)
-    except ConfigError as exc:  # model parameters, rejected before any output
+    except ConfigError as exc:  # model parameters or outdir, rejected before any output
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_INVALID
 

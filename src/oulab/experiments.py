@@ -310,7 +310,8 @@ def run_hyper(model, cfg, report: RunReport, outdir: Path) -> None:
     s, t = REF_T - HYPER_GAP, REF_T
     p_values = list(cfg.hyper_p_values) + [HYPER_Q]
     probes = _hyper_probes(model, cfg)
-    by_probe = [ineq.hyper_quadrature(model, s, t, HYPER_Q, p_values, phi, kappa, system=system)
+    by_probe = [ineq.hypercontractivity_check(model, s, t, HYPER_Q, p_values, phi, kappa,
+                                              system=system, method="quadrature")
                 for phi in probes]
     cells = [(i, rep) for column in zip(*by_probe) for i, rep in enumerate(column)]
     rows = [(s, t, HYPER_Q, rep.p, rep.p_max, i, rep.lhs, rep.rhs, rep.lhs_err + rep.rhs_err,
@@ -425,7 +426,10 @@ def run_suite(name: str, cfg: ExperimentConfig, outdir: Path) -> RunReport:
     except BadParameterError as exc:
         raise ConfigError(str(exc)) from exc
     report = RunReport(cfg.to_text(), __version__)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
     for sub in SUBCOMMANDS if name == "report-all" else (name,):
         start = time.perf_counter()
         try:

@@ -27,18 +27,18 @@ Two families of checks use it:
     p <= p_max.
 
 Every entry point takes its evolution system from the caller (``system``).
-Every expectation is over the law N(H m, H Q H^T) of the observable's k
-coordinates <h_i, x> under N(m, Q) (``measures.marginal``).  Laws of rank
-at most two are integrated by tensor Gauss-Hermite quadrature (64 nodes
-per dimension, error estimated as the gap to a 48-node rule): the entropy
-gap of the shipped probes and both norms of the contraction check
-(``hyper_quadrature``), since a trig polynomial over two frequency
-directions propagates to one over their two adjoint images.  Monte Carlo
-with delta-method errors serves any rank, drawing k normals a row whatever
-the dimension; ``entropy_gap(method="mc")`` and
-``hypercontractivity_check`` are the sampled cross-checks of the
-quadrature verdicts; the sampled entropy's error is the standard error of
-its one summand ent_i - (1 + log m) v_i, since its two means correlate.
+Every expectation is a weighted sum over a rule (``_rules``) for the law
+N(H m, H Q H^T) of the observable's k coordinates <h_i, x> under N(m, Q)
+(``measures.marginal``), and the one entry point of each inequality picks
+the rule by its ``method``: "quadrature" is tensor Gauss-Hermite for a law
+of rank at most two (64 nodes per dimension, error estimated as the gap to
+a 48-node rule), enough for the shipped entropy probes and both norms of
+the contraction check, since a trig polynomial over two frequency
+directions propagates to one over their two adjoint images; "mc" is one
+draw at equal weights with delta-method errors, k normals a row for any
+rank: the sampled cross-check.  The sampled entropy's error is the
+standard error of its one summand ent_i - (1 + log m) v_i, since its two
+means correlate.
 Norm ratios beyond the curve use nested 1-D Gauss-Hermite rules with
 SHARPNESS_NODES nodes, one nested quadrature per ramp and rule for every p.
 
@@ -133,29 +133,30 @@ class LogSobolevReport:
         return self.excess <= 0.0
 
 
+def _rules(law: GaussianMeasure, method: str, count: int, seed: int, label: str):
+    """Points and weights of expectations under law: by "quadrature" the
+    GH_NODES rule and the GH_NODES_COARSE one that gives its error, by "mc"
+    one draw of count rows at weight 1/count."""
+    if method == "quadrature":
+        return [gauss_hermite(law, *np.polynomial.hermite.hermgauss(n))
+                for n in (GH_NODES, GH_NODES_COARSE)]
+    if method == "mc":
+        return [(sample(law, count, seed, label=label), np.full(count, 1.0 / count))]
+    raise ValueError(f"unknown method {method!r}")
+
+
 def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: float,
                 kappa: float, system: EvolutionSystem, method: str = "quadrature",
                 count: int = 100_000, seed: int = 0) -> LogSobolevReport:
-    """Entropy versus weighted gradient energy at time t.
-
-    Both methods integrate over the marginal law of phi's k coordinates
-    <h_i, x>: quadrature for a law of rank at most 2, Monte Carlo for any
-    k, drawing k normals a row from that law.
-    """
+    """Entropy versus weighted gradient energy at time t, both integrated
+    over the law of phi's k coordinates <h_i, x> by the rule of ``method``."""
     if not p > 1.0:
         raise ValueError("need p > 1")
-    if method not in ("quadrature", "mc"):
-        raise ValueError(f"unknown method {method!r}")
     h = phi.directions
-    law = marginal(system(t), h)
     q_proj = h @ model.diffusion_matrix(t) @ h.T
-    if method == "quadrature":
-        sums = [[float(w @ a) for a in _entropy_terms(u, phi, p, q_proj)]
-                for u, w in (gauss_hermite(law, *np.polynomial.hermite.hermgauss(n))
-                             for n in (GH_NODES, GH_NODES_COARSE))]
-    else:
-        terms = _entropy_terms(sample(law, count, seed, label="entropy-gap"), phi, p, q_proj)
-        sums = [[float(a.mean()) for a in terms]]
+    rules = _rules(marginal(system(t), h), method, count, seed, "entropy-gap")
+    terms = [_entropy_terms(u, phi, p, q_proj) for u, _ in rules]
+    sums = [[float(w @ a) for a in by_term] for (_, w), by_term in zip(rules, terms)]
     m, ent, energy = sums[0]
     if m <= 0.0:
         raise NonPositiveMeanError(f"E|phi|^p = {m}")
@@ -166,7 +167,7 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: fl
         lhs_err = abs(lhs - (entc - mc * math.log(mc) if mc > 0 else lhs))
         rhs_err = abs(rhs - kappa * p * p * energyc)
     else:  # delta method, d(m log m) = (1 + log m) dm: lhs is the mean of one summand
-        vp, ent_terms, energy_terms = terms
+        vp, ent_terms, energy_terms = terms[0]
         lhs_err = float(np.std(ent_terms - (1.0 + math.log(m)) * vp, ddof=1)) / math.sqrt(count)
         rhs_err = kappa * p * p * float(np.std(energy_terms, ddof=1)) / math.sqrt(count)
     return LogSobolevReport(p, phi.label, lhs, rhs, rhs - lhs, lhs_err, rhs_err)
@@ -174,25 +175,28 @@ def entropy_gap(model: OperatorFamily, t: float, phi: CylindricalFunction, p: fl
 
 # -- norm contraction -----------------------------------------------------------
 
-def _p_norm_and_err(values: np.ndarray, p: float) -> tuple[float, float]:
-    """Monte Carlo p-norm with the delta-method standard error."""
-    vp = np.abs(values) ** p
-    m = float(vp.mean())
-    se = float(np.std(vp, ddof=1)) / math.sqrt(len(vp))
-    if m <= 0.0:
-        return 0.0, se
-    norm = m ** (1.0 / p)
-    return norm, (m ** (1.0 / p - 1.0) / p) * se
-
-
-def _sampled_values(poly: TrigPolynomial, mu: GaussianMeasure, count: int, seed: int,
-                    label: str) -> np.ndarray:
-    """Real values of poly at count draws of mu, drawn as the phases along
-    its k folded directions: k normals a row."""
-    vals = poly.at_phases(sample(marginal(mu, poly.directions), count, seed, label=label))
-    if np.abs(vals.imag).max(initial=0.0) > 1e-8:
+def _p_norms(phi: TrigPolynomial, mu: GaussianMeasure, p_values, method: str, count: int,
+             seed: int, label: str) -> tuple[list[float], list[float]]:
+    """(E|phi|^p)^(1/p) under mu for each p and its error, over the law of
+    the phases along phi's folded directions by the rule of ``method``; each
+    p is its own sum, so it does not depend on the others."""
+    rules = _rules(marginal(mu, phi.directions), method, count, seed, label)
+    vals = [phi.at_phases(u) for u, _ in rules]
+    if max(np.abs(v.imag).max(initial=0.0) for v in vals) > 1e-8:
         raise ValueError("observable must be real for norm checks")
-    return vals.real
+    norms, errors = [], []
+    for p in p_values:
+        vp = [np.abs(v.real) ** p for v in vals]
+        m = [float(v @ w) for v, (_, w) in zip(vp, rules)]
+        norm = m[0] ** (1.0 / p) if m[0] > 0.0 else 0.0
+        if method == "quadrature":  # the gap to the coarser rule
+            err = abs(norm - m[1] ** (1.0 / p))
+        else:  # delta method, d(m^(1/p)) = m^(1/p - 1) / p dm
+            se = float(np.std(vp[0], ddof=1)) / math.sqrt(count)
+            err = (m[0] ** (1.0 / p - 1.0) / p) * se if m[0] > 0.0 else se
+        norms.append(norm)
+        errors.append(err)
+    return norms, errors
 
 
 @dataclass(frozen=True)
@@ -218,63 +222,30 @@ class HyperReport:
 
 def hypercontractivity_check(model: OperatorFamily, s: float, t: float,
                              q: float, p, phi: TrigPolynomial, kappa: float,
-                             count: int, seed: int, system: EvolutionSystem
+                             count: int = 100_000, seed: int = 0, *,
+                             system: EvolutionSystem, method: str = "mc"
                              ) -> HyperReport | list[HyperReport]:
     """p-norm of the propagated observable at nu_s against its q-norm at nu_t,
-    by Monte Carlo: the sampled cross-check of ``hyper_quadrature``, and the
-    path for observables over more than two frequency directions.
+    by the rule of ``method``: "mc" (the default) or "quadrature".
 
-    The trig observable propagates exactly, so one Monte Carlo layer over
-    nu_s suffices.  Each norm draws the marginal law of the phases along its
-    polynomial's k folded directions, k normals a row (k = 3 for two
-    frequency directions and a constant term, pinned at zero).
+    The trig observable propagates exactly, so one integration over nu_s
+    suffices.  Each norm integrates the law of the phases along its
+    polynomial's k folded directions (k = 3 for two frequency directions
+    and a constant term, pinned at zero).
 
     ``p`` is one exponent, giving one HyperReport, or a sequence, giving
     one per exponent in order from one pass: only the left-hand p-norm
     depends on p, so each report equals its single-exponent call's.
     """
     single = np.ndim(p) == 0
-    p_values = [p] if single else list(p)
-    vals = _sampled_values(propagate_trig(model, s, t, phi), system(s), count, seed,
-                           "hyper-outer")
-    rhs, rhs_err = _p_norm_and_err(_sampled_values(phi, system(t), count, seed + 1,
-                                                   "hyper-rhs"), q)
+    p_values = [float(p)] if single else [float(v) for v in p]
+    lhs, lhs_err = _p_norms(propagate_trig(model, s, t, phi), system(s), p_values, method,
+                            count, seed, "hyper-outer")
+    (rhs,), (rhs_err,) = _p_norms(phi, system(t), [q], method, count, seed + 1, "hyper-rhs")
     p_max = exponent_curve(q, t - s, kappa)
-    reports = []
-    for p in p_values:
-        lhs, lhs_err = _p_norm_and_err(vals, p)
-        reports.append(HyperReport(p, p_max, lhs, rhs, lhs_err, rhs_err))
+    reports = [HyperReport(v, p_max, a, rhs, a_err, rhs_err)
+               for v, a, a_err in zip(p_values, lhs, lhs_err)]
     return reports[0] if single else reports
-
-
-def _quad_p_norms(phi: TrigPolynomial, mu: GaussianMeasure, p_values,
-                  nodes: int) -> np.ndarray:
-    """(E|phi|^p)^(1/p) under mu for each p, by Gauss-Hermite over the law
-    of the phases along phi's folded directions, of rank at most 2."""
-    u, w = gauss_hermite(marginal(mu, phi.directions), *np.polynomial.hermite.hermgauss(nodes))
-    vals = phi.at_phases(u)
-    if np.abs(vals.imag).max() > 1e-8:
-        raise ValueError("observable must be real for norm checks")
-    p = np.asarray(p_values, dtype=float)
-    return (np.abs(vals.real)[None, :] ** p[:, None] @ w) ** (1.0 / p)
-
-
-def hyper_quadrature(model: OperatorFamily, s: float, t: float, q: float, p_values,
-                     phi: TrigPolynomial, kappa: float,
-                     system: EvolutionSystem) -> list[HyperReport]:
-    """``hypercontractivity_check`` over a vector of exponents with both
-    norms by quadrature, for phi over at most two frequency directions (its
-    propagation has as many).  Each error is the gap between the GH_NODES
-    and GH_NODES_COARSE rules; the PASS rule is the Monte Carlo one."""
-    propagated = propagate_trig(model, s, t, phi)
-    lhs, lhs_c = (_quad_p_norms(propagated, system(s), p_values, n)
-                  for n in (GH_NODES, GH_NODES_COARSE))
-    (rhs,), (rhs_c,) = (_quad_p_norms(phi, system(t), [q], n)
-                        for n in (GH_NODES, GH_NODES_COARSE))
-    p_max = exponent_curve(q, t - s, kappa)
-    return [HyperReport(float(p), p_max, float(a), float(rhs),
-                        float(abs(a - a_c)), float(abs(rhs - rhs_c)))
-            for p, a, a_c in zip(p_values, lhs, lhs_c)]
 
 
 @dataclass(frozen=True)

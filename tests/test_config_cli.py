@@ -241,6 +241,23 @@ def test_cli_outdir_env_override(tmp_path, monkeypatch):
     assert (target / "evolution_chain.csv").exists()
 
 
+@pytest.mark.parametrize("where", ["--outdir", "OULAB_OUTDIR", "config"])
+def test_cli_uncreatable_outdir_exits_two(tmp_path, monkeypatch, capsys, where):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"  # below a regular file: mkdir fails
+    monkeypatch.delenv("OULAB_OUTDIR", raising=False)
+    path = tmp_path / "dc.cfg"
+    path.write_text(small_config(outdir=str(out) if where == "config" else "out").to_text())
+    argv = ["evolve", str(path)] + (["--outdir", str(out)] if where == "--outdir" else [])
+    if where == "OULAB_OUTDIR":
+        monkeypatch.setenv("OULAB_OUTDIR", str(out))
+    assert cli.main(argv) == cli.EXIT_CONFIG_INVALID
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: cannot create output directory {out}: "
+                                "Not a directory"]
+
+
 def test_report_lists_every_check_once(tmp_path):
     path = tmp_path / "dc.cfg"
     path.write_text(small_config().to_text())
@@ -580,9 +597,9 @@ PLANTS = [
      (inequalities, "sample", 0, lambda out: 0.5 * out), None),
     ("hyper.norm-inequality", "hyper", "diag-constant",  # p_max 3 -> 2 on the first probe
      (inequalities, "exponent_curve", 0, lambda p_max: 1.0 + 0.5 * (p_max - 1.0)), None),
-    ("hyper.quadrature-vs-mc", "hyper", "diag-constant",
+    ("hyper.quadrature-vs-mc", "hyper", "diag-constant",  # NaN: the second sampled probe
      (inequalities, "sample", 0, lambda out: 1.5 * out),
-     (inequalities, "hypercontractivity_check", 1, _first_lhs_nan)),
+     (inequalities, "hypercontractivity_check", 11, _first_lhs_nan)),
     ("spde.terminal-law", "spde", "diag-constant",  # every step's noise 10% too strong
      (spde, "sqrt_psd", None, _scaled(1.1)), None),
     ("spde.observable-consistency", "spde", "diag-constant",

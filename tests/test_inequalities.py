@@ -270,19 +270,32 @@ def test_sharpness_exponential_under_a_mean_is_lognormal(dc8, dc_system):
     assert row.ratio == pytest.approx(expected, rel=1e-12)
 
 
-# norm checks take trig polynomials only, so "trig" is the one observable kind
-@pytest.mark.parametrize("kind", ["trig"])
-def test_hyper_exponent_sequence_matches_single_exponents(dc8, dc_kappa, dc_system, kind):
+@pytest.mark.parametrize("method", ["mc", "quadrature"])
+def test_hyper_exponent_sequence_matches_single_exponents(dc8, dc_kappa, dc_system, method):
     p_values = (2.0, 2.5, 3.0, 2.0)
     phi = TrigPolynomial.constant(8, 2.0) + 0.5 * TrigPolynomial.cosine(np.eye(8)[0])
     args = (dc8, 0.0, math.log(2.0), 2.0)
     batched = ineq.hypercontractivity_check(*args, p_values, phi, dc_kappa, count=5_000,
-                                            seed=9, system=dc_system)
+                                            seed=9, system=dc_system, method=method)
     single = [ineq.hypercontractivity_check(*args, p, phi, dc_kappa, count=5_000, seed=9,
-                                            system=dc_system) for p in p_values]
+                                            system=dc_system, method=method) for p in p_values]
     assert isinstance(batched, list) and len(batched) == len(p_values)
     assert [dataclasses.astuple(r) for r in batched] == \
         [dataclasses.astuple(r) for r in single]
+
+
+@pytest.mark.parametrize("check", ["entropy_gap", "hypercontractivity_check"])
+def test_an_unknown_method_is_rejected_before_any_draw(monkeypatch, dc8, dc_kappa, dc_system,
+                                                      check):
+    drawn = []
+    monkeypatch.setattr(ineq, "sample", lambda *args, **kwargs: drawn.append(None))
+    if check == "entropy_gap":
+        args = (dc8, 0.0, _cos_probe(8), 2.0, dc_kappa)
+    else:
+        args = (dc8, 0.0, math.log(2.0), 2.0, 3.0, TrigPolynomial.cosine(np.eye(8)[0]), dc_kappa)
+    with pytest.raises(ValueError, match="unknown method 'simpson'"):
+        getattr(ineq, check)(*args, system=dc_system, method="simpson", count=100, seed=1)
+    assert drawn == []
 
 
 def test_run_hyper_draws_once_per_probe(monkeypatch, tmp_path):
@@ -381,7 +394,7 @@ def _exact_l2(phi, mu):
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
-def test_hyper_quadrature_l2_norm_is_exact(path):
+def test_hyper_check_quadrature_l2_norm_is_exact(path):
     cfg = ExperimentConfig.from_file(path)
     window = {} if cfg.window is None else {"window": cfg.window}
     model = build_model(cfg.model_name, {**cfg.model_params, **window})
@@ -392,33 +405,38 @@ def test_hyper_quadrature_l2_norm_is_exact(path):
         for poly in (phi, propagate_trig(model, s, t, phi)):
             for tau in (s, t):
                 mu = system(tau)
-                (norm,) = ineq._quad_p_norms(poly, mu, [2.0], ineq.GH_NODES)
+                (norm,), _ = ineq._p_norms(poly, mu, [2.0], "quadrature", 0, 0, "")
                 assert norm == pytest.approx(_exact_l2(poly, mu), rel=1e-12, abs=0.0)
 
 
-def test_hyper_quadrature_direction_count(dc8, dc_kappa, dc_system):
+def test_hyper_check_quadrature_direction_count(dc8, dc_kappa, dc_system):
     t = math.log(2.0)
     const = TrigPolynomial.constant(8, 1.5)
-    (rep,) = ineq.hyper_quadrature(dc8, 0.0, t, 2.0, [3.0], const, dc_kappa, system=dc_system)
+    (rep,) = ineq.hypercontractivity_check(dc8, 0.0, t, 2.0, [3.0], const, dc_kappa,
+                                           system=dc_system, method="quadrature")
     assert (rep.lhs, rep.rhs, rep.lhs_err, rep.rhs_err) == (1.5, 1.5, 0.0, 0.0)
     three = const + TrigPolynomial.cosine(np.eye(8)[0]) + TrigPolynomial.sine(np.eye(8)[1]) \
         + TrigPolynomial.cosine(np.eye(8)[0] + np.eye(8)[2])
     with pytest.raises(ValueError, match="rank at most 2, got 3"):
-        ineq.hyper_quadrature(dc8, 0.0, t, 2.0, [3.0], three, dc_kappa, system=dc_system)
+        ineq.hypercontractivity_check(dc8, 0.0, t, 2.0, [3.0], three, dc_kappa,
+                                      system=dc_system, method="quadrature")
 
 
-def test_hyper_quadrature_vs_mc_can_fail(monkeypatch, tmp_path):
+def test_hyper_check_quadrature_vs_mc_can_fail(monkeypatch, tmp_path):
     cfg = ExperimentConfig(mc_samples=100_000, sharpness_p_values=(4.5,))
     model = build_model(cfg.model_name, None)
-    real = ineq.hyper_quadrature
+    real = ineq.hypercontractivity_check
 
-    def inflated(*args, **kwargs):
-        return [dataclasses.replace(r, lhs=r.lhs * (1.0 + 1e-2)) for r in real(*args, **kwargs)]
+    def inflated(*args, **kwargs):  # the quadrature side only
+        reports = real(*args, **kwargs)
+        if kwargs.get("method") != "quadrature":
+            return reports
+        return [dataclasses.replace(r, lhs=r.lhs * (1.0 + 1e-2)) for r in reports]
 
     checks = {}
     for patch in (False, True):
         if patch:
-            monkeypatch.setattr(ineq, "hyper_quadrature", inflated)
+            monkeypatch.setattr(ineq, "hypercontractivity_check", inflated)
         report = RunReport(cfg.to_text(), "test")
         experiments.run_hyper(model, cfg, report, tmp_path)
         checks[patch] = {c["name"]: c["status"] for c in report.checks}
