@@ -146,8 +146,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return ExperimentConfig.from_text(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 # (section, key, field, kind): the layout of every section but [model] and

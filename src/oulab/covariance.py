@@ -12,10 +12,10 @@ at t.  Diagonal models reduce to one scalar integral per mode,
 with the inner drift integral c_i(t) - c_i(sigma) taken from the modes'
 exact antiderivative ``drift_antideriv``, the one U uses too; every mode's
 integral comes from one vector ``quad`` on a shared subdivision.  Dense
-models read K from ``evolution.flow``: in closed form from one
-eigendecomposition of the drift when the family is autonomous, otherwise by
-solving the joint (U, K) system on unit-grid cells and composing longer
-spans with the flow decomposition.  Every covariance is a ``SymOperator``.
+models read K from ``evolution.flow``, which stores it once per span: in
+closed form from one eigendecomposition of the drift when the family is
+autonomous, otherwise by solving the joint (U, K) system on unit-grid cells
+and composing longer spans.  Every covariance is a ``SymOperator``.
 
 The infinite-horizon limit K(t, -inf) is realized by truncating at the start
 time s* of ``tail_cutoff``, whose neglected trace the model's decay
@@ -59,23 +59,17 @@ def accumulated(model: OperatorFamily, s: float, t: float) -> SymOperator:
 
     Results are memoized per model: K is a pure function of (s, t), and
     call sites (finite differences, norm checks, repeated propagations) hit
-    the same pairs many times over.
+    the same pairs many times over: a dense family's K is the one
+    ``evolution.flow`` stores, a diagonal family's is kept here.
     """
-    if t < s:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    model.require_window(s, t)
+    model.require_span(s, t)
+    if model.kind == "dense":
+        return flow(model, s, t)[1]
     cache = model.memo.setdefault("kernel", {})
     key = (float(s), float(t))
-    if key in cache:
-        return cache[key]
-    if t == s:
-        k = SymOperator.zero(model.dim)
-    elif model.kind == "diagonal":
-        k = clamp_psd(np.diag(mode_accumulated(model, s, t)))
-    else:
-        k = clamp_psd(flow(model, s, t)[1])
-    cache[key] = k
-    return k
+    if key not in cache:
+        cache[key] = clamp_psd(np.diag(mode_accumulated(model, s, t)))
+    return cache[key]
 
 
 def tail_cutoff(model: OperatorFamily, t: float, tol_tail: float = 1e-10) -> tuple[float, float]:

@@ -24,7 +24,10 @@ e^{A r} Q e^{A r} over [0, tau], tau = t - s.  For any other dense family a
 span inside one cell [k, k+1] of the unit grid is one DOP853 solve of the
 backward system, and a longer span is split at ceil(t) - 1 and composed with
 the two laws above.  The split depends on (s, t) alone, so results do not
-depend on call order, and long spans reuse the memoized cells.
+depend on call order, and long spans reuse the memoized cells.  A span is
+stored once, as U and the clamped K that ``covariance.accumulated`` returns.
+The cells and the independent adjoint share one DOP853 error control,
+relative to the solution's size (FLOW_ATOL is only a floor).
 
 fit_decay measures propagator norms N(s, t) on a grid of (s, t) pairs, in
 either the plain operator norm or the norm between the noise-range metrics
@@ -48,12 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import IntegratorDivergedError, dop853
-from .linalg import SymOperator, operator_norm, range_inverse, sqrt_psd
+from .linalg import SymOperator, clamp_psd, operator_norm, range_inverse, sqrt_psd
 from .models import OperatorFamily
 
 FLOW_RTOL = 1e-12
-FLOW_ATOL = 1e-14
-DUAL_ATOL = 1e-30  # the adjoint solve's floor: its error control stays relative as U decays
+FLOW_ATOL = 1e-30  # a floor only: the error control stays relative as U decays
 FLOW_FIRST_STEP = 1e-3
 RANGE_TOL = 1e-8  # relative share of U(t, s) R_s allowed outside range(R_t)
 CERT_SLACK = 1e-9  # relative room of a certificate's bound over a measured norm
@@ -68,12 +70,12 @@ class RangeIncompatibleError(ValueError):
     the range-norm is ill posed."""
 
 
-def _solve(rhs, s: float, t: float, y0: np.ndarray, atol: float = FLOW_ATOL) -> np.ndarray:
+def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:
     """State at t of y' = rhs(tau, y), y(s) = y0, by one DOP853 solve;
     t < s integrates backward."""
     if s == t:
         return y0
-    return dop853(rhs, s, t, y0, FLOW_RTOL, atol, min(abs(t - s), FLOW_FIRST_STEP))
+    return dop853(rhs, s, t, y0, FLOW_RTOL, FLOW_ATOL, min(abs(t - s), FLOW_FIRST_STEP))
 
 
 def _cell_flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,18 +127,16 @@ def _spectral_flow(model: OperatorFamily, tau: float) -> tuple[np.ndarray, np.nd
     return (v * np.exp(lam * tau)) @ v.T, v @ (e * c) @ v.T
 
 
-def flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+def flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, SymOperator]:
     """(U(t, s), K(t, s)) of the joint flow, memoized per model.
 
     An autonomous family is served in closed form from one eigendecomposition
     of its drift (``_spectral_flow``).  Otherwise a span inside one unit-grid
     cell is solved directly, and a longer one is split at r = ceil(t) - 1
-    into [s, r] and [r, t] and composed.  The returned arrays are the memo's
-    own and are read-only.
+    into [s, r] and [r, t] and composed.  The memo keeps U, read-only, and
+    K clamped to a ``SymOperator``; both are returned as the memo's own.
     """
-    if t < s:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    model.require_window(s, t)
+    model.require_span(s, t)
     memo = model.memo.setdefault("flow", {})
     key = (float(s), float(t))
     if key not in memo:
@@ -148,10 +148,9 @@ def flow(model: OperatorFamily, s: float, t: float) -> tuple[np.ndarray, np.ndar
         else:
             u_tr, k_tr = flow(model, r, t)
             u_rs, k_rs = flow(model, s, r)
-            u, k = u_tr @ u_rs, u_tr @ k_rs @ u_tr.T + k_tr
+            u, k = u_tr @ u_rs, u_tr @ k_rs.entries @ u_tr.T + k_tr.entries
         u.setflags(write=False)
-        k.setflags(write=False)
-        memo[key] = (u, k)
+        memo[key] = (u, clamp_psd(k))
     return memo[key]
 
 
@@ -161,9 +160,7 @@ def propagator_matrix(model: OperatorFamily, s: float, t: float) -> np.ndarray:
     Dense models read it from the memoized ``flow`` (read-only); diagonal
     models are cheap enough to recompute.
     """
-    if t < s:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    model.require_window(s, t)
+    model.require_span(s, t)
     if model.kind == "diagonal":
         c = model.coeffs.drift_antideriv
         return np.diag(np.exp(c(t) - c(s)))
@@ -173,14 +170,13 @@ def propagator_matrix(model: OperatorFamily, s: float, t: float) -> np.ndarray:
 def adjoint_by_integration(model: OperatorFamily, s: float, t: float) -> np.ndarray:
     """Independent adjoint solve, used to cross-check the transpose of
     propagator_matrix: one U-only pass of V' = V A(t)^T over the whole of
-    [s, t], outside the flow memo and its unit-grid composition, accurate
-    relative to U's size (DUAL_ATOL) however far a stiff drift damps it."""
-    if t < s:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    model.require_window(s, t)
+    [s, t], outside the flow memo and its unit-grid composition, under the
+    cells' error control, relative to U's size however far a stiff drift
+    damps it."""
+    model.require_span(s, t)
     n = model.dim
     rhs = lambda tau, y: (y.reshape(n, n) @ model.drift_matrix(tau).T).ravel()
-    return _solve(rhs, s, t, np.eye(n).ravel(), DUAL_ATOL).reshape(n, n)
+    return _solve(rhs, s, t, np.eye(n).ravel()).reshape(n, n)
 
 
 # -- norms and decay certificates -------------------------------------------

@@ -77,7 +77,7 @@ class OperatorFamily:
     # dense kind: A and B constant in t and A symmetric, so evolution.flow
     # evaluates (U, K) from one eigendecomposition of A
     autonomous: bool = False
-    # pure-function caches: the flow memo, the covariance kernels, the
+    # pure-function caches: the flow memo, a diagonal family's kernels, the
     # spectral decomposition of an autonomous family and the decay certificates
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -103,6 +103,12 @@ class OperatorFamily:
         for t in times:
             if not (lo <= t <= hi):
                 raise WindowExceededError(f"time {t} outside window [{lo}, {hi}]")
+
+    def require_span(self, s: float, t: float) -> None:
+        """Refuse a span [s, t] unless s <= t and both ends lie in the window."""
+        if t < s:
+            raise ValueError(f"need s <= t, got s={s}, t={t}")
+        self.require_window(s, t)
 
     def drift_matrix(self, t: float) -> np.ndarray:
         self.require_window(t)

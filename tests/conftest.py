@@ -51,6 +51,20 @@ def nonunique3():
     return models.make_nonunique_demo(3)
 
 
+def _dense_view(model):
+    """The diagonal family ``model`` as an opaque dense one, with the same
+    window, decay and meta: its exact (U, K) are the diagonal closed forms,
+    while ``evolution.flow`` solves it on DOP853 cells."""
+    return models.OperatorFamily(name=model.name, dim=model.dim, window=model.window,
+                                 drift_fn=model.drift_matrix, noise_fn=model.noise_matrix,
+                                 decay=model.decay, meta=model.meta)
+
+
+@pytest.fixture(scope="session")
+def dense_view():
+    return _dense_view
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260808)

@@ -214,6 +214,31 @@ def test_cli_missing_config_exits_two(tmp_path):
     assert cli.main(["evolve", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG_INVALID
 
 
+def test_cli_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(small_config().to_text().encode() + b"# \xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        ExperimentConfig.from_file(path)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", str(path), "--outdir", str(out)]) == cli.EXIT_CONFIG_INVALID
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_report_all_on_the_dense_view_of_diag_rational(tmp_path, monkeypatch, dense_view):
+    # the same battery with the model's coefficients handed over as matrices:
+    # the DOP853 cell flow in place of the closed forms gives every status of
+    # the diagonal run, plus the adjoint cross-check only a dense model gets
+    cfg = small_config(model_name="diag-rational")
+    statuses = lambda report: {c["name"]: c["status"] for c in report.checks}
+    diagonal = statuses(run_suite("report-all", cfg, tmp_path / "diagonal"))
+    monkeypatch.setattr(experiments, "build_model", lambda name, params: dense_view(
+        build_model(name, params)))
+    dense = statuses(run_suite("report-all", cfg, tmp_path / "dense"))
+    assert dense.pop("evolve.adjoint") == "PASS"
+    assert dense == diagonal
+
+
 def test_cli_evolve_pass(tmp_path, capsys):
     path = tmp_path / "dc.cfg"
     path.write_text(small_config().to_text())

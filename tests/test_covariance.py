@@ -7,7 +7,7 @@ from scipy import integrate
 from oulab import covariance as cov
 from oulab import evolution as evo
 from oulab import measures as meas
-from oulab.models import build_model, make_diagonal_constant
+from oulab.models import build_model, make_diagonal_constant, make_parabolic_1d
 from oulab.rng import seed_stream
 
 # closed form for the constant model with rate -1, unit diffusion:
@@ -215,6 +215,15 @@ def test_dense_quadrature_against_closed_form(monkeypatch):
     k = cov.accumulated(dense, 0.0, 1.0)
     np.testing.assert_allclose(k.entries, DC_K10 * np.eye(3), atol=1e-9)
     assert cells == [(0.0, 1.0)]
+
+
+def test_dense_kernel_is_the_flow_store():
+    # one store per span: a dense family's K is the clamped K that flow
+    # keeps, composed spans included, and no second kernel memo is made
+    model = make_parabolic_1d(3, a=lambda t, x: 1.0 + 0.5 * np.sin(t + x), a0=lambda t, x: -1.0)
+    for s, t in [(0.25, 0.75), (-1.5, 1.25), (0.5, 0.5)]:
+        assert cov.accumulated(model, s, t) is evo.flow(model, s, t)[1]
+    assert "kernel" not in model.memo
 
 
 @pytest.mark.parametrize("s, t", [(-0.2, 0.2), (-1.0, 0.4), (-8.0, 0.0)])

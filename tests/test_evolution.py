@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +64,8 @@ def test_flow_laws_across_grid_cells(scalar4, rational4, parabolic5, parabolic5_
 
     def u_k(model, lo, hi):
         if model.kind == "dense":
-            return evo.flow(model, lo, hi)
+            u, k = evo.flow(model, lo, hi)
+            return u, k.entries
         return evo.propagator_matrix(model, lo, hi), cov.accumulated(model, lo, hi).entries
 
     for model in (parabolic5, parabolic5_varying, scalar4, rational4, nonunique3):
@@ -117,13 +119,12 @@ def test_dense_propagator_against_expm(parabolic5, s, t):
     u, k = evo.flow(parabolic5, s, t)
     assert evo.propagator_matrix(parabolic5, s, t) is u
     assert np.abs(u - ref).max() <= 1e-12
-    assert np.abs(k - (x - ref @ x @ ref.T)).max() <= 1e-12 * np.abs(k).max()
+    assert np.abs(k.entries - (x - ref @ x @ ref.T)).max() <= 1e-12 * np.abs(k.entries).max()
 
 
 def test_spectral_flow_against_cell_flow():
     # the catalog drift given as numbers takes the closed form, given as
-    # callables the DOP853 cells; U is a contraction whose error DOP853
-    # controls in absolute terms, so it is compared on the scale of I
+    # callables the DOP853 cells; both blocks are compared relative to size
     exact = make_parabolic_1d(5, a=1.0, a0=-1.0)
     cells = make_parabolic_1d(5, a=lambda t, x: 1.0, a0=lambda t, x: -1.0)
     assert exact.autonomous and not cells.autonomous
@@ -133,15 +134,55 @@ def test_spectral_flow_against_cell_flow():
     for s, t in spans:
         u_exact, k_exact = evo.flow(exact, s, t)
         u_cells, k_cells = evo.flow(cells, s, t)
-        assert np.abs(u_exact - u_cells).max() <= 1e-12 * max(1.0, np.abs(u_cells).max())
-        assert np.abs(k_exact - k_cells).max() <= 1e-12 * np.abs(k_cells).max()
+        assert np.abs(u_exact - u_cells).max() <= 1e-10 * np.abs(u_cells).max()
+        assert np.abs(k_exact.entries - k_cells.entries).max() <= 1e-12 * np.abs(k_cells.entries).max()
     assert "spectral" in exact.memo and "spectral" not in cells.memo
+
+
+def _shipped_model_and_pairs(config):
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / config)
+    window = {} if cfg.window is None else {"window": cfg.window}
+    return build_model(cfg.model_name, {**cfg.model_params, **window}), experiments._pairs(cfg)
+
+
+def _entrywise_error(got, exact):
+    """max |got - exact| / |exact| over the nonzero entries of exact; its
+    zero entries must come out zero."""
+    zero = exact == 0.0
+    assert np.all(got[zero] == 0.0)
+    return float(np.max(np.abs(got - exact)[~zero] / np.abs(exact[~zero])))
+
+
+NON_AUTONOMOUS = ["diag_rational.cfg", "scalar_osc.cfg", "nonunique_demo.cfg"]
+
+
+@pytest.mark.parametrize("config", NON_AUTONOMOUS)
+def test_dense_view_flow_against_the_diagonal_closed_form(dense_view, config):
+    # the flow's U and K, as propagator_matrix and accumulated read them, on
+    # every shipped grid pair against exp(c(t) - c(s)) and the per-mode K;
+    # U of diag-rational at (-0.5, 1.75) is 5.7e-12, so an absolute error
+    # control leaves it 2.95e-9 off
+    diag, pairs = _shipped_model_and_pairs(config)
+    view = dense_view(diag)
+    for s, t in pairs:
+        u, k = evo.propagator_matrix(view, s, t), cov.accumulated(view, s, t)
+        assert _entrywise_error(u, evo.propagator_matrix(diag, s, t)) <= 1e-10, (s, t)
+        assert _entrywise_error(k.entries, cov.accumulated(diag, s, t).entries) <= 1e-10, (s, t)
+
+
+@pytest.mark.parametrize("config", NON_AUTONOMOUS)
+def test_dense_view_adjoint_against_the_diagonal_closed_form(dense_view, config):
+    diag, pairs = _shipped_model_and_pairs(config)
+    view = dense_view(diag)
+    for s, t in pairs[:10]:
+        exact = evo.propagator_matrix(diag, s, t).T
+        assert _entrywise_error(evo.adjoint_by_integration(view, s, t), exact) <= 1e-10, (s, t)
 
 
 def test_spectral_flow_at_equal_times_and_symmetry_guard():
     model = make_parabolic_1d(4, a=2.0, a0=0.0)
     u, k = evo.flow(model, 0.3, 0.3)
-    assert np.array_equal(u, np.eye(4)) and np.array_equal(k, np.zeros((4, 4)))
+    assert np.array_equal(u, np.eye(4)) and np.array_equal(k.entries, np.zeros((4, 4)))
     skew = OperatorFamily(
         name="skew", dim=2, window=(-5.0, 5.0), autonomous=True,
         drift_fn=lambda t: np.array([[-1.0, 1.0], [0.0, -1.0]]), noise_fn=lambda t: np.eye(2),
@@ -153,7 +194,7 @@ def test_spectral_flow_at_equal_times_and_symmetry_guard():
 def test_flow_memo_is_read_only(parabolic5):
     u, k = evo.flow(parabolic5, -0.5, 0.5)
     assert evo.propagator_matrix(parabolic5, -0.5, 0.5) is u
-    for arr in (u, k):
+    for arr in (u, k.entries):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
 
