@@ -13,8 +13,7 @@ its ``report.json`` and the value of every asserted one, plus the Python,
 numpy and BLAS versions that produced them.  ``--check`` prints each run
 whose exit code or file set differs, each file whose digest differs, each
 check whose status moved and each asserted value that moved within its
-status (when the manifest records statuses and values), and exits 1 if
-any does.
+status, and exits 1 if any does.
 
 Digests are tied to one numpy and BLAS build: a mismatch under other
 versions (the check prints both) is not a defect by itself.  A change
@@ -93,16 +92,14 @@ def differences(old: dict, new: dict) -> list[str]:
         for name in sorted(a["files"].keys() | b["files"].keys()):
             if a["files"].get(name) != b["files"].get(name):
                 out.append(f"{key}/{name}")
-        if "statuses" in a:  # a manifest written before statuses were recorded has none
-            old_s, new_s = a["statuses"], b["statuses"]
-            old_v, new_v = a.get("values"), b["values"]  # likewise for values
-            for name in sorted(old_s.keys() | new_s.keys()):
-                if old_s.get(name) != new_s.get(name):
-                    out.append(f"{key}: {name} {old_s.get(name, 'absent')} -> "
-                               f"{new_s.get(name, 'absent')}")
-                elif old_v is not None and repr(old_v.get(name)) != repr(new_v.get(name)):
-                    out.append(f"{key}: {name} {new_s[name]}, value {old_v.get(name)!r} -> "
-                               f"{new_v.get(name)!r}")
+        old_s, new_s, old_v, new_v = a["statuses"], b["statuses"], a["values"], b["values"]
+        for name in sorted(old_s.keys() | new_s.keys()):
+            if old_s.get(name) != new_s.get(name):
+                out.append(f"{key}: {name} {old_s.get(name, 'absent')} -> "
+                           f"{new_s.get(name, 'absent')}")
+            elif repr(old_v.get(name)) != repr(new_v.get(name)):
+                out.append(f"{key}: {name} {new_s[name]}, value {old_v.get(name)!r} -> "
+                           f"{new_v.get(name)!r}")
     return out
 
 

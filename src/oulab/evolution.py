@@ -51,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import IntegratorDivergedError, dop853
-from .linalg import SymOperator, clamp_psd, operator_norm, range_inverse, sqrt_psd
+from .linalg import (NonSymmetricError, SymOperator, clamp_psd, operator_norm, range_inverse,
+                     sqrt_psd)
 from .models import OperatorFamily
 
 FLOW_RTOL = 1e-12
@@ -65,9 +66,9 @@ class FitFailedError(RuntimeError):
     """A measured norm was zero or non-finite, so no decay fit exists."""
 
 
-class RangeIncompatibleError(ValueError):
+class RangeIncompatibleError(FitFailedError):
     """U(t, s) carries the start noise range outside the end noise range, so
-    the range-norm is ill posed."""
+    the range-norm is ill posed and no range-norm certificate exists."""
 
 
 def _solve(rhs, s: float, t: float, y0: np.ndarray) -> np.ndarray:
@@ -117,7 +118,7 @@ def _spectral_flow(model: OperatorFamily, tau: float) -> tuple[np.ndarray, np.nd
     if "spectral" not in model.memo:
         a = model.drift_matrix(model.window[0])
         if not np.array_equal(a, a.T):
-            raise ValueError(f"autonomous family {model.name!r} has a non-symmetric drift")
+            raise NonSymmetricError(f"autonomous family {model.name!r} has a non-symmetric drift")
         lam, v = np.linalg.eigh(a)
         rates = lam[:, None] + lam[None, :]
         model.memo["spectral"] = lam, v, rates, v.T @ model.diffusion_matrix(model.window[0]) @ v

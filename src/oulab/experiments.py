@@ -129,7 +129,7 @@ def run_evolve(model, cfg, report: RunReport, outdir: Path) -> None:
     try:
         fitted.append(evo.fit_decay(model, pairs, mode="cameron-martin"))
         certs["cameron_martin"] = fitted[1].as_dict()
-    except (evo.FitFailedError, evo.RangeIncompatibleError) as exc:
+    except evo.FitFailedError as exc:
         # no range-norm certificate on this window is a legitimate outcome
         certs["cameron_martin"] = {"error": str(exc)}
     write_json(outdir / "decay_certificates.json", certs)
@@ -207,9 +207,9 @@ def run_invariance(model, cfg, report: RunReport, outdir: Path) -> None:
     pairs = _pairs(cfg)
     rep = meas.verify_invariance(system, model, pairs, probes, tol=cfg.tol_invariance)
     write_csv(outdir / "invariance.csv", ["s", "t", "probe", "discrepancy"], rep.rows)
-    report.check("invariance.gaussian-system", rep.worst, rep.tol,
+    report.check("invariance.gaussian-system", rep.max_discrepancy, rep.tol,
                  f"{system.label}: max {rep.max_discrepancy:.3e} over {len(pairs)} pairs x "
-                 f"{len(probes)} probes, dual {rep.dual_max:.3e}")
+                 f"{len(probes)} probes")
 
     scale = model.meta.get("mean_scale")
     if scale is not None:
@@ -219,9 +219,8 @@ def run_invariance(model, cfg, report: RunReport, outdir: Path) -> None:
         rep2 = meas.verify_invariance(shifted, model, pairs, probes, tol=cfg.tol_invariance)
         write_csv(outdir / "invariance_shifted.csv", ["s", "t", "probe", "discrepancy"],
                   rep2.rows)
-        report.check("invariance.shifted-system", rep2.worst, rep2.tol,
-                     f"max {rep2.max_discrepancy:.3e}, dual {rep2.dual_max:.3e}: "
-                     "a second system passes")
+        report.check("invariance.shifted-system", rep2.max_discrepancy, rep2.tol,
+                     f"max {rep2.max_discrepancy:.3e}: a second system passes")
 
 
 def run_diffcheck(model, cfg, report: RunReport, outdir: Path) -> None:
@@ -277,12 +276,13 @@ def run_logsob(model, cfg, report: RunReport, outdir: Path) -> None:
                  _worst((rep.excess for reports in by_probe for rep in reports), -math.inf), 0.0,
                  f"kappa {kappa:.6g}; worst -slack - 3 err of {len(rows)} probe/exponent cells")
 
-    # Monte Carlo at p = 2 on the first three probes, against the loop's reports
+    # Monte Carlo at p = 2 on the first three probes, each its own sample,
+    # against the loop's reports
     gaps = []
-    for phi, reports in zip(probes[:3], by_probe):
+    for i, (phi, reports) in enumerate(zip(probes[:3], by_probe)):
         quad = reports[LOGSOB_P_VALUES.index(2.0)]
         mc = ineq.entropy_gap(model, REF_T, phi, 2.0, kappa, system=system,
-                              method="mc", count=cfg.mc_samples, seed=cfg.seed)
+                              method="mc", count=cfg.mc_samples, seed=cfg.seed + i)
         gaps += _cross_check_ratios(quad, mc)
     report.check("logsob.quadrature-vs-mc", _worst(gaps), 1.0,
                  "largest gap between quadrature and Monte Carlo entropy sides over "

@@ -184,34 +184,29 @@ def default_probes(dim: int, seed: int, count: int = 20) -> list[np.ndarray]:
 class InvarianceReport:
     """Probe-set evidence for the characteristic-function identity.
 
-    ``rows`` carry (s, t, probe index, |lhs - rhs|); ``dual_max`` is the
-    agreement between the identity and its dual form (propagated observable
-    against nu_s versus plain observable against nu_t) on trig probes; both
-    gate.  Finite probes give evidence, not proof.
+    ``rows`` carry (s, t, probe index, |lhs - rhs|), and ``passed`` holds
+    when ``max_discrepancy``, the largest of them, is at most ``tol``.  On
+    trig polynomials the identity, taken term by term, is the defining one,
+    integral of P_{s,t} phi against nu_s = integral of phi against nu_t, so
+    no second form is checked.  Finite probes give evidence, not proof.
     """
 
     rows: tuple
     max_discrepancy: float
-    dual_max: float
     tol: float
 
     @property
-    def worst(self) -> float:
-        return float(np.max([self.max_discrepancy, self.dual_max]))
-
-    @property
     def passed(self) -> bool:
-        return self.worst <= self.tol
+        return self.max_discrepancy <= self.tol
 
 
 def verify_invariance(system: EvolutionSystem, model: OperatorFamily,
                       pairs, probes, tol: float) -> InvarianceReport:
     """Check nu_t^(h) = e^{-<K(t,s)h,h>/2} nu_s^(U^T h) over pairs x probes,
-    passing when every discrepancy, of this identity and of its dual form,
-    is at most ``tol``.
+    passing when every discrepancy is at most ``tol``.
 
-    Both read ``propagate_trig``: the probes as the terms of one trig
-    polynomial, and a handful of multi-term trig polynomials for the dual form.
+    The probes are the terms of one trig polynomial, moved by one
+    ``propagate_trig`` call per pair; no random numbers are drawn.
     """
     waves = TrigPolynomial(np.ones(len(probes)), probes)  # one term per probe
     rows = []
@@ -222,18 +217,7 @@ def verify_invariance(system: EvolutionSystem, model: OperatorFamily,
         rows += [(float(s), float(t), j, float(g)) for j, g in enumerate(gaps)]
     # np.max keeps a NaN discrepancy, which then fails ``passed``
     worst = float(np.max([row[3] for row in rows], initial=0.0))
-
-    duals = []
-    gen = seed_stream(0, "invariance-dual")
-    for s, t in list(pairs)[:3]:
-        freqs = gen.standard_normal((3, model.dim))
-        coeffs = gen.standard_normal(3) + 1j * gen.standard_normal(3)
-        poly = TrigPolynomial(coeffs, freqs)
-        lhs = mean_functional(system(s), propagate_trig(model, s, t, poly))
-        rhs = mean_functional(system(t), poly)
-        duals.append(abs(lhs - rhs))
-    dual_max = float(np.max(duals, initial=0.0))
-    return InvarianceReport(tuple(rows), worst, dual_max, tol)
+    return InvarianceReport(tuple(rows), worst, tol)
 
 
 @dataclass(frozen=True)

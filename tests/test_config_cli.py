@@ -489,7 +489,7 @@ def test_contraction_curve_scan_script_writes_its_table(tmp_path):
     assert len(rows) > 2  # schema line, header, data
 
 
-def test_digest_check_lists_moved_values_and_reads_old_manifests():
+def test_digest_check_lists_moved_values():
     spec = importlib.util.spec_from_file_location("artifact_digests",
                                                   REPO / "scripts" / "artifact_digests.py")
     digests = importlib.util.module_from_spec(spec)
@@ -502,9 +502,6 @@ def test_digest_check_lists_moved_values_and_reads_old_manifests():
            "values": {"x.moved": 2e-15, "x.same": 0.5, "x.flipped": 2.0}}
     assert digests.differences({"runs": {"m@1": run}}, {"runs": {"m@1": new}}) == [
         "m@1/report.json", "m@1: x.flipped PASS -> FAIL", "m@1: x.moved PASS, value 1e-15 -> 2e-15"]
-    del run["values"]  # a manifest written before values were recorded
-    assert digests.differences({"runs": {"m@1": run}}, {"runs": {"m@1": new}}) == [
-        "m@1/report.json", "m@1: x.flipped PASS -> FAIL"]
 
 
 def test_cli_lists_failed_checks_beside_errors(tmp_path, monkeypatch, capsys):
@@ -607,9 +604,9 @@ PLANTS = [
      (cov, "accumulated", 52, _scaled(0.5)), None),
     ("invariance.gaussian-system", "invariance", "diag-constant",  # the first pair's probes
      (measures, "propagate_trig", 0, lambda out: 1.001 * out), None),
-    # the shifted system's first pair, after the base system's 4 probe pairs and 3 dual pairs
+    # the shifted system's first pair, after the base system's 4 probe pairs
     ("invariance.shifted-system", "invariance", "nonunique-demo",
-     (measures, "propagate_trig", 7, lambda out: 1.001 * out), None),
+     (measures, "propagate_trig", 4, lambda out: 1.001 * out), None),
     ("diffcheck.formulas", "diffcheck", "diag-constant",
      (mehler, "transition_of_generator", 0, lambda out: out + 1e-3),
      (mehler, "check_differentiation", 1,

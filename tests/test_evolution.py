@@ -11,6 +11,7 @@ from oulab import covariance as cov
 from oulab import evolution as evo
 from oulab import experiments
 from oulab.config import ExperimentConfig
+from oulab.linalg import NonSymmetricError
 from oulab.models import (OperatorFamily, build_model, constant_modes, make_diagonal_constant,
                           make_parabolic_1d)
 from oulab.reporting import RunReport
@@ -179,16 +180,27 @@ def test_dense_view_adjoint_against_the_diagonal_closed_form(dense_view, config)
         assert _entrywise_error(evo.adjoint_by_integration(view, s, t), exact) <= 1e-10, (s, t)
 
 
+def _skew():
+    return OperatorFamily(
+        name="skew", dim=2, window=(-5.0, 5.0), autonomous=True,
+        drift_fn=lambda t: np.array([[-1.0, 1.0], [0.0, -1.0]]), noise_fn=lambda t: np.eye(2),
+    )
+
+
 def test_spectral_flow_at_equal_times_and_symmetry_guard():
     model = make_parabolic_1d(4, a=2.0, a0=0.0)
     u, k = evo.flow(model, 0.3, 0.3)
     assert np.array_equal(u, np.eye(4)) and np.array_equal(k.entries, np.zeros((4, 4)))
-    skew = OperatorFamily(
-        name="skew", dim=2, window=(-5.0, 5.0), autonomous=True,
-        drift_fn=lambda t: np.array([[-1.0, 1.0], [0.0, -1.0]]), noise_fn=lambda t: np.eye(2),
-    )
-    with pytest.raises(ValueError, match="non-symmetric"):
-        evo.flow(skew, 0.0, 1.0)
+    with pytest.raises(NonSymmetricError, match="non-symmetric"):
+        evo.flow(_skew(), 0.0, 1.0)
+
+
+def test_a_non_symmetric_constant_drift_is_an_error_row(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments, "build_model", lambda name, params: _skew())
+    cfg = ExperimentConfig(s_values=(-1.0, 0.0), t_values=(0.5, 1.0))
+    (row,) = experiments.run_suite("evolve", cfg, tmp_path).checks
+    assert (row["name"], row["status"]) == ("evolve.error", "ERROR")
+    assert row["detail"].startswith("NonSymmetricError: ") and "non-symmetric" in row["detail"]
 
 
 def test_flow_memo_is_read_only(parabolic5):
@@ -369,3 +381,18 @@ def test_run_evolve_records_a_missing_range_certificate(monkeypatch, tmp_path, d
 def test_run_evolve_does_not_swallow_unrelated_errors(monkeypatch, tmp_path, dc4):
     with pytest.raises(ZeroDivisionError):
         _run_evolve_with_range_fit(monkeypatch, tmp_path, dc4, ZeroDivisionError("bug"))
+
+
+@pytest.mark.parametrize("sub, check", [("logsob", "logsob.entropy-bound"),
+                                        ("hyper", "hyper.norm-inequality")])
+def test_inequality_subcommands_report_a_drift_that_leaves_the_noise_range(
+        monkeypatch, tmp_path, sub, check):
+    # the point-noise family above has no range-norm certificate; the
+    # inequality checks report that, as run_evolve records it
+    noise = np.diag([1.0, 0.0, 0.0, 0.0, 0.0])
+    model = make_parabolic_1d(5, a=1.0, a0=-1.0, window=(-2.0, 2.0), noise=lambda t: noise)
+    monkeypatch.setattr(experiments, "build_model", lambda name, params: model)
+    cfg = ExperimentConfig(s_values=(-1.0, 0.0), t_values=(0.5, 1.0))
+    (row,) = experiments.run_suite(sub, cfg, tmp_path).checks
+    assert (row["name"], row["status"]) == (check, "REPORT")
+    assert "range of the start metric is not carried" in row["detail"]

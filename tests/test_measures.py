@@ -70,7 +70,6 @@ def test_invariance_constant_model_closed_form(dc8):
     pairs = [(s, t) for s in (-1.0, 0.0, 1.0) for t in (0.5, 1.5, 2.5) if s <= t]
     rep = meas.verify_invariance(system, dc8, pairs, probes, tol=1e-12)
     assert rep.passed, rep.max_discrepancy
-    assert rep.dual_max <= 1e-10
 
 
 def test_invariance_includes_equal_times(dc8):
