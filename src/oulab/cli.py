@@ -8,14 +8,12 @@ spde, ergodic, report-all.  Exit codes: 0 all asserted checks pass,
 parameters or outdir, 3 a subcommand stopped on a numerical error (an ERROR
 row; the other subcommands still run and report.json is written), which
 takes precedence over 1; failing rows are listed either way.
-The output directory resolves as --outdir, then $OULAB_OUTDIR, then the
-config's ``outdir`` key.
+The output directory is --outdir, else the config's ``outdir`` key.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -41,7 +39,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_INVALID
 
-    outdir = Path(args.outdir or os.environ.get("OULAB_OUTDIR") or cfg.outdir)
+    outdir = Path(args.outdir or cfg.outdir)
     try:
         report = run_suite(args.subcommand, cfg, outdir)
     except ConfigError as exc:  # model parameters or outdir, rejected before any output

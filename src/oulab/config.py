@@ -52,8 +52,6 @@ class ExperimentConfig:
     probe_count: int = 20
     mc_samples: int = 100_000  # draws of every Monte Carlo check, paths of spde
     spde_step: float = 0.01
-    tol_invariance: float = 1e-8
-    tol_fd: float = 1e-6
     hyper_p_values: tuple = (2.0, 2.5, 3.0)
     sharpness_p_values: tuple = (4.5, 6.0)
     seed: int = 1234
@@ -68,7 +66,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.window is not None and self.window[0] >= self.window[1]:
             raise ConfigError(f"window is empty: {self.window}")
-        for name in ("tol_invariance", "tol_fd", "spde_step", "triple_span"):
+        for name in ("spde_step", "triple_span"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("triple_count", "probe_count"):
@@ -163,8 +161,6 @@ LAYOUT = (
     ("probes", "count", "probe_count", int),
     ("mc", "samples", "mc_samples", int),
     ("mc", "spde_step", "spde_step", float),
-    ("tolerances", "invariance", "tol_invariance", float),
-    ("tolerances", "fd", "tol_fd", float),
     ("hyper", "p_values", "hyper_p_values", _num_list),
     ("hyper", "sharpness_p", "sharpness_p_values", _num_list),
     ("run", "seed", "seed", int),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import flow, propagator_matrix
-from .integrators import quad
+from .integrators import IntegratorDivergedError, quad
 from .linalg import SymOperator, clamp_psd
 from .models import OperatorFamily, WindowExceededError
 
@@ -45,13 +45,16 @@ class NoDecayError(RuntimeError):
 # -- per-mode machinery ------------------------------------------------------
 
 def mode_accumulated(model: OperatorFamily, s: float, t: float) -> np.ndarray:
-    """k_i(t, s) of every diagonal mode i over [s, t], from one quad."""
+    """k_i(t, s) of every diagonal mode i over [s, t], from one quad to MODE_TOL."""
     if t == s:
         return np.zeros(model.dim)
     cum, diffusion = model.coeffs.drift_antideriv, model.coeffs.diffusion
     at = cum(t)
     f = lambda sigma: np.exp(2.0 * (at - cum(sigma))) * diffusion(sigma) ** 2
-    return quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)[0]
+    k, err = quad(f, s, t, epsabs=MODE_TOL, epsrel=MODE_TOL, limit=400)
+    if np.any(err > np.maximum(MODE_TOL, MODE_TOL * np.abs(k))):
+        raise IntegratorDivergedError(f"quad on [{s}, {t}] stops at error {np.max(err):.3g}")
+    return k
 
 
 def accumulated(model: OperatorFamily, s: float, t: float) -> SymOperator:

@@ -171,7 +171,7 @@ def run_covariance(model, cfg, report: RunReport, outdir: Path) -> None:
                       for side, rep in (("forward", fwd), ("backward", bwd))]
         write_csv(outdir / "covariance_derivatives.csv",
                   ["s", "t", "probe", "side", "fd", "formula", "discrepancy"], drows)
-        report.check("covariance.derivatives", _worst(row[6] for row in drows), cfg.tol_fd,
+        report.check("covariance.derivatives", _worst(row[6] for row in drows), 1e-6,
                      f"max discrepancy at step {FD_STEP:g}")
 
     if model.decay is not None and model.decay[1] > 0:
@@ -205,7 +205,7 @@ def run_invariance(model, cfg, report: RunReport, outdir: Path) -> None:
     system = _system(model, cfg)
     probes = meas.default_probes(model.dim, cfg.seed, cfg.probe_count)
     pairs = _pairs(cfg)
-    rep = meas.verify_invariance(system, model, pairs, probes, tol=cfg.tol_invariance)
+    rep = meas.verify_invariance(system, model, pairs, probes, tol=1e-8)
     write_csv(outdir / "invariance.csv", ["s", "t", "probe", "discrepancy"], rep.rows)
     report.check("invariance.gaussian-system", rep.max_discrepancy, rep.tol,
                  f"{system.label}: max {rep.max_discrepancy:.3e} over {len(pairs)} pairs x "
@@ -216,7 +216,7 @@ def run_invariance(model, cfg, report: RunReport, outdir: Path) -> None:
         # the scale solves the mode-1 flow, so scale(t) e_1 is U-invariant
         e1 = np.eye(model.dim)[0]
         shifted = meas.point_shifted_system(system, lambda t: scale(t) * e1, "shifted-by-flow")
-        rep2 = meas.verify_invariance(shifted, model, pairs, probes, tol=cfg.tol_invariance)
+        rep2 = meas.verify_invariance(shifted, model, pairs, probes, tol=1e-8)
         write_csv(outdir / "invariance_shifted.csv", ["s", "t", "probe", "discrepancy"],
                   rep2.rows)
         report.check("invariance.shifted-system", rep2.max_discrepancy, rep2.tol,
@@ -228,7 +228,7 @@ def run_diffcheck(model, cfg, report: RunReport, outdir: Path) -> None:
     if not pairs:
         return
     gen = seed_stream(cfg.seed, "diffcheck")
-    rows = []
+    rows, extrapolated = [], []
     for probe in range(20):
         s, t = pairs[probe % len(pairs)]
         poly = mehler.TrigPolynomial.plane_wave(gen.standard_normal(model.dim))
@@ -236,10 +236,11 @@ def run_diffcheck(model, cfg, report: RunReport, outdir: Path) -> None:
         rep = mehler.check_differentiation(model, s, t, poly, x, FD_STEP)
         rows.append((probe, s, t, rep.start_discrepancy, rep.end_discrepancy,
                      rep.start_order_ratio, rep.end_order_ratio))
+        extrapolated += [rep.start_extrapolated, rep.end_extrapolated]
     write_csv(outdir / "diffcheck.csv",
               ["probe", "s", "t", "start_disc", "end_disc", "start_ratio", "end_ratio"], rows)
-    worst = _worst(d for row in rows for d in row[3:5])
-    report.check("diffcheck.formulas", worst, cfg.tol_fd, "max discrepancy on 20 trig probes")
+    report.check("diffcheck.formulas", _worst(extrapolated), 1e-8,
+                 "max discrepancy of the Richardson value (4 D(h/2) - D(h))/3 on 20 trig probes")
     med = float(np.median([r for row in rows for r in row[5:7]]))
     report.check("diffcheck.fd-order", abs(med - 4.0), 0.5,
                  f"median halving ratio {med:.2f}, distance from 4")

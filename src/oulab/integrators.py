@@ -33,7 +33,8 @@ EPMACH = sys.float_info.epsilon
 
 
 class IntegratorDivergedError(RuntimeError):
-    """The ODE solver's step fell below ten float spacings of t."""
+    """An integrator stopped short of its tolerance: an ODE step fell below
+    ten float spacings of t, or quad hit its subinterval limit above it."""
 
 
 # -- DOP853 ------------------------------------------------------------------

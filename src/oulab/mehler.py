@@ -232,12 +232,17 @@ class DifferentiationReport:
     ``end_*`` compares the t-derivative with P_{s,t}(L(t) phi)(x), each
     closed form evaluated once.  Each discrepancy is measured at fd_step and
     fd_step/2; second-order central differences should shrink it by about 4.
+    The ``*_extrapolated`` discrepancies compare the Richardson value
+    (4 D(fd_step/2) - D(fd_step))/3 of the two complex differences D, whose
+    O(fd_step^2) truncation cancels, so what is left is the formula's error.
     """
 
     start_discrepancy: float
     start_discrepancy_half: float
+    start_extrapolated: float
     end_discrepancy: float
     end_discrepancy_half: float
+    end_extrapolated: float
 
     @property
     def start_order_ratio(self) -> float:
@@ -258,12 +263,12 @@ def check_differentiation(model: OperatorFamily, s: float, t: float,
     start = -generator_apply(model, s, propagate_trig(model, s, t, phi), x)
     end = transition_of_generator(model, s, t, phi, x)
 
-    def gap(closed, ds, dt):
-        """|central difference of the value along (ds, dt) - closed|; ds or dt is 0."""
-        fd = (apply_exact(model, s + ds, t + dt, phi, x)
-              - apply_exact(model, s - ds, t - dt, phi, x)) / (2.0 * (ds + dt))
-        return abs(fd - closed)
+    def gaps(closed, ds, dt):
+        """|D - closed| for the central differences D of the value along (ds, dt)
+        and along half of it, then for their Richardson value; ds or dt is 0."""
+        fd, fd_half = ((apply_exact(model, s + f * ds, t + f * dt, phi, x)
+                        - apply_exact(model, s - f * ds, t - f * dt, phi, x))
+                       / (2.0 * f * (ds + dt)) for f in (1.0, 0.5))
+        return abs(fd - closed), abs(fd_half - closed), abs((4.0 * fd_half - fd) / 3.0 - closed)
 
-    half = fd_step / 2.0
-    return DifferentiationReport(gap(start, fd_step, 0.0), gap(start, half, 0.0),
-                                 gap(end, 0.0, fd_step), gap(end, 0.0, half))
+    return DifferentiationReport(*gaps(start, fd_step, 0.0), *gaps(end, 0.0, fd_step))

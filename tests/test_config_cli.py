@@ -54,11 +54,6 @@ def test_config_rejects_empty_window():
         ExperimentConfig(window=(2.0, 1.0)).validate()
 
 
-def test_config_rejects_bad_tolerance():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(tol_fd=0.0).validate()
-
-
 def test_config_rejects_garbage_numbers():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_text("[model]\nname = diag-constant\nn = lots\n")
@@ -111,6 +106,7 @@ def test_cli_scalar_osc_without_decay_exits_two(tmp_path, capsys):
     ("[run]\n", "[extra]\nseed = 1\n\n[run]\n"),  # an unknown section
     ("[mc]\n", "[mc]\nspde_paths = 2000\n"),   # merged into samples
     ("[probes]\n", "[probes]\nanchor = -6.0\n"),  # derived by experiments._system
+    ("[run]\n", "[tolerances]\nfd = 1e-06\n\n[run]\n"),  # bounds are battery constants
 ])
 def test_cli_unknown_key_exits_two(tmp_path, capsys, old, new):
     text = small_config().to_text()
@@ -128,7 +124,7 @@ def test_cli_unknown_key_exits_two(tmp_path, capsys, old, new):
     # NaN fails every comparison, so each range check would let it through
     ("[grids]\n", "[window]\nt_min = nan\nt_max = 10.0\n\n[grids]\n"),
     ("s_values = -1.0,", "s_values = nan,"),
-    ("fd = 0.0001", "fd = inf"),
+    ("spde_step = 0.005", "spde_step = inf"),
     ("samples = 20000", "samples = 1"),  # no standard error from one draw
     ("p_values = 2.0, 2.5, 3.0", "p_values = 0.0, 2.0"),  # no p-norm below p = 1
     ("sharpness_p = 4.5, 6.0", "sharpness_p = 0.5, -1.0"),
@@ -257,26 +253,14 @@ def test_cli_hyper_beyond_curve_exits_one(tmp_path):
     assert cli.main(["hyper", str(path), "--outdir", str(tmp_path / "o")]) == cli.EXIT_CHECK_FAILED
 
 
-def test_cli_outdir_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "dc.cfg"
-    path.write_text(small_config().to_text())
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("OULAB_OUTDIR", str(target))
-    assert cli.main(["evolve", str(path)]) == cli.EXIT_OK
-    assert (target / "evolution_chain.csv").exists()
-
-
-@pytest.mark.parametrize("where", ["--outdir", "OULAB_OUTDIR", "config"])
-def test_cli_uncreatable_outdir_exits_two(tmp_path, monkeypatch, capsys, where):
+@pytest.mark.parametrize("where", ["--outdir", "config"])
+def test_cli_uncreatable_outdir_exits_two(tmp_path, capsys, where):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "sub"  # below a regular file: mkdir fails
-    monkeypatch.delenv("OULAB_OUTDIR", raising=False)
     path = tmp_path / "dc.cfg"
     path.write_text(small_config(outdir=str(out) if where == "config" else "out").to_text())
     argv = ["evolve", str(path)] + (["--outdir", str(out)] if where == "--outdir" else [])
-    if where == "OULAB_OUTDIR":
-        monkeypatch.setenv("OULAB_OUTDIR", str(out))
     assert cli.main(argv) == cli.EXIT_CONFIG_INVALID
     err = capsys.readouterr().err
     assert err.splitlines() == [f"config error: cannot create output directory {out}: "
@@ -610,7 +594,7 @@ PLANTS = [
     ("diffcheck.formulas", "diffcheck", "diag-constant",
      (mehler, "transition_of_generator", 0, lambda out: out + 1e-3),
      (mehler, "check_differentiation", 1,
-      lambda out: dataclasses.replace(out, start_discrepancy=NAN))),
+      lambda out: dataclasses.replace(out, start_extrapolated=NAN))),
     ("diffcheck.fd-order", "diffcheck", "diag-constant",  # an O(1) error does not halve
      (mehler, "generator_apply", None, lambda out: out + 1e-3), None),
     ("logsob.entropy-bound", "logsob", "diag-constant",  # kappa below kappa* = 0.25
@@ -704,6 +688,40 @@ def test_a_nan_covariance_is_an_error_row(tmp_path, monkeypatch, capsys):
     assert checks["covariance.error"]["detail"].startswith("NonSymmetricError: the symmetry check needs finite")
     assert "ERROR: covariance.error" in capsys.readouterr().err
     assert sum(c["status"] == "ERROR" for c in checks.values()) == 1
+
+
+def test_a_quadrature_at_its_subinterval_limit_is_an_error_row(tmp_path, monkeypatch):
+    # with 6 parts in place of 400, diag-rational's mode integrals stop above
+    # MODE_TOL; the value quad returns there must not reach a verdict
+    quad = cov.quad
+    monkeypatch.setattr(cov, "quad", lambda *args, **kwargs: quad(*args, **{**kwargs, "limit": 6}))
+    path = REPO / "configs" / "diag_rational.cfg"
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(["covariance", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    (check,) = json.loads((out / "report.json").read_text())["checks"]
+    assert check["name"] == "covariance.error" and check["status"] == "ERROR"
+    assert check["detail"].startswith("IntegratorDivergedError: quad on [")
+
+
+@pytest.mark.parametrize("seed", [48, 91, 95, 98, 108, 116])
+def test_diffcheck_passes_nonunique_demo_where_truncation_exceeded_the_old_bound(tmp_path, seed):
+    # the plain differences at step 1e-4 read 1.0e-6 to 1.5e-6 on these seeds;
+    # the Richardson value cancels their O(h^2) truncation
+    cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / "nonunique_demo.cfg"),
+                              seed=seed)
+    assert _status(run_suite("diffcheck", cfg, tmp_path), "diffcheck.formulas") == "PASS"
+
+
+@pytest.mark.parametrize("name", ["diag_constant.cfg", "parabolic_1d.cfg", "nonunique_demo.cfg"])
+def test_a_small_error_in_the_end_formula_fails_diffcheck(tmp_path, monkeypatch, name):
+    # 1e-7 lies below the plain differences' truncation, not below their
+    # Richardson value's
+    cfg = ExperimentConfig.from_file(REPO / "configs" / name)
+    assert _status(run_suite("diffcheck", cfg, tmp_path), "diffcheck.formulas") == "PASS"
+    _spoil_call(monkeypatch, mehler, "transition_of_generator", None, lambda out: out + 1e-7)
+    assert _status(run_suite("diffcheck", cfg, tmp_path), "diffcheck.formulas") == "FAIL"
 
 
 def test_a_nan_discrepancy_fails_both_invariance_rows(tmp_path, monkeypatch):

@@ -174,6 +174,7 @@ def test_differentiation_formulas_constant_model(dc8):
     rep = check_differentiation(dc8, 0.0, 1.0, poly, np.eye(8)[0], fd_step=1e-4)
     assert rep.start_discrepancy <= 1e-7
     assert rep.end_discrepancy <= 1e-7
+    assert max(rep.start_extrapolated, rep.end_extrapolated) <= 1e-10
     assert 3.5 <= rep.start_order_ratio <= 4.5
     assert 3.5 <= rep.end_order_ratio <= 4.5
 
@@ -187,13 +188,15 @@ def test_differentiation_trivial_constant(dc8):
 
 def test_differentiation_formulas_rational(rational2):
     gen = seed_stream(6, "diff-rational")
-    worst = 0.0
+    worst = worst_extrapolated = 0.0
     for _ in range(5):
         poly = TrigPolynomial.plane_wave(gen.standard_normal(2))
         x = gen.standard_normal(2)
         rep = check_differentiation(rational2, -0.3, 0.9, poly, x, fd_step=1e-4)
         worst = max(worst, rep.start_discrepancy, rep.end_discrepancy)
+        worst_extrapolated = max(worst_extrapolated, rep.start_extrapolated, rep.end_extrapolated)
     assert worst <= 1e-6
+    assert worst_extrapolated <= 1e-10
 
 
 def test_differentiation_evaluates_each_closed_form_once(dc4, monkeypatch):
