@@ -5,19 +5,19 @@
     python3 scripts/artifact_digests.py --check    # compare against it
 
 Each config in ``configs/`` runs ``oulab report-all`` at each seed of SEEDS,
-in a fresh process and a temporary directory, with the config's ``[run]
-seed`` replaced.  The manifest (MANIFEST, committed next to this script)
-holds the exit code, the sha256 of every file the run writes except
-``run_meta.json``, which records timings, the status of every check in
-its ``report.json`` and the value of every asserted one, plus the Python,
-numpy and BLAS versions that produced them.  ``--check`` prints each run
-whose exit code or file set differs, each file whose digest differs, each
-check whose status moved and each asserted value that moved within its
-status, and exits 1 if any does.
-
-Digests are tied to one numpy and BLAS build: a mismatch under other
-versions (the check prints both) is not a defect by itself.  A change
-that moves artifacts on purpose rewrites the manifest in the same diff.
+in a fresh process under ``-W error::RuntimeWarning`` and a temporary
+directory, with the config's ``[run] seed`` replaced.  The manifest
+(MANIFEST, committed next to this script) holds the exit code, the sha256 of
+every file the run writes except ``run_meta.json``, which records timings,
+the status of every check in its ``report.json`` and the value of every
+asserted one, plus the Python, numpy and BLAS versions that produced them.
+``--check`` prints each run whose exit code or file set differs, each file
+whose digest differs, each check whose status moved and each asserted value
+that moved within its status.  It exits 1 if a run, an exit code, a file set
+or a status moved; else 2 if a digest or a value moved, as they do under
+another numpy or BLAS build or CPU (the check prints both versions); else 0.
+A change that moves artifacts on purpose rewrites the manifest in the same
+diff.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def run(cfg: Path, seed: int, workdir: Path) -> dict:
     cfg_copy.write_text(text)
     outdir = workdir / "out"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = subprocess.run([sys.executable, "-m", "oulab.cli", "report-all", str(cfg_copy),
-                           "--outdir", str(outdir)], env=env, cwd=workdir,
-                          stdout=subprocess.DEVNULL).returncode
+    code = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "oulab.cli",
+                           "report-all", str(cfg_copy), "--outdir", str(outdir)],
+                          env=env, cwd=workdir, stdout=subprocess.DEVNULL).returncode
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(outdir.glob("*")) if p.name not in SKIPPED}
     report = outdir / "report.json"
@@ -80,26 +80,29 @@ def collect() -> dict:
     return {"versions": versions(), "runs": runs}
 
 
-def differences(old: dict, new: dict) -> list[str]:
+def differences(old: dict, new: dict) -> list[tuple[int, str]]:
+    """(exit code, line) of each difference: 1 for a moved run, exit code,
+    file set or status, 2 for a moved digest or value."""
     out = []
     for key in sorted(old["runs"].keys() | new["runs"].keys()):
         a, b = old["runs"].get(key), new["runs"].get(key)
         if a is None or b is None:
-            out.append(f"{key}: run only in the {'manifest' if b is None else 'new runs'}")
+            out.append((1, f"{key}: run only in the {'manifest' if b is None else 'new runs'}"))
             continue
         if a["exit"] != b["exit"]:
-            out.append(f"{key}: exit code {a['exit']} -> {b['exit']}")
+            out.append((1, f"{key}: exit code {a['exit']} -> {b['exit']}"))
+        both = a["files"].keys() & b["files"].keys()
         for name in sorted(a["files"].keys() | b["files"].keys()):
             if a["files"].get(name) != b["files"].get(name):
-                out.append(f"{key}/{name}")
+                out.append((2 if name in both else 1, f"{key}/{name}"))
         old_s, new_s, old_v, new_v = a["statuses"], b["statuses"], a["values"], b["values"]
         for name in sorted(old_s.keys() | new_s.keys()):
             if old_s.get(name) != new_s.get(name):
-                out.append(f"{key}: {name} {old_s.get(name, 'absent')} -> "
-                           f"{new_s.get(name, 'absent')}")
+                out.append((1, f"{key}: {name} {old_s.get(name, 'absent')} -> "
+                               f"{new_s.get(name, 'absent')}"))
             elif repr(old_v.get(name)) != repr(new_v.get(name)):
-                out.append(f"{key}: {name} {new_s[name]}, value {old_v.get(name)!r} -> "
-                           f"{new_v.get(name)!r}")
+                out.append((2, f"{key}: {name} {new_s[name]}, value {old_v.get(name)!r} -> "
+                               f"{new_v.get(name)!r}"))
     return out
 
 
@@ -115,12 +118,12 @@ def main(argv=None) -> int:
         return 0
     recorded = json.loads(MANIFEST.read_text())
     diff = differences(recorded, current)
-    for line in diff:
+    for _, line in diff:
         print(line)
     if diff and recorded["versions"] != current["versions"]:
         print(f"versions differ: manifest {recorded['versions']}, "
               f"here {current['versions']}")
-    return 1 if diff else 0
+    return min((code for code, _ in diff), default=0)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ about 0.6 s on import and 0.1 s at exit of every process (one CPU of a
 from __future__ import annotations
 
 import sys
-import warnings
 
 import numpy as np
 
@@ -173,28 +172,27 @@ W_KG = np.array([WK, [WG[j // 2] if j % 2 else 0.0 for j in _J]])
 
 
 def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int = 50):
-    """(integral of f over [a, b], error estimate); b < a negates.
+    """Integral of f over [a, b]; b < a negates.
 
     f maps a part's 21 Kronrod abscissae, an array, to f's values there: a
     (21,) array for one integrand, (21, m) for m integrands on one shared
-    subdivision, whose values and estimates then have shape (m,).
+    subdivision, whose integrals then have shape (m,).
     Globally adaptive bisection with the 21-point Gauss-Kronrod rule: the
     part whose error estimate is largest relative to the tolerance
     max(epsabs, epsrel |I_j|) of a component j is halved, until every
     component's summed estimate is within its tolerance.  Reaching ``limit``
-    parts first gives a RuntimeWarning.  An empty interval gives (0.0, 0.0)
+    parts first raises IntegratorDivergedError.  An empty interval gives 0.0
     without calling f.
     """
     if a == b:
-        return 0.0, 0.0
+        return 0.0
     lo, hi = min(a, b), max(a, b)
     ends, rules = [(lo, hi)], [_qk21(f, lo, hi)]
     area, errsum = rules[0]
     while np.any(errsum > (tol := np.maximum(epsabs, epsrel * np.abs(area)))):
         if len(rules) == limit:
-            warnings.warn(f"quad on [{a}, {b}]: {limit} subintervals leave an error "
-                          f"estimate of {np.max(errsum):.3g}", RuntimeWarning, stacklevel=2)
-            break
+            raise IntegratorDivergedError(f"quad on [{a}, {b}]: {limit} subintervals leave "
+                                          f"an error estimate of {np.max(errsum):.3g}")
         ratios = np.array([e for _, e in rules]) / tol
         k = int(np.argmax(ratios.reshape(len(rules), -1).max(axis=1)))
         left, right = ends[k]
@@ -203,7 +201,7 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int = 50):
         ends.append((mid, right))
         rules.append(_qk21(f, mid, right))
         area, errsum = (np.sum(column, axis=0) for column in zip(*rules))
-    return (-area if b < a else area), errsum
+    return -area if b < a else area
 
 
 def _qk21(f, a: float, b: float):

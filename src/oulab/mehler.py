@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .covariance import accumulated
+from .covariance import accumulated, central_differences
 from .evolution import propagator_matrix
 from .models import OperatorFamily
 
@@ -256,19 +256,13 @@ class DifferentiationReport:
 def check_differentiation(model: OperatorFamily, s: float, t: float,
                           phi: TrigPolynomial, x: np.ndarray,
                           fd_step: float = 1e-4) -> DifferentiationReport:
+    """The s- and t-derivatives of P_{s,t} phi (x) by central differences, against closed forms."""
     if not s < t:
         raise ValueError("need s < t")
     x = np.asarray(x, dtype=float)
-
     start = -generator_apply(model, s, propagate_trig(model, s, t, phi), x)
     end = transition_of_generator(model, s, t, phi, x)
-
-    def gaps(closed, ds, dt):
-        """|D - closed| for the central differences D of the value along (ds, dt)
-        and along half of it, then for their Richardson value; ds or dt is 0."""
-        fd, fd_half = ((apply_exact(model, s + f * ds, t + f * dt, phi, x)
-                        - apply_exact(model, s - f * ds, t - f * dt, phi, x))
-                       / (2.0 * f * (ds + dt)) for f in (1.0, 0.5))
-        return abs(fd - closed), abs(fd_half - closed), abs((4.0 * fd_half - fd) / 3.0 - closed)
-
-    return DifferentiationReport(*gaps(start, fd_step, 0.0), *gaps(end, 0.0, fd_step))
+    along_s = central_differences(lambda d: apply_exact(model, s + d, t, phi, x), fd_step)
+    along_t = central_differences(lambda d: apply_exact(model, s, t + d, phi, x), fd_step)
+    return DifferentiationReport(*(abs(d - start) for d in along_s),
+                                 *(abs(d - end) for d in along_t))

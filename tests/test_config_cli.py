@@ -16,7 +16,7 @@ from oulab import covariance as cov
 from oulab.config import ConfigError, ExperimentConfig
 from oulab.experiments import run_suite
 from oulab.linalg import SymOperator
-from oulab.models import build_model
+from oulab.models import OperatorFamily, build_model
 
 NAN = float("nan")
 
@@ -175,13 +175,14 @@ def test_shipped_config_report_all_passes_with_small_samples(shipped_checks, nam
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_mode_integrals_stay_inside_the_quadrature_limit(tmp_path, name, seed):
     # all modes of a span share one subdivision, which must converge within
-    # quad's 400 parts: at the limit quad warns
+    # quad's 400 parts: at the limit quad raises, an ERROR row
     cfg = dataclasses.replace(ExperimentConfig.from_file(REPO / "configs" / name),
                               seed=seed, mc_samples=2000)
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
-        run_suite("report-all", cfg, tmp_path)
+        report = run_suite("report-all", cfg, tmp_path)
     assert [str(w.message) for w in warned if issubclass(w.category, RuntimeWarning)] == []
+    assert [c["detail"] for c in report.checks if c["status"] == "ERROR"] == []
 
 
 @pytest.mark.parametrize("name, label", [
@@ -473,7 +474,7 @@ def test_contraction_curve_scan_script_writes_its_table(tmp_path):
     assert len(rows) > 2  # schema line, header, data
 
 
-def test_digest_check_lists_moved_values():
+def test_digest_check_lists_moved_values(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("artifact_digests",
                                                   REPO / "scripts" / "artifact_digests.py")
     digests = importlib.util.module_from_spec(spec)
@@ -485,7 +486,23 @@ def test_digest_check_lists_moved_values():
            "statuses": {"x.moved": "PASS", "x.same": "PASS", "x.flipped": "FAIL"},
            "values": {"x.moved": 2e-15, "x.same": 0.5, "x.flipped": 2.0}}
     assert digests.differences({"runs": {"m@1": run}}, {"runs": {"m@1": new}}) == [
-        "m@1/report.json", "m@1: x.flipped PASS -> FAIL", "m@1: x.moved PASS, value 1e-15 -> 2e-15"]
+        (2, "m@1/report.json"), (1, "m@1: x.flipped PASS -> FAIL"),
+        (2, "m@1: x.moved PASS, value 1e-15 -> 2e-15")]
+
+    def check(current):
+        """Exit code of --check with ``run`` in the manifest and ``current`` run."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"versions": {}, "runs": {"m@1": run}}))
+        monkeypatch.setattr(digests, "MANIFEST", manifest)
+        monkeypatch.setattr(digests, "collect", lambda: {"versions": {}, "runs": {"m@1": current}})
+        return digests.main(["--check"])
+
+    # a digest or a value alone moves with the BLAS build; a status, an exit
+    # code or a file set does not
+    only_bytes = {**new, "statuses": run["statuses"]}
+    assert [check(run), check(only_bytes), check(new)] == [0, 2, 1]
+    assert check({**only_bytes, "exit": 1}) == 1
+    assert check({**run, "files": {"report.json": "a", "extra.csv": "c"}}) == 1
 
 
 def test_cli_lists_failed_checks_beside_errors(tmp_path, monkeypatch, capsys):
@@ -578,14 +595,16 @@ PLANTS = [
     ("covariance.flow-decomposition", "covariance", "diag-constant",
      (evolution, "propagator_matrix", 0, _bump),
      (evolution, "propagator_matrix", 0, lambda out: out * NAN)),
+    # K(t + h, s) of the first derivative probe, after 4 grid pairs and 10
+    # flow-decomposition triples of 3
     ("covariance.derivatives", "covariance", "diag-constant",
-     (cov, "_quad_form", 0, lambda out: out + 1e-6),
+     (cov, "accumulated", 34, _scaled(1.0 + 1e-6)),
      (cov, "check_forward_derivative", 1,
-      lambda out: dataclasses.replace(out, abs_discrepancy=NAN))),
+      lambda out: dataclasses.replace(out, extrapolated=NAN))),
     # K of the longest horizon, after 4 grid pairs, 10 flow-decomposition
-    # triples of 3 and 3 derivative probes of 5
+    # triples of 3 and 3 derivative probes of 9
     ("covariance.monotone-horizon", "covariance", "diag-constant",
-     (cov, "accumulated", 52, _scaled(0.5)), None),
+     (cov, "accumulated", 64, _scaled(0.5)), None),
     ("invariance.gaussian-system", "invariance", "diag-constant",  # the first pair's probes
      (measures, "propagate_trig", 0, lambda out: 1.001 * out), None),
     # the shifted system's first pair, after the base system's 4 probe pairs
@@ -692,17 +711,31 @@ def test_a_nan_covariance_is_an_error_row(tmp_path, monkeypatch, capsys):
 
 def test_a_quadrature_at_its_subinterval_limit_is_an_error_row(tmp_path, monkeypatch):
     # with 6 parts in place of 400, diag-rational's mode integrals stop above
-    # MODE_TOL; the value quad returns there must not reach a verdict
+    # MODE_TOL; with warnings as errors, as CI runs, that is still an ERROR row
     quad = cov.quad
     monkeypatch.setattr(cov, "quad", lambda *args, **kwargs: quad(*args, **{**kwargs, "limit": 6}))
     path = REPO / "configs" / "diag_rational.cfg"
     out = tmp_path / "o"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["covariance", str(path), "--outdir", str(out)]) == cli.EXIT_NUMERICAL_ERROR
+    assert (out / "report.json").exists()
     (check,) = json.loads((out / "report.json").read_text())["checks"]
     assert check["name"] == "covariance.error" and check["status"] == "ERROR"
     assert check["detail"].startswith("IntegratorDivergedError: quad on [")
+
+
+@pytest.mark.parametrize("name", ["diag_constant.cfg", "diag_rational.cfg", "scalar_osc.cfg",
+                                  "nonunique_demo.cfg"])
+def test_a_small_error_in_the_noise_fails_the_covariance_derivatives(tmp_path, monkeypatch, name):
+    # Q(t) + 1e-7 I in the closed forms only: a diagonal model's K comes from
+    # its mode coefficients.  The plain differences' truncation hides 1e-7,
+    # their Richardson value does not
+    cfg = ExperimentConfig.from_file(REPO / "configs" / name)
+    assert _status(run_suite("covariance", cfg, tmp_path), "covariance.derivatives") == "PASS"
+    _spoil_call(monkeypatch, OperatorFamily, "diffusion_matrix", None,
+                lambda out: out + 1e-7 * np.eye(len(out)))
+    assert _status(run_suite("covariance", cfg, tmp_path), "covariance.derivatives") == "FAIL"
 
 
 @pytest.mark.parametrize("seed", [48, 91, 95, 98, 108, 116])

@@ -271,6 +271,7 @@ def test_forward_derivative_constant_model(dc8):
     assert rep.formula_value == pytest.approx(math.exp(-2.0), abs=1e-10)
     assert rep.formula_value == pytest.approx(1.0 - 2.0 * DC_K10, abs=1e-12)
     assert rep.abs_discrepancy <= 1e-8
+    assert rep.extrapolated <= 1e-10
 
 
 def test_backward_derivative_constant_model(dc8):
@@ -278,6 +279,7 @@ def test_backward_derivative_constant_model(dc8):
     rep = cov.check_backward_derivative(dc8, 0.0, 1.0, e1, fd_step=1e-4)
     assert rep.formula_value == pytest.approx(-math.exp(-2.0), abs=1e-12)
     assert rep.abs_discrepancy <= 1e-8
+    assert rep.extrapolated <= 1e-10
 
 
 def test_derivatives_zero_probe(dc8):
@@ -294,6 +296,7 @@ def test_derivative_identities_rational(rational2):
     bwd = cov.check_backward_derivative(rational2, 0.0, 1.0, v, fd_step=1e-4)
     assert fwd.abs_discrepancy <= 1e-6
     assert bwd.abs_discrepancy <= 1e-6
+    assert max(fwd.extrapolated, bwd.extrapolated) <= 1e-10
 
 
 def test_derivative_identities_dense(parabolic5):
@@ -302,6 +305,7 @@ def test_derivative_identities_dense(parabolic5):
     bwd = cov.check_backward_derivative(parabolic5, 0.0, 0.5, v, fd_step=1e-4)
     assert fwd.abs_discrepancy <= 1e-6
     assert bwd.abs_discrepancy <= 1e-6
+    assert max(fwd.extrapolated, bwd.extrapolated) <= 1e-10
 
 
 def test_derivative_checks_are_second_order(dc8):
